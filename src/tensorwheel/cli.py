@@ -27,7 +27,7 @@ from .errors import ParameterError, TensorWheelError
 from .metrics import evaluate
 from .pid_sgd import DivergenceError, HyperParams, train
 from .synthgen import SynthSpec, generate
-from .tensor_store import SplitSpec, ingest, normalize, split, write_coo
+from .tensor_store import SplitSpec, ingest, normalize, read_dims_header, split, write_coo
 from .twd_core import (
     Ranks,
     checkpoint_text,
@@ -210,6 +210,10 @@ def cmd_evaluate(args) -> int:
     factors = load_checkpoint(args.checkpoint)
     dims = "infer" if args.dims is None else _parse_ints(args.dims, 3, "--dims")
     tensor = ingest(args.input, dims=dims)
+    declared = read_dims_header(args.input) if dims == "infer" else dims
+    if declared is not None and declared != factors.dims:
+        raise ParameterError(f"data declares dims {declared}, "
+                             f"but the checkpoint has dims {factors.dims}")
     if args.normalize:
         tensor = normalize(tensor)
     scores = evaluate(factors, tensor, raw_domain=args.raw_domain_metrics)

@@ -12,6 +12,7 @@ since its previous visit (derivative).  Proportional-only settings
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import BoundsError, DivergenceError, ParameterError
 from .metrics import evaluate
 from .tensor_store import Entry, SparseTensor
-from .twd_core import Ranks, TwdFactors, init_factors, reconstruct_entries
+from .twd_core import Ranks, TwdFactors, entry_partials, init_factors, reconstruct_entries
 
 DEFAULT_ETA = 0.01
 DEFAULT_LAMBDA = 0.01
@@ -46,6 +47,10 @@ class HyperParams:
     init_scale: float = 0.1
 
     def __post_init__(self):
+        for name in ("eta", "lam", "cp", "ci", "cd", "init_scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if self.eta <= 0:
             raise ParameterError(f"eta must be > 0, got {self.eta}")
         if self.lam < 0:
@@ -140,56 +145,27 @@ def pid_error(state: PidState, entry_id: int, e_n: float, hp: HyperParams) -> fl
     return composite
 
 
-def _partials(f: TwdFactors, i: int, j: int, k: int):
-    """Reconstruction at (i, j, k) and its partial derivative w.r.t. each
-    touched parameter block, all from the current factor values.
-
-    Returns (x_hat, t_g, t_a, t_b, t_c) where t_g has the core's shape
-    and t_a/t_b/t_c the shapes of the i/j/k factor slices.
-    """
-    g = f.g
-    a_i = f.a[:, i]  # (R3, R1, H1)
-    b_j = f.b[:, j]  # (R1, R2, H2)
-    c_k = f.c[:, k]  # (R2, R3, H3)
-    # sum over r1 -> (R3, H1, R2, H2)
-    ab = np.tensordot(a_i, b_j, axes=([1], [0]))
-    # sum over r3, r2 -> (H1, H2, H3); doubles as the core's partial
-    t_g = np.tensordot(ab, c_k, axes=([0, 2], [1, 0]))
-    x_hat = float(np.vdot(t_g, g))
-    # sum over h1, h2 -> (R3, R2, H3), reorder to c's slice layout (R2, R3, H3)
-    t_c = np.tensordot(ab, g, axes=([1, 3], [0, 1])).transpose(1, 0, 2)
-    # sum over h2 -> (R1, R2, H1, H3), then r2, h3 -> (R1, H1, R3) -> (R3, R1, H1)
-    gb = np.tensordot(b_j, g, axes=([2], [1]))
-    t_a = np.tensordot(gb, c_k, axes=([1, 3], [0, 2])).transpose(2, 0, 1)
-    # sum over r3 -> (R2, H3, R1, H1), then h1, h3 -> (R2, R1, H2) -> (R1, R2, H2)
-    ca = np.tensordot(c_k, a_i, axes=([1], [0]))
-    t_b = np.tensordot(ca, g, axes=([3, 1], [0, 2])).transpose(1, 0, 2)
-    return x_hat, t_g, t_a, t_b, t_c
-
-
 def _apply_update(f: TwdFactors, i, j, k, e_t, eta, lam, t_g, t_a, t_b, t_c, entry_id):
     """Apply the four update rules from a pre-step snapshot.
 
     All partials were evaluated before any write, so the four blocks see
     the same point (Jacobi-style within the step).
     """
+    blocks = ((f.g, t_g), (f.a[:, i], t_a), (f.b[:, j], t_b), (f.c[:, k], t_c))
     with np.errstate(over="ignore", invalid="ignore"):
-        f.g += eta * (e_t * t_g - lam * f.g)
-        f.a[:, i] += eta * (e_t * t_a - lam * f.a[:, i])
-        f.b[:, j] += eta * (e_t * t_b - lam * f.b[:, j])
-        f.c[:, k] += eta * (e_t * t_c - lam * f.c[:, k])
-    if not (np.isfinite(e_t)
-            and np.all(np.isfinite(f.g))
-            and np.all(np.isfinite(f.a[:, i]))
-            and np.all(np.isfinite(f.b[:, j]))
-            and np.all(np.isfinite(f.c[:, k]))):
+        for view, t in blocks:
+            view += eta * (e_t * t - lam * view)
+    if not math.isfinite(e_t):
         raise DivergenceError(entry_id)
+    for view, _ in blocks:
+        if not np.isfinite(view).all():
+            raise DivergenceError(entry_id)
 
 
 def sgd_step(f: TwdFactors, entry: Entry, entry_id: int, state: PidState,
              hp: HyperParams) -> None:
     """One PID-guided SGD step on a single observation (in place)."""
-    x_hat, t_g, t_a, t_b, t_c = _partials(f, entry.i, entry.j, entry.k)
+    x_hat, t_g, t_a, t_b, t_c = entry_partials(f, entry.i, entry.j, entry.k)
     e = entry.value - x_hat
     e_t = pid_error(state, entry_id, e, hp)
     _apply_update(f, entry.i, entry.j, entry.k, e_t, hp.eta, hp.lam,
@@ -199,7 +175,7 @@ def sgd_step(f: TwdFactors, entry: Entry, entry_id: int, state: PidState,
 def plain_sgd_step(f: TwdFactors, entry: Entry, entry_id: int, hp: HyperParams) -> None:
     """One plain SGD step: the raw residual drives the update directly,
     with no PID bookkeeping.  Reference path for the reduction check."""
-    x_hat, t_g, t_a, t_b, t_c = _partials(f, entry.i, entry.j, entry.k)
+    x_hat, t_g, t_a, t_b, t_c = entry_partials(f, entry.i, entry.j, entry.k)
     e = entry.value - x_hat
     _apply_update(f, entry.i, entry.j, entry.k, e, hp.eta, hp.lam,
                   t_g, t_a, t_b, t_c, entry_id)

@@ -22,7 +22,6 @@ from .twd_core import (
     TwdFactors,
     init_factors,
     reconstruct_entries,
-    reconstruct_full,
 )
 
 
@@ -64,9 +63,9 @@ def generate(spec: SynthSpec) -> tuple[SparseTensor, TwdFactors]:
     rng = np.random.default_rng([spec.seed, 1])
     linear = np.sort(rng.permutation(total)[:n_obs])
     ii, jj, kk = np.unravel_index(linear, spec.dims)
-    # the cap already bounds the dense size, so gather from the dense
-    # reconstruction; full-density output then equals it bit for bit
-    values = reconstruct_full(truth).ravel()[linear]
+    # positions in row-major order: at full density this is the index grid
+    # that reconstruct_full contracts, so the output equals it bit for bit
+    values = reconstruct_entries(truth, ii, jj, kk)
     if spec.noise_sigma > 0:
         values = values + rng.normal(0.0, spec.noise_sigma, n_obs)
     entries = [Entry(int(i), int(j), int(k), float(v))

@@ -92,6 +92,45 @@ class SparseTensor:
         return np.array([e.value for e in self.entries], dtype=np.float64)
 
 
+def _dims_header(line: str, line_no: int):
+    """(I, J, K) from a "# dims I J K" comment line; None for any other comment."""
+    parts = line[1:].split()
+    if parts[:1] != ["dims"]:
+        return None
+    if len(parts) != 4:
+        raise ParseError(line_no, f"malformed dims header: {line!r}")
+    try:
+        return tuple(int(p) for p in parts[1:])
+    except ValueError:
+        raise ParseError(line_no, f"malformed dims header: {line!r}") from None
+
+
+def _undecodable_line(path) -> int:
+    """1-based number of the first line of a file that is not valid UTF-8."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")  # an undecodable byte was escaped to a lone surrogate
+            except UnicodeEncodeError:
+                return line_no
+    return line_no
+
+
+def read_dims_header(path):
+    """The dims a COO file declares in its "# dims" header, or None.
+
+    The first header counts, as in ``ingest``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith("#"):
+                dims = _dims_header(line, line_no)
+                if dims is not None:
+                    return dims
+    return None
+
+
 def ingest(path, dims="infer", keep_last: bool = False) -> SparseTensor:
     """Load a COO text file into a SparseTensor.
 
@@ -108,38 +147,35 @@ def ingest(path, dims="infer", keep_last: bool = False) -> SparseTensor:
             earlier record instead of raising DuplicateKeyError.
     """
     header_dims = None
-    records = {}  # (i, j, k) -> (line_no, value), insertion-ordered
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts[:1] == ["dims"] and header_dims is None:
-                    if len(parts) != 4:
-                        raise ParseError(line_no, f"malformed dims header: {line!r}")
-                    try:
-                        header_dims = tuple(int(p) for p in parts[1:])
-                    except ValueError:
-                        raise ParseError(line_no, f"malformed dims header: {line!r}") from None
-                continue
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise ParseError(line_no, f"expected 4 fields, got {len(fields)}")
-            try:
-                i, j, k = int(fields[0]), int(fields[1]), int(fields[2])
-                value = float(fields[3])
-            except ValueError:
-                raise ParseError(line_no, f"non-numeric field in {line!r}") from None
-            if min(i, j, k) < 0:
-                raise ParseError(line_no, f"negative index in {line!r}")
-            if not math.isfinite(value):
-                raise ParseError(line_no, f"non-finite value in {line!r}")
-            key = (i, j, k)
-            if key in records and not keep_last:
-                raise DuplicateKeyError(key, line_no)
-            records[key] = value
+    records = {}  # (i, j, k) -> value, insertion-ordered
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line.startswith("#"):
+                    if header_dims is None:
+                        header_dims = _dims_header(line, line_no)
+                    continue
+                if not line:
+                    continue
+                fields = line.split()
+                if len(fields) != 4:
+                    raise ParseError(line_no, f"expected 4 fields, got {len(fields)}")
+                try:
+                    i, j, k = int(fields[0]), int(fields[1]), int(fields[2])
+                    value = float(fields[3])
+                except ValueError:
+                    raise ParseError(line_no, f"non-numeric field in {line!r}") from None
+                if min(i, j, k) < 0:
+                    raise ParseError(line_no, f"negative index in {line!r}")
+                if not math.isfinite(value):
+                    raise ParseError(line_no, f"non-finite value in {line!r}")
+                key = (i, j, k)
+                if key in records and not keep_last:
+                    raise DuplicateKeyError(key, line_no)
+                records[key] = value
+    except UnicodeDecodeError:
+        raise ParseError(_undecodable_line(path), "not valid UTF-8 text") from None
 
     if dims == "infer":
         if header_dims is not None:

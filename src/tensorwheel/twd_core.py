@@ -9,6 +9,25 @@ chained cyclically through the ring ranks (R1, R2, R3) and each tied to
 the core through one core-link rank (H1, H2, H3).  A single element is
 the six-fold contraction over (r1, r2, r3, h1, h2, h3) of
 ``g[h1,h2,h3] * a[r3,i,r1,h1] * b[r1,j,r2,h2] * c[r2,k,r3,h3]``.
+
+Every contraction in this module follows one staging order, written as
+matrix products on reshaped slices:
+
+    1. sum over r1:          a_i (R3*H1, R1) . b_j (R1, R2*H2)
+    2. sum over (r3, r2):    ab (H1*H2, R3*R2) . c_k (R3*R2, H3) -> t_g
+    3. sum over (h1, h2, h3): vdot(t_g, g)
+
+``entry_partials`` runs the three stages for one position and, from
+stage 1's product and the same slices, the partials with respect to the
+a, b and c slices.  ``reconstruct_entry`` runs the same stages, so it
+equals the trainer's x_hat bit for bit.  ``reconstruct_entries`` and
+``reconstruct_full`` run the same stages, summing over the same indices
+in the same order, as batched products over gathered slices,
+BATCH_CHUNK positions at a time; the products are grouped differently
+there, so they agree with ``reconstruct_entry`` to rounding, not bit
+for bit.  ``reconstruct_full`` contracts the row-major index grid with
+``reconstruct_entries``'s chunks, so the two agree bit for bit there.
+``oracle_entry`` is the independent six-loop reference.
 """
 
 from __future__ import annotations
@@ -20,6 +39,7 @@ import numpy as np
 from .errors import BoundsError, ParameterError, SizeCapError
 
 DENSE_CAP = 10_000_000  # max elements a dense reconstruction may materialize
+BATCH_CHUNK = 256  # positions per batched-kernel call; bounds its temporaries
 
 CHECKPOINT_MAGIC = "TWD v1"
 
@@ -118,29 +138,64 @@ def _check_index(f: TwdFactors, i: int, j: int, k: int):
         raise BoundsError(f"index ({i}, {j}, {k}) outside dims {f.dims}")
 
 
-def reconstruct_entry(f: TwdFactors, i: int, j: int, k: int) -> float:
-    """Reconstruct one element via staged partial contractions.
+def _stages(f: TwdFactors, i: int, j: int, k: int):
+    """Stages 1 and 2 of the contraction at (i, j, k).
 
-    Mathematically identical to the naive six-fold sum (see
-    ``oracle_entry``); the staging only changes the summation order.
+    Returns ``ab`` of shape (R3, H1, R2, H2), summed over r1, and ``t_g``
+    of shape (H1, H2, H3), summed over (r3, r2); ``t_g`` is the partial
+    of the element with respect to the core.
     """
+    r1, r2, r3 = f.ranks.r
+    h1, h2, h3 = f.ranks.h
+    ab = np.dot(f.a[:, i].transpose(0, 2, 1).reshape(r3 * h1, r1),
+                f.b[:, j].reshape(r1, r2 * h2)).reshape(r3, h1, r2, h2)
+    t_g = np.dot(ab.transpose(1, 3, 0, 2).reshape(h1 * h2, r3 * r2),
+                 f.c[:, k].transpose(1, 0, 2).reshape(r3 * r2, h3)).reshape(h1, h2, h3)
+    return ab, t_g
+
+
+def entry_partials(f: TwdFactors, i: int, j: int, k: int):
+    """Reconstruction at (i, j, k) and its partial derivative w.r.t. each
+    touched parameter block, all from the current factor values.
+
+    Returns (x_hat, t_g, t_a, t_b, t_c) where t_g has the core's shape
+    and t_a/t_b/t_c the shapes of the i/j/k factor slices.  Indices are
+    not bounds-checked; this is the trainer's per-step kernel.
+    """
+    r1, r2, r3 = f.ranks.r
+    h1, h2, h3 = f.ranks.h
+    g = f.g
+    ab, t_g = _stages(f, i, j, k)
+    x_hat = float(np.vdot(t_g, g))
+    # sum over (h1, h2) -> (R3, R2, H3), reordered to c's slice layout (R2, R3, H3)
+    t_c = np.dot(ab.transpose(0, 2, 1, 3).reshape(r3 * r2, h1 * h2),
+                 g.reshape(h1 * h2, h3)).reshape(r3, r2, h3).transpose(1, 0, 2)
+    # sum over h2 -> (R1, R2, H1, H3), then (r2, h3) -> (R1, H1, R3) -> (R3, R1, H1)
+    gb = np.dot(f.b[:, j].reshape(r1 * r2, h2),
+                g.transpose(1, 0, 2).reshape(h2, h1 * h3)).reshape(r1, r2, h1, h3)
+    c_r3 = f.c[:, k].transpose(0, 2, 1).reshape(r2 * h3, r3)
+    t_a = np.dot(gb.transpose(0, 2, 1, 3).reshape(r1 * h1, r2 * h3),
+                 c_r3).reshape(r1, h1, r3).transpose(2, 0, 1)
+    # sum over r3 -> (R2, H3, R1, H1), then (h1, h3) -> (R2, R1, H2) -> (R1, R2, H2)
+    ca = np.dot(c_r3, f.a[:, i].reshape(r3, r1 * h1)).reshape(r2, h3, r1, h1)
+    t_b = np.dot(ca.transpose(0, 2, 3, 1).reshape(r2 * r1, h1 * h3),
+                 g.transpose(0, 2, 1).reshape(h1 * h3, h2))
+    t_b = t_b.reshape(r2, r1, h2).transpose(1, 0, 2)
+    return x_hat, t_g, t_a, t_b, t_c
+
+
+def reconstruct_entry(f: TwdFactors, i: int, j: int, k: int) -> float:
+    """Reconstruct one element through the trainer's stages, so the
+    result equals the training path's x_hat bit for bit."""
     _check_index(f, i, j, k)
-    a_i = f.a[:, i]  # (R3, R1, H1)
-    b_j = f.b[:, j]  # (R1, R2, H2)
-    c_k = f.c[:, k]  # (R2, R3, H3)
-    # (R3, H1, R2, H2) <- sum over r1
-    ab = np.tensordot(a_i, b_j, axes=([1], [0]))
-    # (H1, H2, H3) <- sum over r3, r2; the same staging the trainer uses,
-    # so per-entry reconstructions match the training path bit for bit
-    abc = np.tensordot(ab, c_k, axes=([0, 2], [1, 0]))
-    return float(np.vdot(abc, f.g))
+    return float(np.vdot(_stages(f, i, j, k)[1], f.g))
 
 
 def oracle_entry(f: TwdFactors, i: int, j: int, k: int) -> float:
     """Reference single-element reconstruction by explicit six-nested loops.
 
-    Deliberately unoptimized; exists only to cross-check
-    ``reconstruct_entry`` in tests.
+    Deliberately unoptimized; exists only to cross-check the staged
+    kernels in tests.
     """
     _check_index(f, i, j, k)
     r1n, r2n, r3n = f.ranks.r
@@ -159,31 +214,73 @@ def oracle_entry(f: TwdFactors, i: int, j: int, k: int) -> float:
     return total
 
 
+def _slice_major(f: TwdFactors):
+    """Contiguous copies of a, b and c indexed by i, j and k first, each
+    slice laid out as the batched stages multiply it: a as (H1*R3, R1),
+    b as (R1, R2*H2), c as (1, R3*R2, H3).  Gathering whole contiguous
+    slices is several times faster than gathering from the ring layout."""
+    r1, r2, r3 = f.ranks.r
+    h1, h2, h3 = f.ranks.h
+    ni, nj, nk = f.dims
+    return (np.ascontiguousarray(f.a.transpose(1, 3, 0, 2)).reshape(ni, h1 * r3, r1),
+            np.ascontiguousarray(f.b.transpose(1, 0, 2, 3)).reshape(nj, r1, r2 * h2),
+            np.ascontiguousarray(f.c.transpose(1, 2, 0, 3)).reshape(nk, 1, r3 * r2, h3))
+
+
+def _contract_batch(f: TwdFactors, slices, ii: np.ndarray, jj: np.ndarray,
+                    kk: np.ndarray) -> np.ndarray:
+    """The three stages for a batch of positions, as batched matmuls over
+    slices gathered from ``_slice_major(f)``.
+
+    Stage 1 yields, per position and h1, an (R3*R2, H2) block, so stage 2
+    multiplies its transpose without a copy, per position and h1.
+    """
+    _, r2, r3 = f.ranks.r
+    h1, h2, h3 = f.ranks.h
+    a_s, b_s, c_s = slices
+    n = len(ii)
+    ab = (a_s[ii] @ b_s[jj]).reshape(n, h1, r3 * r2, h2)
+    t_g = ab.transpose(0, 1, 3, 2) @ c_s[kk]  # (n, H1, H2, H3)
+    return t_g.reshape(n, h1 * h2 * h3) @ f.g.ravel()
+
+
 def reconstruct_entries(f: TwdFactors, ii: np.ndarray, jj: np.ndarray,
                         kk: np.ndarray) -> np.ndarray:
-    """Reconstruct many elements at once; same contraction as
-    ``reconstruct_entry`` batched over gathered slices."""
+    """Reconstruct many elements at once, BATCH_CHUNK positions at a time."""
     ni, nj, nk = f.dims
-    if len(ii) == 0:
+    n = len(ii)
+    if n == 0:
         return np.zeros(0)
     if (ii.min() < 0 or ii.max() >= ni or jj.min() < 0 or jj.max() >= nj
             or kk.min() < 0 or kk.max() >= nk):
         raise BoundsError(f"batch indices outside dims {f.dims}")
-    # letters as in reconstruct_full, with n the batch axis
-    return np.einsum("xnyp,ynzq,znxr,pqr->n", f.a[:, ii], f.b[:, jj], f.c[:, kk],
-                     f.g, optimize=True)
+    slices = _slice_major(f)
+    out = np.empty(n)
+    for start in range(0, n, BATCH_CHUNK):
+        stop = start + BATCH_CHUNK
+        out[start:stop] = _contract_batch(f, slices, ii[start:stop], jj[start:stop],
+                                          kk[start:stop])
+    return out
 
 
 def reconstruct_full(f: TwdFactors, cap: int = DENSE_CAP) -> np.ndarray:
     """Materialize the full dense reconstruction of shape ``f.dims``.
 
-    Raises SizeCapError when the element count exceeds ``cap``.
+    Runs the batched kernel over the row-major index grid, so it equals
+    ``reconstruct_entries`` on that grid bit for bit.  Raises
+    SizeCapError when the element count exceeds ``cap``.
     """
     ni, nj, nk = f.dims
-    if ni * nj * nk > cap:
-        raise SizeCapError(f"dense reconstruction of {ni * nj * nk} elements exceeds cap {cap}")
-    # letters: x=r3, y=r1, z=r2, p=h1, q=h2, r=h3
-    return np.einsum("xiyp,yjzq,zkxr,pqr->ijk", f.a, f.b, f.c, f.g, optimize=True)
+    total = ni * nj * nk
+    if total > cap:
+        raise SizeCapError(f"dense reconstruction of {total} elements exceeds cap {cap}")
+    slices = _slice_major(f)
+    out = np.empty(total)
+    for start in range(0, total, BATCH_CHUNK):
+        stop = min(start + BATCH_CHUNK, total)
+        out[start:stop] = _contract_batch(f, slices,
+                                          *np.unravel_index(np.arange(start, stop), f.dims))
+    return out.reshape(f.dims)
 
 
 def checkpoint_text(f: TwdFactors) -> str:
@@ -211,8 +308,11 @@ def save_checkpoint(f: TwdFactors, path) -> None:
 
 def load_checkpoint(path) -> TwdFactors:
     """Parse a text checkpoint back into a TwdFactors."""
-    with open(path, encoding="ascii") as fh:
-        content = fh.read()
+    try:
+        with open(path, encoding="ascii") as fh:
+            content = fh.read()
+    except UnicodeDecodeError:
+        raise ParameterError(f"checkpoint is not ASCII text: {path}") from None
     lines = content.splitlines()
     if not lines:
         raise ParameterError(f"empty checkpoint file: {path}")
@@ -220,9 +320,17 @@ def load_checkpoint(path) -> TwdFactors:
     magic = " ".join(head[:2])
     if magic != CHECKPOINT_MAGIC or len(head) != 11:
         raise ParameterError(f"bad checkpoint header: {lines[0]!r}")
-    ni, nj, nk, r1, r2, r3, h1, h2, h3 = (int(x) for x in head[2:])
+    try:
+        ni, nj, nk, r1, r2, r3, h1, h2, h3 = (int(x) for x in head[2:])
+    except ValueError:
+        raise ParameterError(f"bad checkpoint header: {lines[0]!r}") from None
+    if min(ni, nj, nk) < 1:
+        raise ParameterError(f"bad checkpoint header: {lines[0]!r}")
     ranks = Ranks(r=(r1, r2, r3), h=(h1, h2, h3))
-    values = np.array([float(t) for line in lines[1:] for t in line.split()])
+    try:
+        values = np.array([float(t) for line in lines[1:] for t in line.split()])
+    except ValueError as exc:
+        raise ParameterError(f"bad checkpoint value: {exc}") from None
     shapes = [(h1, h2, h3), (r3, ni, r1, h1), (r1, nj, r2, h2), (r2, nk, r3, h3)]
     expected = sum(int(np.prod(s)) for s in shapes)
     if values.size != expected:

@@ -267,3 +267,72 @@ def test_commands_do_not_mutate_input(synth_file, tmp_path):
     original = obs.read_bytes()
     run(train_args(obs, tmp_path / "r.json", **{"--epochs": 5}))
     assert obs.read_bytes() == original
+
+
+# ------------------------------------------------------ bad input handling
+
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--eta", "nan", "eta"),
+    ("--lambda", "inf", "lam"),
+    ("--cd", "nan", "cd"),
+    ("--init-scale", "inf", "init_scale"),
+])
+def test_train_rejects_non_finite_hyperparams(synth_file, tmp_path, capsys, flag, value, name):
+    obs, _ = synth_file
+    report_path = tmp_path / "r.json"
+    assert run(train_args(obs, report_path, **{flag: value, "--epochs": 2})) == 1
+    assert_one_error_line(capsys, f"{name} must be finite")
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize("content", [
+    "TWD v1 8 x 6 2 2 2 2 2 2\n",
+    "TWD v1 2 2 2 1 1 1 1 1 1\nabc\n",
+])
+def test_evaluate_malformed_checkpoint(synth_file, tmp_path, capsys, content):
+    obs, _ = synth_file
+    ckpt = tmp_path / "bad.txt"
+    ckpt.write_text(content)
+    assert run(["evaluate", "--input", obs, "--checkpoint", ckpt]) == 1
+    assert_one_error_line(capsys, "checkpoint")
+
+
+def test_evaluate_rejects_declared_dims_mismatch(tmp_path, capsys):
+    truth = tmp_path / "truth.txt"
+    assert run(["synth", "--dims", "9,9,9", "--ranks", "1,1,1,1,1,1", "--density", "0.1",
+                "--output", tmp_path / "obs.txt", "--truth", truth]) == 0
+    capsys.readouterr()
+    headed = tmp_path / "headed.txt"
+    headed.write_text("# dims 4 4 3\n0 0 0 1.0\n3 3 2 0.5\n")
+    assert run(["evaluate", "--input", headed, "--checkpoint", truth]) == 1
+    assert_one_error_line(capsys, "(4, 4, 3)", "(9, 9, 9)")
+    plain = tmp_path / "plain.txt"
+    plain.write_text("0 0 0 1.0\n3 3 2 0.5\n")
+    assert run(["evaluate", "--input", plain, "--dims", "4,4,3", "--checkpoint", truth]) == 1
+    assert_one_error_line(capsys, "(4, 4, 3)", "(9, 9, 9)")
+    # without a header the dims are inferred, and a smaller inferred shape scores
+    assert run(["evaluate", "--input", plain, "--checkpoint", truth]) == 0
+    assert "over 2 entries" in capsys.readouterr().out
+    # a header that matches the checkpoint scores too
+    matching = tmp_path / "matching.txt"
+    matching.write_text("# dims 9 9 9\n0 0 0 1.0\n")
+    assert run(["evaluate", "--input", matching, "--checkpoint", truth]) == 0
+
+
+@pytest.mark.parametrize("command", ["ingest-check", "train"])
+def test_non_utf8_input_is_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "d.txt"
+    path.write_bytes(b"0 0 0 1.0\n1 1 1 \xff\n")
+    argv = [command, "--input", path]
+    if command == "train":
+        argv += ["--report", tmp_path / "r.json"]
+    assert run(argv) == 1
+    assert_one_error_line(capsys, "line 2", "UTF-8")

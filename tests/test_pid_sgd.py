@@ -51,6 +51,17 @@ def proportional_hp(**kw):
     dict(patience=0),
     dict(init_scale=0.0),
     dict(seed=-1),
+    dict(eta=float("nan")),
+    dict(eta=float("inf")),
+    dict(lam=float("inf")),
+    dict(lam=float("nan")),
+    dict(cp=float("nan")),
+    dict(ci=float("inf")),
+    dict(cd=float("nan")),
+    dict(cd=float("-inf")),
+    dict(init_scale=float("inf")),
+    dict(init_scale=float("nan")),
+    dict(eta=float("nan"), lam=float("inf"), cd=float("nan")),
 ])
 def test_hyperparams_validation(bad):
     with pytest.raises(ParameterError):

@@ -20,7 +20,7 @@ from tensorwheel import (
     split,
     write_coo,
 )
-from tensorwheel.tensor_store import largest_remainder_sizes
+from tensorwheel.tensor_store import largest_remainder_sizes, read_dims_header
 
 
 def write_file(tmp_path, text, name="data.txt"):
@@ -312,3 +312,41 @@ def test_split_preserves_normalized_flag():
 def test_split_spec_rejects_bad_ratios(ratios):
     with pytest.raises(ParameterError):
         SplitSpec(ratios=ratios, seed=0)
+
+
+# ---------------------------------------------------------- non-UTF-8 input
+
+@pytest.mark.parametrize("content, line_no", [
+    (b"0 0 0 1.0\n0 1 \xff 2.0\n", 2),
+    (b"# dims 2 2 2\n0 0 0 1.0\n1 1 1 2.0\n# caf\xe9\n", 4),
+    (b"\x80\n", 1),
+    (b"0 0 0 1.0\n0 1 1 2.0 \xe2\x82", 2),  # truncated multi-byte sequence at EOF
+])
+def test_ingest_non_utf8_is_parse_error_with_line(tmp_path, content, line_no):
+    path = tmp_path / "data.txt"
+    path.write_bytes(content)
+    with pytest.raises(ParseError) as err:
+        ingest(path)
+    assert err.value.line_no == line_no
+    assert "UTF-8" in str(err.value)
+
+
+def test_ingest_non_utf8_deep_in_large_file(tmp_path):
+    # the decoder reads ahead in blocks; the line number must still be exact
+    lines = [f"{n} 0 0 1.0\n".encode() for n in range(5000)]
+    lines[3210] = b"3210 0 0 \xc3\x28\n"
+    path = tmp_path / "data.txt"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError) as err:
+        ingest(path)
+    assert err.value.line_no == 3211
+
+
+def test_read_dims_header(tmp_path):
+    assert read_dims_header(write_file(tmp_path, "0 0 0 1.0\n")) is None
+    assert read_dims_header(write_file(tmp_path, "# note\n# dims 4 4 3\n0 0 0 1.0\n")) == (4, 4, 3)
+    # the first header wins, wherever it is
+    later = write_file(tmp_path, "0 0 0 1.0\n# dims 2 3 4\n# dims 9 9 9\n")
+    assert read_dims_header(later) == (2, 3, 4)
+    with pytest.raises(ParseError):
+        read_dims_header(write_file(tmp_path, "# dims 4 x 3\n"))

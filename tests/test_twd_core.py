@@ -273,6 +273,11 @@ def test_checkpoint_header_format(tmp_path):
     "NOT A CHECKPOINT\n",
     "TWD v1 2 2 2 1 1 1 1 1\n",          # header too short
     "TWD v1 2 2 2 1 1 1 1 1 1\n1.0\n",   # too few values
+    "TWD v1 2 x 2 1 1 1 1 1 1\n" + "1.0\n" * 7,   # non-integer header field
+    "TWD v1 2 2 2 1 1 1 1 1 1\n" + "1.0\n" * 6 + "abc\n",   # non-float body token
+    "TWD v1 0 2 2 1 1 1 1 1 1\n1.0 1.0 1.0 1.0 1.0\n",   # zero dimension
+    "TWD v1 -1 2 2 1 1 1 1 1 1\n1.0 1.0 1.0 1.0\n",   # negative dimension
+    "TWD v1 2 2 2 1 1 1 1 1 1\n" + "1.0\n" * 6 + "\u00e9\n",   # not ASCII
 ])
 def test_checkpoint_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.txt"
