@@ -20,6 +20,8 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +29,8 @@ from .errors import ParameterError, TensorWheelError
 from .metrics import evaluate
 from .pid_sgd import DivergenceError, HyperParams, train
 from .synthgen import SynthSpec, generate
-from .tensor_store import SplitSpec, ingest, normalize, read_dims_header, split, write_coo
+from .tensor_store import (SparseTensor, SplitSpec, ingest, normalize, read_dims_header,
+                           split, write_coo)
 from .twd_core import (
     Ranks,
     checkpoint_text,
@@ -35,10 +38,6 @@ from .twd_core import (
     load_checkpoint,
     save_checkpoint,
 )
-
-DEFAULT_GRID_ETAS = (0.1, 0.03, 0.01)
-DEFAULT_GRID_LAMBDAS = (0.0, 0.001, 0.01)
-
 
 def _parse_ints(text: str, n: int, what: str) -> tuple:
     parts = text.split(",")
@@ -67,6 +66,10 @@ def _parse_split(text: str) -> tuple[int, int, int]:
         raise ParameterError(f"split ratio must be integers, got {text!r}") from None
 
 
+def _parse_dims(args):
+    return "infer" if args.dims is None else _parse_ints(args.dims, 3, "--dims")
+
+
 def _resolve_ranks(args) -> Ranks:
     if getattr(args, "ranks", None):
         r1, r2, r3, h1, h2, h3 = _parse_ints(args.ranks, 6, "--ranks")
@@ -74,40 +77,40 @@ def _resolve_ranks(args) -> Ranks:
     return Ranks.from_dim(args.dim)
 
 
-def _resolve_hp(args, seed: int) -> HyperParams:
-    return HyperParams(eta=args.eta, lam=getattr(args, "lam"), cp=args.cp, ci=args.ci,
-                       cd=args.cd, max_epochs=args.epochs, patience=args.patience,
-                       seed=seed, init_scale=args.init_scale)
+def _resolve_hp(args, **fields) -> HyperParams:
+    """HyperParams from the shared flags; fields adds eta, lam, seed and overrides."""
+    return HyperParams(**{"cp": args.cp, "ci": args.ci, "cd": args.cd,
+                          "max_epochs": args.epochs, "patience": args.patience,
+                          "init_scale": args.init_scale, **fields})
 
 
-def _load_input(args):
-    dims = "infer" if args.dims is None else _parse_ints(args.dims, 3, "--dims")
-    tensor = ingest(args.input, dims=dims, keep_last=getattr(args, "keep_last", False))
-    if not getattr(args, "no_normalize", False):
+def _prepare(args):
+    """Set-up of every training command: load, normalize, parse ranks and split."""
+    tensor = ingest(args.input, dims=_parse_dims(args))
+    if not args.no_normalize:
         tensor = normalize(tensor)
-    return tensor
+    return tensor, _resolve_ranks(args), _parse_split(args.split)
 
 
-def _write_report(report: dict, path) -> None:
+def _config(args, tensor, ranks: Ranks, ratios, **fields) -> dict:
+    """The report's config: the keys every training command shares, plus fields."""
+    return {"input": args.input, "dims": list(tensor.dims),
+            "ranks": {"r": list(ranks.r), "h": list(ranks.h)}, "split": list(ratios),
+            "normalize": not args.no_normalize, "early_stop": not args.no_early_stop,
+            **fields}
+
+
+def _write_report(report: dict, path, summary: str) -> int:
     # strict JSON: a non-finite metric is a bug upstream, not a report
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-
-
-def _ranks_dict(ranks: Ranks) -> dict:
-    return {"r": list(ranks.r), "h": list(ranks.h)}
-
-
-def _hp_dict(hp: HyperParams) -> dict:
-    return {"eta": hp.eta, "lambda": hp.lam, "cp": hp.cp, "ci": hp.ci, "cd": hp.cd,
-            "max_epochs": hp.max_epochs, "patience": hp.patience,
-            "init_scale": hp.init_scale}
+    print(f"{summary} -> {path}")
+    return 0
 
 
 def cmd_ingest_check(args) -> int:
-    dims = "infer" if args.dims is None else _parse_ints(args.dims, 3, "--dims")
-    tensor = ingest(args.input, dims=dims, keep_last=args.keep_last)
+    tensor = ingest(args.input, dims=_parse_dims(args), keep_last=args.keep_last)
     values = tensor.value_array
     print(f"ok: {len(tensor)} entries, dims {tensor.dims}")
     if len(tensor):
@@ -116,8 +119,7 @@ def cmd_ingest_check(args) -> int:
 
 
 def cmd_split(args) -> int:
-    tensor = ingest(args.input,
-                    dims="infer" if args.dims is None else _parse_ints(args.dims, 3, "--dims"))
+    tensor = ingest(args.input, dims=_parse_dims(args))
     spec = SplitSpec(ratios=_parse_split(args.split), seed=args.seed)
     train_t, valid_t, test_t = split(tensor, spec)
     for name, part in (("train", train_t), ("valid", valid_t), ("test", test_t)):
@@ -141,74 +143,79 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def run_train(args) -> dict:
-    """Full pipeline for one config: repeated split/train/evaluate.
+class Repetition(NamedTuple):
+    """One seed of a train or ablate run: its hyperparameters and its split."""
+
+    index: int
+    hp: HyperParams
+    dims: tuple
+    ranks: Ranks
+    train_set: SparseTensor
+    valid_set: SparseTensor
+    test_set: SparseTensor
+
+
+def _repeat(args, command: str, body) -> dict:
+    """Repetition driver of train and ablate: body(rep) runs one seed.
 
     Repetition r uses seed base_seed + r for both the split shuffle and
-    the trainer, so repetitions are independent but reproducible.
+    the trainer, so repetitions are independent but reproducible.  An
+    empty test split fails before any training.
     """
     if args.reps < 1:
         raise ParameterError(f"--reps must be >= 1, got {args.reps}")
-    tensor = _load_input(args)
-    ranks = _resolve_ranks(args)
-    ratios = _parse_split(args.split)
-    raw_metrics = args.raw_domain_metrics
-
+    tensor, ranks, ratios = _prepare(args)
+    hp = _resolve_hp(args, eta=args.eta, lam=args.lam, seed=args.seed)
     reps = []
-    for rep in range(args.reps):
-        seed = args.seed + rep
+    for index in range(args.reps):
+        seed = args.seed + index
         train_t, valid_t, test_t = split(tensor, SplitSpec(ratios=ratios, seed=seed))
-        hp = _resolve_hp(args, seed)
-        factors, report = train(train_t, valid_t, tensor.dims, ranks, hp,
-                                early_stop=not args.no_early_stop)
         if len(test_t) == 0:
             raise ParameterError("test split is empty; adjust --split ratios")
-        scores = evaluate(factors, test_t, raw_domain=raw_metrics)
-        if args.checkpoint:
-            save_checkpoint(factors, f"{args.checkpoint}.rep{rep}.txt")
-        reps.append({
-            "seed": seed,
-            "rmse": scores.rmse,
-            "mae": scores.mae,
-            "test_count": scores.count,
-            "epochs_run": report.epochs_run,
-            "converged_at": report.converged_at,
-            "loss_history": report.loss_history,
-            "valid_rmse_history": report.valid_rmse_history,
-        })
+        rep = Repetition(index, replace(hp, seed=seed), tensor.dims, ranks,
+                         train_t, valid_t, test_t)
+        reps.append({"seed": seed, **body(rep)})
+    hyperparams = {"eta": hp.eta, "lambda": hp.lam, "cp": hp.cp, "ci": hp.ci, "cd": hp.cd,
+                   "max_epochs": hp.max_epochs, "patience": hp.patience,
+                   "init_scale": hp.init_scale}
+    config = _config(args, tensor, ranks, ratios, hyperparams=hyperparams, base_seed=args.seed,
+                     repetitions=args.reps, raw_domain_metrics=args.raw_domain_metrics)
+    return {"command": command, "config": config, "repetitions": reps}
 
-    hp0 = _resolve_hp(args, args.seed)
-    return {
-        "command": "train",
-        "config": {
-            "input": args.input,
-            "dims": list(tensor.dims),
-            "ranks": _ranks_dict(ranks),
-            "hyperparams": _hp_dict(hp0),
-            "split": list(ratios),
-            "base_seed": args.seed,
-            "repetitions": args.reps,
-            "normalize": not args.no_normalize,
-            "early_stop": not args.no_early_stop,
-            "raw_domain_metrics": raw_metrics,
-        },
-        "repetitions": reps,
-        "mean_rmse": float(np.mean([r["rmse"] for r in reps])),
-        "mean_mae": float(np.mean([r["mae"] for r in reps])),
-    }
+
+def _fit(args, rep: Repetition, pid: bool = True):
+    """Train one arm of a repetition; return its factors, training report and test summary."""
+    factors, report = train(rep.train_set, rep.valid_set, rep.dims, rep.ranks, rep.hp,
+                            pid=pid, early_stop=not args.no_early_stop)
+    scores = evaluate(factors, rep.test_set, raw_domain=args.raw_domain_metrics)
+    return factors, report, {"rmse": scores.rmse, "mae": scores.mae,
+                             "epochs_run": report.epochs_run, "converged_at": report.converged_at}
+
+
+def run_train(args) -> dict:
+    """Full pipeline for one config: repeated split/train/evaluate."""
+    def one(rep):
+        factors, report, summary = _fit(args, rep)
+        if args.checkpoint:
+            save_checkpoint(factors, f"{args.checkpoint}.rep{rep.index}.txt")
+        return {**summary, **report.to_dict(), "test_count": len(rep.test_set)}
+
+    result = _repeat(args, "train", one)
+    reps = result["repetitions"]
+    return {**result, "mean_rmse": float(np.mean([r["rmse"] for r in reps])),
+            "mean_mae": float(np.mean([r["mae"] for r in reps]))}
 
 
 def cmd_train(args) -> int:
     report = run_train(args)
-    _write_report(report, args.report)
-    print(f"mean rmse {report['mean_rmse']:.6f}, mean mae {report['mean_mae']:.6f} "
-          f"over {args.reps} repetition(s) -> {args.report}")
-    return 0
+    return _write_report(report, args.report,
+                         f"mean rmse {report['mean_rmse']:.6f}, mean mae "
+                         f"{report['mean_mae']:.6f} over {args.reps} repetition(s)")
 
 
 def cmd_evaluate(args) -> int:
     factors = load_checkpoint(args.checkpoint)
-    dims = "infer" if args.dims is None else _parse_ints(args.dims, 3, "--dims")
+    dims = _parse_dims(args)
     tensor = ingest(args.input, dims=dims)
     declared = read_dims_header(args.input) if dims == "infer" else dims
     if declared is not None and declared != factors.dims:
@@ -228,65 +235,28 @@ def run_ablate(args) -> dict:
     (verified by checkpoint hash); the plain arm runs with the PID state
     removed, which equals gains (1, 0, 0).
     """
-    if args.reps < 1:
-        raise ParameterError(f"--reps must be >= 1, got {args.reps}")
-    tensor = _load_input(args)
-    ranks = _resolve_ranks(args)
-    ratios = _parse_split(args.split)
+    def one(rep):
+        init = init_factors(rep.dims, rep.ranks, rep.hp.seed, rep.hp.init_scale)
+        fields = {"init_checkpoint_sha256":
+                  hashlib.sha256(checkpoint_text(init).encode()).hexdigest()}
+        for arm, use_pid in (("pid", True), ("plain", False)):
+            fields[arm] = _fit(args, rep, pid=use_pid)[2]
+        return fields
 
-    reps = []
-    for rep in range(args.reps):
-        seed = args.seed + rep
-        train_t, valid_t, test_t = split(tensor, SplitSpec(ratios=ratios, seed=seed))
-        if len(test_t) == 0:
-            raise ParameterError("test split is empty; adjust --split ratios")
-        hp = _resolve_hp(args, seed)
-        init_hash = hashlib.sha256(
-            checkpoint_text(init_factors(tensor.dims, ranks, seed, hp.init_scale)).encode()
-        ).hexdigest()
-
-        arms = {}
-        for arm_name, use_pid in (("pid", True), ("plain", False)):
-            factors, report = train(train_t, valid_t, tensor.dims, ranks, hp,
-                                    pid=use_pid, early_stop=not args.no_early_stop)
-            scores = evaluate(factors, test_t, raw_domain=args.raw_domain_metrics)
-            arms[arm_name] = {
-                "rmse": scores.rmse,
-                "mae": scores.mae,
-                "epochs_run": report.epochs_run,
-                "converged_at": report.converged_at,
-            }
-        reps.append({"seed": seed, "init_checkpoint_sha256": init_hash, **arms})
-
-    hp0 = _resolve_hp(args, args.seed)
-    return {
-        "command": "ablate",
-        "config": {
-            "input": args.input,
-            "dims": list(tensor.dims),
-            "ranks": _ranks_dict(ranks),
-            "hyperparams": _hp_dict(hp0),
-            "split": list(ratios),
-            "base_seed": args.seed,
-            "repetitions": args.reps,
-            "normalize": not args.no_normalize,
-            "early_stop": not args.no_early_stop,
-            "raw_domain_metrics": args.raw_domain_metrics,
-        },
-        "repetitions": reps,
-        "mean_converged_at_pid": float(np.mean([r["pid"]["converged_at"] for r in reps])),
-        "mean_converged_at_plain": float(np.mean([r["plain"]["converged_at"] for r in reps])),
-        "mean_rmse_pid": float(np.mean([r["pid"]["rmse"] for r in reps])),
-        "mean_rmse_plain": float(np.mean([r["plain"]["rmse"] for r in reps])),
-    }
+    result = _repeat(args, "ablate", one)
+    reps = result["repetitions"]
+    return {**result,
+            "mean_converged_at_pid": float(np.mean([r["pid"]["converged_at"] for r in reps])),
+            "mean_converged_at_plain": float(np.mean([r["plain"]["converged_at"] for r in reps])),
+            "mean_rmse_pid": float(np.mean([r["pid"]["rmse"] for r in reps])),
+            "mean_rmse_plain": float(np.mean([r["plain"]["rmse"] for r in reps]))}
 
 
 def cmd_ablate(args) -> int:
     report = run_ablate(args)
-    _write_report(report, args.report)
-    print(f"mean epochs-to-convergence: pid {report['mean_converged_at_pid']:.1f}, "
-          f"plain {report['mean_converged_at_plain']:.1f} -> {args.report}")
-    return 0
+    return _write_report(report, args.report,
+                         f"mean epochs-to-convergence: pid {report['mean_converged_at_pid']:.1f}, "
+                         f"plain {report['mean_converged_at_plain']:.1f}")
 
 
 def run_grid(args) -> dict:
@@ -300,9 +270,7 @@ def run_grid(args) -> dict:
     if not etas or not lambdas:
         raise ParameterError("grid needs at least one eta and one lambda")
 
-    tensor = _load_input(args)
-    ranks = _resolve_ranks(args)
-    ratios = _parse_split(args.split)
+    tensor, ranks, ratios = _prepare(args)
     train_t, valid_t, _ = split(tensor, SplitSpec(ratios=ratios, seed=args.seed))
     if len(valid_t) == 0:
         raise ParameterError("validation split is empty; adjust --split ratios")
@@ -311,44 +279,29 @@ def run_grid(args) -> dict:
     cells = []
     for eta in etas:
         for lam in lambdas:
-            hp = HyperParams(eta=eta, lam=lam, cp=args.cp, ci=args.ci, cd=args.cd,
-                             max_epochs=epochs, patience=args.patience,
-                             seed=args.seed, init_scale=args.init_scale)
-            cell = {"eta": eta, "lambda": lam}
+            hp = _resolve_hp(args, eta=eta, lam=lam, seed=args.seed, max_epochs=epochs)
             try:
-                factors, report = train(train_t, valid_t, tensor.dims, ranks, hp,
-                                        early_stop=not args.no_early_stop)
-                cell["valid_rmse"] = report.valid_rmse_history[report.converged_at]
-                cell["converged_at"] = report.converged_at
-                cell["epochs_run"] = report.epochs_run
-                cell["diverged"] = False
+                _, report = train(train_t, valid_t, tensor.dims, ranks, hp,
+                                  early_stop=not args.no_early_stop)
+                cell = {"valid_rmse": report.valid_rmse_history[report.converged_at],
+                        "converged_at": report.converged_at,
+                        "epochs_run": report.epochs_run, "diverged": False}
             except DivergenceError as err:
-                cell["diverged"] = True
-                cell["error"] = str(err)
-            cells.append(cell)
+                cell = {"diverged": True, "error": str(err)}
+            cells.append({"eta": eta, "lambda": lam, **cell})
 
     viable = [c for c in cells if not c["diverged"]]
     if not viable:
         raise ParameterError("every grid cell diverged; shrink the eta range")
     winner = min(viable, key=lambda c: (c["valid_rmse"], c["lambda"], c["eta"]))
 
+    config = _config(args, tensor, ranks, ratios, etas=list(etas), lambdas=list(lambdas),
+                     pid={"cp": args.cp, "ci": args.ci, "cd": args.cd}, seed=args.seed,
+                     grid_epochs=epochs, patience=args.patience,
+                     init_scale=args.init_scale)
     return {
         "command": "grid",
-        "config": {
-            "input": args.input,
-            "dims": list(tensor.dims),
-            "ranks": _ranks_dict(ranks),
-            "etas": list(etas),
-            "lambdas": list(lambdas),
-            "pid": {"cp": args.cp, "ci": args.ci, "cd": args.cd},
-            "split": list(ratios),
-            "seed": args.seed,
-            "grid_epochs": epochs,
-            "patience": args.patience,
-            "init_scale": args.init_scale,
-            "normalize": not args.no_normalize,
-            "early_stop": not args.no_early_stop,
-        },
+        "config": config,
         "cells": cells,
         "winner": {"eta": winner["eta"], "lambda": winner["lambda"],
                    "valid_rmse": winner["valid_rmse"]},
@@ -357,19 +310,15 @@ def run_grid(args) -> dict:
 
 def cmd_grid(args) -> int:
     report = run_grid(args)
-    _write_report(report, args.report)
     w = report["winner"]
-    print(f"winner: eta {w['eta']:g}, lambda {w['lambda']:g} "
-          f"(valid rmse {w['valid_rmse']:.6f}) -> {args.report}")
-    return 0
+    return _write_report(report, args.report,
+                         f"winner: eta {w['eta']:g}, lambda {w['lambda']:g} "
+                         f"(valid rmse {w['valid_rmse']:.6f})")
 
 
-def _add_data_flags(p, with_normalize=True):
+def _add_data_flags(p):
     p.add_argument("--input", required=True, help="COO text file to load")
     p.add_argument("--dims", default=None, help="I,J,K (default: infer from file)")
-    if with_normalize:
-        p.add_argument("--no-normalize", action="store_true",
-                       help="skip the log transform (data already in model domain)")
 
 
 def _add_model_flags(p):
@@ -379,10 +328,12 @@ def _add_model_flags(p):
                    help="single latent dimension; ring ranks take it, core links stay 2")
 
 
-def _add_hp_flags(p):
-    p.add_argument("--eta", type=float, default=0.01, help="learning rate")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01,
-                   help="L2 regularization coefficient")
+def _add_training_flags(p):
+    """Flags of every command that trains: train, ablate and grid."""
+    _add_data_flags(p)
+    p.add_argument("--no-normalize", action="store_true",
+                   help="skip the log transform (data already in model domain)")
+    _add_model_flags(p)
     p.add_argument("--cp", type=float, default=1.0, help="proportional gain")
     p.add_argument("--ci", type=float, default=0.0, help="integral gain")
     p.add_argument("--cd", type=float, default=0.001, help="derivative gain")
@@ -393,6 +344,21 @@ def _add_hp_flags(p):
                    help="factor initialization scale")
     p.add_argument("--no-early-stop", action="store_true",
                    help="always run the full epoch budget")
+    p.add_argument("--split", default="1:2:7", help="train:valid:test ratio")
+    p.add_argument("--seed", type=int, default=0,
+                   help="split and trainer seed; repetition r adds r")
+    p.add_argument("--report", required=True, help="JSON report path")
+
+
+def _add_repetition_flags(p, reps: int):
+    """Flags of the commands that repeat over seeds: train and ablate."""
+    p.add_argument("--eta", type=float, default=0.01, help="learning rate")
+    p.add_argument("--lambda", dest="lam", type=float, default=0.01,
+                   help="L2 regularization coefficient")
+    p.add_argument("--reps", type=int, default=reps,
+                   help="independent repetitions averaged in the report")
+    p.add_argument("--raw-domain-metrics", action="store_true",
+                   help="report RMSE/MAE in the raw weight domain")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,13 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest-check", help="parse and validate a COO file")
-    _add_data_flags(p, with_normalize=False)
+    _add_data_flags(p)
     p.add_argument("--keep-last", action="store_true",
                    help="keep the last record on duplicate positions")
     p.set_defaults(func=cmd_ingest_check)
 
     p = sub.add_parser("split", help="write train/valid/test COO files")
-    _add_data_flags(p, with_normalize=False)
+    _add_data_flags(p)
     p.add_argument("--split", default="1:2:7", help="train:valid:test ratio")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-prefix", required=True)
@@ -429,23 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="normalize, split, train, evaluate")
-    _add_data_flags(p)
-    _add_model_flags(p)
-    _add_hp_flags(p)
-    p.add_argument("--split", default="1:2:7", help="train:valid:test ratio")
-    p.add_argument("--seed", type=int, default=0, help="base seed; repetition r adds r")
-    p.add_argument("--reps", type=int, default=10,
-                   help="independent repetitions averaged in the report")
-    p.add_argument("--report", required=True, help="JSON report path")
+    _add_training_flags(p)
+    _add_repetition_flags(p, reps=10)
     p.add_argument("--checkpoint", default=None,
                    help="prefix for per-repetition factor checkpoints")
-    p.add_argument("--raw-domain-metrics", action="store_true",
-                   help="report RMSE/MAE in the raw weight domain")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint against a COO file")
-    p.add_argument("--input", required=True, help="COO test file")
-    p.add_argument("--dims", default=None, help="I,J,K (default: infer)")
+    _add_data_flags(p)
     p.add_argument("--checkpoint", required=True, help="factor checkpoint to score")
     p.add_argument("--normalize", action="store_true",
                    help="log-transform the test file before scoring")
@@ -453,33 +410,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="train PID and PID-removed arms on identical data")
-    _add_data_flags(p)
-    _add_model_flags(p)
-    _add_hp_flags(p)
-    p.add_argument("--split", default="1:2:7", help="train:valid:test ratio")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--report", required=True)
-    p.add_argument("--raw-domain-metrics", action="store_true")
+    _add_training_flags(p)
+    _add_repetition_flags(p, reps=1)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("grid", help="grid-search eta and lambda")
-    _add_data_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--etas", default=",".join(str(x) for x in DEFAULT_GRID_ETAS))
-    p.add_argument("--lambdas", default=",".join(str(x) for x in DEFAULT_GRID_LAMBDAS))
-    p.add_argument("--cp", type=float, default=1.0)
-    p.add_argument("--ci", type=float, default=0.0)
-    p.add_argument("--cd", type=float, default=0.001)
-    p.add_argument("--epochs", type=int, default=1000)
+    _add_training_flags(p)
+    p.add_argument("--etas", default="0.1,0.03,0.01")
+    p.add_argument("--lambdas", default="0.0,0.001,0.01")
     p.add_argument("--grid-epochs", type=int, default=None,
                    help="per-cell epoch cap (default: --epochs)")
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--init-scale", type=float, default=0.1)
-    p.add_argument("--no-early-stop", action="store_true")
-    p.add_argument("--split", default="1:2:7", help="train:valid:test ratio")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_grid)
 
     return parser
@@ -490,7 +430,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TensorWheelError, FileNotFoundError, IsADirectoryError) as exc:
+    except (TensorWheelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

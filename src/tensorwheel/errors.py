@@ -44,18 +44,22 @@ class SizeCapError(TensorWheelError, ValueError):
 
 
 class DivergenceError(TensorWheelError, ArithmeticError):
-    """Training produced a non-finite value; carries entry id and epoch."""
+    """Training produced a non-finite value; carries the entry id (None
+    when an epoch's loss or validation RMSE, not a step, diverged), the
+    epoch, and what diverged."""
 
-    def __init__(self, entry_id, epoch=None):
+    def __init__(self, entry_id=None, epoch=None, what="value"):
         self.entry_id = entry_id
         self.epoch = epoch
+        self.what = what
         super().__init__(self._format())
 
     def _format(self):
-        where = f"entry {self.entry_id}"
-        if self.epoch is not None:
-            where = f"epoch {self.epoch}, {where}"
-        return f"non-finite value during training ({where}); try a smaller learning rate"
+        where = [] if self.epoch is None else [f"epoch {self.epoch}"]
+        if self.entry_id is not None:
+            where.append(f"entry {self.entry_id}")
+        return (f"non-finite {self.what} during training ({', '.join(where)}); "
+                f"try a smaller learning rate")
 
     def with_epoch(self, epoch):
-        return DivergenceError(self.entry_id, epoch)
+        return DivergenceError(self.entry_id, epoch, self.what)

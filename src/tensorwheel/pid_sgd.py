@@ -149,12 +149,12 @@ def _apply_update(f: TwdFactors, i, j, k, e_t, eta, lam, t_g, t_a, t_b, t_c, ent
     """Apply the four update rules from a pre-step snapshot.
 
     All partials were evaluated before any write, so the four blocks see
-    the same point (Jacobi-style within the step).
+    the same point (Jacobi-style within the step).  Overflow is caught by
+    the finiteness checks; ``train`` silences numpy's warnings for it.
     """
     blocks = ((f.g, t_g), (f.a[:, i], t_a), (f.b[:, j], t_b), (f.c[:, k], t_c))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for view, t in blocks:
-            view += eta * (e_t * t - lam * view)
+    for view, t in blocks:
+        view += eta * (e_t * t - lam * view)
     if not math.isfinite(e_t):
         raise DivergenceError(entry_id)
     for view, _ in blocks:
@@ -198,7 +198,8 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     and, when a validation set is given, its RMSE; training stops at
     hp.max_epochs or (with early_stop) once validation RMSE has not
     improved for hp.patience consecutive epochs.  The returned factors
-    are the checkpoint from the best-validation epoch.
+    are the checkpoint from the best-validation epoch.  A non-finite
+    factor, loss or validation RMSE raises DivergenceError with the epoch.
 
     Args:
         train_set: observed entries to fit; must be non-empty.
@@ -232,21 +233,28 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
 
     for epoch in range(hp.max_epochs):
         order = epoch_visit_order(order_rng, n)
-        try:
-            if pid:
-                for entry_id in order:
-                    sgd_step(factors, entries[entry_id], int(entry_id), state, hp)
-            else:
-                for entry_id in order:
-                    plain_sgd_step(factors, entries[entry_id], int(entry_id), hp)
-        except DivergenceError as err:
-            raise err.with_epoch(epoch) from None
+        # overflow in a diverging run surfaces as DivergenceError, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                if pid:
+                    for entry_id in order:
+                        sgd_step(factors, entries[entry_id], int(entry_id), state, hp)
+                else:
+                    for entry_id in order:
+                        plain_sgd_step(factors, entries[entry_id], int(entry_id), hp)
+            except DivergenceError as err:
+                raise err.with_epoch(epoch) from None
+            loss = compute_loss(factors, train_set, hp.lam)
+            rmse = evaluate(factors, valid_set).rmse if use_valid else None
+        if not math.isfinite(loss):
+            raise DivergenceError(epoch=epoch, what="loss")
+        if rmse is not None and not math.isfinite(rmse):
+            raise DivergenceError(epoch=epoch, what="validation RMSE")
 
-        report.loss_history.append(compute_loss(factors, train_set, hp.lam))
+        report.loss_history.append(loss)
         report.epochs_run = epoch + 1
 
         if use_valid:
-            rmse = evaluate(factors, valid_set).rmse
             report.valid_rmse_history.append(rmse)
             if rmse < best_rmse:
                 best_rmse = rmse

@@ -46,6 +46,8 @@ class SplitSpec:
             raise ParameterError(f"ratios must be three non-negative integers, got {self.ratios}")
         if sum(self.ratios) == 0:
             raise ParameterError("ratio components must sum to > 0")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "ratios", tuple(int(x) for x in self.ratios))
 
 

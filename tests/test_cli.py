@@ -46,8 +46,10 @@ def test_ingest_check_ok(tmp_path, capsys):
     assert "2 entries" in out
 
 
-def test_ingest_check_missing_file(tmp_path, capsys):
-    assert run(["ingest-check", "--input", tmp_path / "absent.txt"]) == 1
+@pytest.mark.parametrize("name", ["absent.txt", "d.txt/x"])
+def test_ingest_check_missing_file(tmp_path, capsys, name):
+    (tmp_path / "d.txt").write_text("0 0 0 1.0\n")
+    assert run(["ingest-check", "--input", tmp_path / name]) == 1
     assert "error:" in capsys.readouterr().err
 
 
@@ -336,3 +338,57 @@ def test_non_utf8_input_is_one_error_line(tmp_path, capsys, command):
         argv += ["--report", tmp_path / "r.json"]
     assert run(argv) == 1
     assert_one_error_line(capsys, "line 2", "UTF-8")
+
+
+TRAINING_COMMANDS = ("train", "ablate", "grid")
+# the fixture's data diverges in both ways: at eta 200 (normalized, lambda 0.01,
+# split 1:2:7) every step stays finite but the epoch's loss overflows to inf;
+# at eta 30 (raw, lambda 0, split 8:1:1) a step overflows a factor
+LOSS_DIVERGES = {"--eta": 200, "--epochs": 1}
+STEP_DIVERGES = {"--no-normalize": None, "--eta": 30, "--lambda": 0, "--split": "8:1:1"}
+GRID_FLAGS = {"--eta": "--etas", "--lambda": "--lambdas"}
+
+
+def failure(command, over, trains=False):
+    if command == "grid":
+        over = {GRID_FLAGS.get(key, key): val for key, val in over.items()}
+    text = " ".join(f"{k}" if v is None else f"{k} {v}" for k, v in over.items())
+    return pytest.param(command, over, trains, id=f"{command} {text}")
+
+
+CLI_FAILURES = [
+    failure("ablate", {"--reps": 0}),
+    failure("train", {"--split": "1:1:0"}),
+    failure("ablate", {"--split": "1:1:0"}),
+    failure("grid", {"--split": "1:0:1"}),
+    failure("grid", {"--grid-epochs": 0}),
+    *[failure(c, {"--dims": "1,2"}) for c in TRAINING_COMMANDS],
+    *[failure(c, {"--ranks": "a,b"}) for c in TRAINING_COMMANDS],
+    *[failure(c, {"--seed": -1}) for c in TRAINING_COMMANDS],
+    *[failure(c, LOSS_DIVERGES, trains=True) for c in TRAINING_COMMANDS],
+    *[failure(c, STEP_DIVERGES, trains=True) for c in TRAINING_COMMANDS],
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, over, trains", CLI_FAILURES)
+def test_cli_failure_is_one_error_line(synth_file, tmp_path, capsys, monkeypatch,
+                                       command, over, trains):
+    obs, _ = synth_file
+    if not trains:
+        def no_training(*args, **kwargs):
+            pytest.fail("the command trained before it failed")
+        monkeypatch.setattr("tensorwheel.cli.train", no_training)
+    report_path = tmp_path / "r.json"
+    opts = {"--input": obs, "--ranks": "2,2,2,2,2,2", "--epochs": 5, "--report": report_path}
+    if command == "grid":
+        opts.update({"--etas": 0.1, "--lambdas": 0.01})
+    else:
+        opts["--reps"] = 1
+    opts.update(over)
+    argv = [command]
+    for key, val in opts.items():
+        argv += [key] if val is None else [key, val]
+    assert run(argv) == 1
+    assert_one_error_line(capsys)
+    assert not report_path.exists()

@@ -25,6 +25,8 @@ from tensorwheel import (
     split,
     train,
 )
+from tensorwheel import pid_sgd
+from tensorwheel.metrics import EvalReport
 from tensorwheel.pid_sgd import epoch_visit_order
 
 
@@ -303,6 +305,29 @@ def test_train_divergence_reports_epoch_and_entry():
         train(tr, va, observed.dims, Ranks(r=(2, 2, 2), h=(2, 2, 2)), hp)
     assert err.value.epoch is not None
     assert "epoch" in str(err.value) and "entry" in str(err.value)
+
+
+def test_train_non_finite_loss_is_divergence():
+    # every step stays finite, but the epoch's loss overflows to inf
+    observed, _ = small_planted(seed=2)
+    tr, va, _ = split(observed, SplitSpec(ratios=(1, 2, 7), seed=0))
+    hp = HyperParams(eta=200.0, lam=0.01, max_epochs=1, seed=0)
+    with pytest.raises(DivergenceError) as err:
+        train(tr, va, observed.dims, Ranks(r=(2, 2, 2), h=(2, 2, 2)), hp)
+    assert (err.value.epoch, err.value.entry_id) == (0, None)
+    assert "non-finite loss" in str(err.value)
+
+
+def test_train_non_finite_validation_rmse_is_divergence(monkeypatch):
+    observed, _ = small_planted()
+    tr, va, _ = split(observed, SplitSpec(ratios=(8, 2, 0), seed=0))
+    monkeypatch.setattr(pid_sgd, "evaluate",
+                        lambda f, obs: EvalReport(rmse=float("nan"), mae=0.0, count=len(obs)))
+    hp = HyperParams(eta=0.05, lam=0.0, max_epochs=3, seed=0)
+    with pytest.raises(DivergenceError) as err:
+        train(tr, va, observed.dims, Ranks(r=(2, 2, 2), h=(2, 2, 2)), hp)
+    assert (err.value.epoch, err.value.entry_id) == (0, None)
+    assert "validation RMSE" in str(err.value)
 
 
 def test_train_without_validation_runs_max_epochs():
