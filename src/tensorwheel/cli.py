@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, TensorWheelError
+from .errors import ParameterError, StateError, TensorWheelError
 from .metrics import evaluate
 from .pid_sgd import DivergenceError, HyperParams, train
 from .synthgen import SynthSpec, generate
@@ -111,7 +111,7 @@ def _write_report(report: dict, path, summary: str) -> int:
 
 def cmd_ingest_check(args) -> int:
     tensor = ingest(args.input, dims=_parse_dims(args), keep_last=args.keep_last)
-    values = tensor.value_array
+    values = tensor.values
     print(f"ok: {len(tensor)} entries, dims {tensor.dims}")
     if len(tensor):
         print(f"values: min {values.min():g} max {values.max():g} mean {values.mean():g}")
@@ -166,6 +166,8 @@ def _repeat(args, command: str, body) -> dict:
         raise ParameterError(f"--reps must be >= 1, got {args.reps}")
     tensor, ranks, ratios = _prepare(args)
     hp = _resolve_hp(args, eta=args.eta, lam=args.lam, seed=args.seed)
+    if args.raw_domain_metrics and not tensor.normalized:
+        raise StateError("raw-domain metrics need a normalized test set")
     reps = []
     for index in range(args.reps):
         seed = args.seed + index

@@ -33,9 +33,8 @@ def evaluate(f: TwdFactors, test_set: SparseTensor, raw_domain: bool = False) ->
     n = len(test_set)
     if n == 0:
         raise ParameterError("test set is empty")
-    ii, jj, kk = test_set.index_arrays
-    preds = reconstruct_entries(f, ii, jj, kk)
-    y = test_set.value_array
+    preds = reconstruct_entries(f, test_set.ii, test_set.jj, test_set.kk)
+    y = test_set.values
     if raw_domain:
         if not test_set.normalized:
             raise StateError("raw-domain metrics need a normalized test set")

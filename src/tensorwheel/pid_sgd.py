@@ -115,9 +115,9 @@ def compute_loss(f: TwdFactors, obs: SparseTensor, lam: float) -> float:
     n = len(obs)
     if n == 0:
         return 0.0
-    ii, jj, kk = obs.index_arrays
+    ii, jj, kk = obs.ii, obs.jj, obs.kk
     preds = reconstruct_entries(f, ii, jj, kk)
-    residual_sq = float(np.sum((obs.value_array - preds) ** 2))
+    residual_sq = float(np.sum((obs.values - preds) ** 2))
     if lam == 0.0:
         return residual_sq
     g_norm = float(np.sum(f.g ** 2))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeCapError
-from .tensor_store import Entry, SparseTensor
+from .tensor_store import SparseTensor
 from .twd_core import (
     DENSE_CAP,
     Ranks,
@@ -37,6 +37,10 @@ class SynthSpec:
     value_scale: float = 0.5
 
     def __post_init__(self):
+        for name in ("density", "noise_sigma", "value_scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if not 0 < self.density <= 1:
             raise ParameterError(f"density must be in (0, 1], got {self.density}")
         if self.noise_sigma < 0:
@@ -68,9 +72,7 @@ def generate(spec: SynthSpec) -> tuple[SparseTensor, TwdFactors]:
     values = reconstruct_entries(truth, ii, jj, kk)
     if spec.noise_sigma > 0:
         values = values + rng.normal(0.0, spec.noise_sigma, n_obs)
-    entries = [Entry(int(i), int(j), int(k), float(v))
-               for i, j, k, v in zip(ii, jj, kk, values)]
-    return SparseTensor(spec.dims, entries), truth
+    return SparseTensor.from_arrays(spec.dims, ii, jj, kk, values), truth
 
 
 def holdout_set(observed: SparseTensor, truth: TwdFactors) -> SparseTensor:
@@ -81,10 +83,8 @@ def holdout_set(observed: SparseTensor, truth: TwdFactors) -> SparseTensor:
     """
     ni, nj, nk = observed.dims
     mask = np.zeros((ni, nj, nk), dtype=bool)
-    ii, jj, kk = observed.index_arrays
-    mask[ii, jj, kk] = True
+    mask[observed.ii, observed.jj, observed.kk] = True
     hi, hj, hk = np.nonzero(~mask)
     values = reconstruct_entries(truth, hi, hj, hk)
-    entries = [Entry(int(i), int(j), int(k), float(v))
-               for i, j, k, v in zip(hi, hj, hk, values)]
-    return SparseTensor(observed.dims, entries, normalized=observed.normalized)
+    return SparseTensor.from_arrays(observed.dims, hi, hj, hk, values,
+                                    normalized=observed.normalized)

@@ -51,47 +51,68 @@ class SplitSpec:
         object.__setattr__(self, "ratios", tuple(int(x) for x in self.ratios))
 
 
-@dataclass
 class SparseTensor:
     """Immutable COO store of observed entries with dimension bounds.
 
+    Observations are held as four read-only arrays in entry order:
+    ``ii``, ``jj`` and ``kk`` (int64) and ``values`` (float64).
     ``normalized`` records whether the log transform has been applied.
     Safe for concurrent reads after construction.
     """
 
-    dims: tuple[int, int, int]
-    entries: list[Entry]
-    normalized: bool = False
+    def __init__(self, dims, entries, normalized: bool = False):
+        keys = np.array([(e.i, e.j, e.k) for e in entries], dtype=np.int64).reshape(-1, 3)
+        self._store(dims, *keys.T, [e.value for e in entries], normalized)
 
-    def __post_init__(self):
-        ni, nj, nk = self.dims
-        if min(ni, nj, nk) < 1:
+    @classmethod
+    def from_arrays(cls, dims, ii, jj, kk, values, normalized: bool = False) -> SparseTensor:
+        """A tensor over copies of the given index and value arrays."""
+        t = cls.__new__(cls)
+        t._store(dims, ii, jj, kk, values, normalized)
+        return t
+
+    def _store(self, dims, ii, jj, kk, values, normalized):
+        """Validate and keep the arrays; the first faulty entry decides the error."""
+        if len(dims) != 3:
+            raise ParameterError(f"dims must be three sizes, got {dims}")
+        self.dims = tuple(int(d) for d in dims)
+        if min(self.dims) < 1:
             raise ParameterError(f"dims must be >= 1, got {self.dims}")
-        seen = set()
-        for e in self.entries:
-            if not (0 <= e.i < ni and 0 <= e.j < nj and 0 <= e.k < nk):
-                raise BoundsError(f"entry ({e.i}, {e.j}, {e.k}) outside dims {self.dims}")
-            if not math.isfinite(e.value):
-                raise DomainError(f"entry ({e.i}, {e.j}, {e.k}) has non-finite value {e.value}")
-            key = (e.i, e.j, e.k)
-            if key in seen:
-                raise DuplicateKeyError(key)
-            seen.add(key)
+        ii, jj, kk = (np.array(a, dtype=np.int64) for a in (ii, jj, kk))
+        values = np.array(values, dtype=np.float64)
+        if values.ndim != 1 or not ii.shape == jj.shape == kk.shape == values.shape:
+            raise ParameterError("index and value arrays must be 1-D and of one length")
+        ni, nj, nk = self.dims
+        outside = (ii < 0) | (ii >= ni) | (jj < 0) | (jj >= nj) | (kk < 0) | (kk >= nk)
+        non_finite = ~np.isfinite(values)
+        # a stable sort keeps the repeats of a key in entry order, so every
+        # occurrence after the first is marked; unlike a linear index of
+        # the dims, sorting the keys cannot overflow
+        order = np.lexsort((kk, jj, ii))
+        repeat = np.zeros(len(values), dtype=bool)
+        repeat[order[1:]] = (np.diff(np.stack((ii, jj, kk))[:, order]) == 0).all(axis=0)
+        faulty = outside | non_finite | repeat
+        if faulty.any():
+            p = int(np.argmax(faulty))
+            key = (int(ii[p]), int(jj[p]), int(kk[p]))
+            if outside[p]:
+                raise BoundsError(f"entry {key} outside dims {self.dims}")
+            if non_finite[p]:
+                raise DomainError(f"entry {key} has non-finite value {values[p]}")
+            raise DuplicateKeyError(key)
+        for a in (ii, jj, kk, values):
+            a.flags.writeable = False
+        self.ii, self.jj, self.kk, self.values = ii, jj, kk, values
+        self.normalized = normalized
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.values)
 
     @cached_property
-    def index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Entry indices as three int64 arrays (in entry order)."""
-        ii = np.array([e.i for e in self.entries], dtype=np.int64)
-        jj = np.array([e.j for e in self.entries], dtype=np.int64)
-        kk = np.array([e.k for e in self.entries], dtype=np.int64)
-        return ii, jj, kk
-
-    @cached_property
-    def value_array(self) -> np.ndarray:
-        return np.array([e.value for e in self.entries], dtype=np.float64)
+    def entries(self) -> list[Entry]:
+        """The observations as Entry records, in entry order; derived from the arrays."""
+        return list(map(Entry, self.ii.tolist(), self.jj.tolist(), self.kk.tolist(),
+                        self.values.tolist()))
 
 
 def _dims_header(line: str, line_no: int):
@@ -170,6 +191,8 @@ def ingest(path, dims="infer", keep_last: bool = False) -> SparseTensor:
                     raise ParseError(line_no, f"non-numeric field in {line!r}") from None
                 if min(i, j, k) < 0:
                     raise ParseError(line_no, f"negative index in {line!r}")
+                if max(i, j, k) >= 2 ** 63:
+                    raise ParseError(line_no, f"index beyond int64 in {line!r}")
                 if not math.isfinite(value):
                     raise ParseError(line_no, f"non-finite value in {line!r}")
                 key = (i, j, k)
@@ -179,18 +202,11 @@ def ingest(path, dims="infer", keep_last: bool = False) -> SparseTensor:
     except UnicodeDecodeError:
         raise ParseError(_undecodable_line(path), "not valid UTF-8 text") from None
 
+    keys = np.array(list(records), dtype=np.int64).reshape(-1, 3)
     if dims == "infer":
-        if header_dims is not None:
-            resolved = header_dims
-        elif records:
-            resolved = tuple(max(key[axis] for key in records) + 1 for axis in range(3))
-        else:
-            resolved = (1, 1, 1)
-    else:
-        resolved = tuple(int(d) for d in dims)
-
-    entries = [Entry(i, j, k, v) for (i, j, k), v in records.items()]
-    return SparseTensor(dims=resolved, entries=entries)
+        # one past the largest index seen; (1, 1, 1) for an empty file
+        dims = header_dims or (keys.max(axis=0, initial=0) + 1).tolist()
+    return SparseTensor.from_arrays(dims, *keys.T, list(records.values()))
 
 
 def write_coo(t: SparseTensor, path) -> None:
@@ -198,27 +214,26 @@ def write_coo(t: SparseTensor, path) -> None:
     ni, nj, nk = t.dims
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# dims {ni} {nj} {nk}\n")
-        for e in t.entries:
-            fh.write(f"{e.i} {e.j} {e.k} {repr(float(e.value))}\n")
+        for i, j, k, v in zip(t.ii.tolist(), t.jj.tolist(), t.kk.tolist(), t.values.tolist()):
+            fh.write(f"{i} {j} {k} {v!r}\n")
 
 
 def normalize(t: SparseTensor) -> SparseTensor:
     """Replace every value v by ln(v + 1); requires non-negative values."""
     if t.normalized:
         raise StateError("tensor is already normalized")
-    for e in t.entries:
-        if e.value < 0:
-            raise DomainError(f"cannot normalize negative value {e.value} at ({e.i}, {e.j}, {e.k})")
-    entries = [Entry(e.i, e.j, e.k, float(np.log1p(e.value))) for e in t.entries]
-    return SparseTensor(t.dims, entries, normalized=True)
+    if (t.values < 0).any():
+        p = int(np.argmax(t.values < 0))
+        raise DomainError(f"cannot normalize negative value {t.values[p]} "
+                          f"at ({t.ii[p]}, {t.jj[p]}, {t.kk[p]})")
+    return SparseTensor.from_arrays(t.dims, t.ii, t.jj, t.kk, np.log1p(t.values), normalized=True)
 
 
 def denormalize(t: SparseTensor) -> SparseTensor:
     """Invert ``normalize``: replace every value v by exp(v) - 1."""
     if not t.normalized:
         raise StateError("tensor is not normalized")
-    entries = [Entry(e.i, e.j, e.k, float(np.expm1(e.value))) for e in t.entries]
-    return SparseTensor(t.dims, entries, normalized=False)
+    return SparseTensor.from_arrays(t.dims, t.ii, t.jj, t.kk, np.expm1(t.values))
 
 
 def largest_remainder_sizes(n: int, ratios: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -243,14 +258,11 @@ def split(t: SparseTensor, spec: SplitSpec) -> tuple[SparseTensor, SparseTensor,
     Sizes follow ``spec.ratios`` with largest-remainder rounding; the
     same (tensor, spec) always yields the same partition.
     """
-    n = len(t.entries)
+    n = len(t)
     if n == 0:
         raise ParameterError("cannot split an empty tensor")
     n_train, n_valid, n_test = largest_remainder_sizes(n, spec.ratios)
     perm = np.random.default_rng(spec.seed).permutation(n)
-    picks = (perm[:n_train], perm[n_train:n_train + n_valid], perm[n_train + n_valid:])
-    parts = []
-    for idx in picks:
-        part_entries = [t.entries[p] for p in idx]
-        parts.append(SparseTensor(t.dims, part_entries, normalized=t.normalized))
-    return tuple(parts)
+    return tuple(SparseTensor.from_arrays(t.dims, t.ii[idx], t.jj[idx], t.kk[idx], t.values[idx],
+                                          normalized=t.normalized)
+                 for idx in np.split(perm, [n_train, n_train + n_valid]))

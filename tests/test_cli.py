@@ -295,6 +295,16 @@ def test_train_rejects_non_finite_hyperparams(synth_file, tmp_path, capsys, flag
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize("flag, name", [("--noise", "noise_sigma"),
+                                        ("--value-scale", "value_scale")])
+def test_synth_rejects_non_finite_values(tmp_path, capsys, flag, name):
+    output = tmp_path / "o.txt"
+    assert run(["synth", "--dims", "4,4,3", "--ranks", "2,2,2,2,2,2", flag, "nan",
+                "--output", output]) == 1
+    assert_one_error_line(capsys, f"{name} must be finite")
+    assert not output.exists()
+
+
 @pytest.mark.parametrize("content", [
     "TWD v1 8 x 6 2 2 2 2 2 2\n",
     "TWD v1 2 2 2 1 1 1 1 1 1\nabc\n",
@@ -365,6 +375,8 @@ CLI_FAILURES = [
     *[failure(c, {"--dims": "1,2"}) for c in TRAINING_COMMANDS],
     *[failure(c, {"--ranks": "a,b"}) for c in TRAINING_COMMANDS],
     *[failure(c, {"--seed": -1}) for c in TRAINING_COMMANDS],
+    *[failure(c, {"--no-normalize": None, "--raw-domain-metrics": None})
+      for c in ("train", "ablate")],
     *[failure(c, LOSS_DIVERGES, trains=True) for c in TRAINING_COMMANDS],
     *[failure(c, STEP_DIVERGES, trains=True) for c in TRAINING_COMMANDS],
 ]

@@ -86,6 +86,11 @@ def test_holdout_complements_observed():
     dict(density=1.5),
     dict(noise_sigma=-0.1),
     dict(value_scale=0.0),
+    dict(noise_sigma=float("nan")),
+    dict(noise_sigma=float("inf")),
+    dict(value_scale=float("nan")),
+    dict(value_scale=float("inf")),
+    dict(density=float("nan")),
 ])
 def test_spec_validation(bad):
     kw = dict(dims=(3, 3, 3), ranks=RANKS, density=0.5)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorwheel import (
     BoundsError,
@@ -350,3 +352,167 @@ def test_read_dims_header(tmp_path):
     assert read_dims_header(later) == (2, 3, 4)
     with pytest.raises(ParseError):
         read_dims_header(write_file(tmp_path, "# dims 4 x 3\n"))
+
+
+# ------------------------------------------------- array store and validation
+
+def loop_validation(dims, rows):
+    """The per-entry loop that the vectorized validation replaced, as a
+    reference: the error it raises for (i, j, k, value) rows, or None."""
+    ni, nj, nk = dims
+    seen = set()
+    for i, j, k, value in rows:
+        if not (0 <= i < ni and 0 <= j < nj and 0 <= k < nk):
+            return BoundsError(f"entry ({i}, {j}, {k}) outside dims {dims}")
+        if not math.isfinite(value):
+            return DomainError(f"entry ({i}, {j}, {k}) has non-finite value {value}")
+        if (i, j, k) in seen:
+            return DuplicateKeyError((i, j, k))
+        seen.add((i, j, k))
+    return None
+
+
+def build_both_ways(dims, rows):
+    """Constructors of the same tensor: from Entry records and from arrays."""
+    columns = [list(c) for c in zip(*rows)] if rows else [[], [], [], []]
+    return (lambda: SparseTensor(dims, [Entry(*r) for r in rows]),
+            lambda: SparseTensor.from_arrays(dims, *columns))
+
+
+@pytest.mark.parametrize("dims, rows, error, message", [
+    ((2, 2, 2), [(0, 0, 0, 1.0), (2, 0, 0, 1.0)], BoundsError,
+     "entry (2, 0, 0) outside dims (2, 2, 2)"),
+    ((2, 2, 2), [(0, -1, 0, 1.0)], BoundsError, "entry (0, -1, 0) outside dims (2, 2, 2)"),
+    ((2, 2, 2), [(1, 1, 1, float("nan"))], DomainError, "entry (1, 1, 1) has non-finite value nan"),
+    ((2, 2, 2), [(0, 0, 0, 1.0), (1, 1, 1, 1.0), (0, 0, 0, 2.0)], DuplicateKeyError,
+     "duplicate position (0, 0, 0)"),
+    # two faults: the earlier entry's error wins
+    ((2, 2, 2), [(0, 0, 0, float("inf")), (5, 0, 0, 1.0)], DomainError,
+     "entry (0, 0, 0) has non-finite value inf"),
+    ((2, 2, 2), [(1, 0, 1, 1.0), (1, 0, 1, 2.0), (0, 9, 0, 1.0)], DuplicateKeyError,
+     "duplicate position (1, 0, 1)"),
+    ((2, 2, 2), [(0, 0, 0, 1.0), (0, 3, 0, float("nan")), (0, 0, 0, 1.0)], BoundsError,
+     "entry (0, 3, 0) outside dims (2, 2, 2)"),
+    ((2, 2), [(0, 0, 0, 1.0)], ParameterError, "dims must be three sizes"),
+    ((2, 2, 2, 2), [], ParameterError, "dims must be three sizes"),
+    ((2, 0, 2), [], ParameterError, "dims must be >= 1, got (2, 0, 2)"),
+])
+def test_both_constructors_raise_the_same_error(dims, rows, error, message):
+    for build in build_both_ways(dims, rows):
+        with pytest.raises(error) as err:
+            build()
+        assert type(err.value) is error
+        assert str(err.value).startswith(message)
+
+
+SMALL_INDEX = st.integers(-1, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 3)] * 3),
+       rows=st.lists(st.tuples(SMALL_INDEX, SMALL_INDEX, SMALL_INDEX,
+                               st.sampled_from([0.5, -2.0, float("inf"), -float("inf"),
+                                                float("nan")])), max_size=10))
+def test_validation_matches_the_entry_loop(dims, rows):
+    expected = loop_validation(dims, rows)
+    for build in build_both_ways(dims, rows):
+        if expected is None:
+            assert len(build()) == len(rows)
+            continue
+        with pytest.raises(type(expected)) as err:
+            build()
+        assert str(err.value) == str(expected)
+
+
+def test_ingest_rejects_dims_of_wrong_length(tmp_path):
+    with pytest.raises(ParameterError):
+        ingest(write_file(tmp_path, "0 0 0 1.0\n"), dims=(4, 4))
+
+
+HUGE = "9999999 9999999 9999999 1.0\n0 0 0 2.0\n"
+
+
+def test_ingest_accepts_dims_whose_product_exceeds_int64(tmp_path):
+    t = ingest(write_file(tmp_path, HUGE))
+    assert t.dims == (10 ** 7,) * 3
+    assert t.entries == [Entry(9999999, 9999999, 9999999, 1.0), Entry(0, 0, 0, 2.0)]
+    with pytest.raises(DuplicateKeyError) as err:
+        ingest(write_file(tmp_path, HUGE + "9999999 9999999 9999999 3.0\n"))
+    assert err.value.line_no == 3
+    with pytest.raises(DuplicateKeyError):
+        SparseTensor.from_arrays(t.dims, [9999999, 0, 9999999], [9999999, 0, 9999999],
+                                 [9999999, 0, 9999999], [1.0, 2.0, 3.0])
+
+
+def test_ingest_rejects_index_beyond_int64(tmp_path):
+    with pytest.raises(ParseError) as err:
+        ingest(write_file(tmp_path, f"0 0 0 1.0\n0 {2 ** 63} 0 1.0\n"))
+    assert err.value.line_no == 2
+
+
+def test_arrays_are_read_only_and_not_shared_with_callers():
+    values = np.array([1.0, 3.0])
+    t = SparseTensor.from_arrays((1, 1, 2), np.zeros(2, dtype=np.int64), [0, 0], [0, 1], values)
+    values[0] = 9.0
+    assert values.flags.writeable and t.values.tolist() == [1.0, 3.0]
+    for name in ("ii", "jj", "kk", "values"):
+        with pytest.raises(ValueError):
+            getattr(t, name)[0] = 0
+    normalize(t)
+    assert t.values.tolist() == [1.0, 3.0]
+
+
+def test_entries_view_holds_python_scalars_in_entry_order():
+    t = SparseTensor.from_arrays((3, 3, 3), np.array([2, 0]), np.array([1, 0]), np.array([0, 2]),
+                                 np.array([0.5, -1.0]))
+    assert t.entries == [Entry(2, 1, 0, 0.5), Entry(0, 0, 2, -1.0)]
+    assert all(type(e.i) is int and type(e.value) is float for e in t.entries)
+
+
+def test_log_transforms_match_the_per_entry_reference():
+    rng = np.random.default_rng(3)
+    raw = np.concatenate([rng.uniform(0, 1e6, 4000), rng.exponential(1e-3, 4000),
+                          10.0 ** rng.uniform(-300, 300, 4000), [0.0, -0.0, 5e-324, 1e308]])
+    n = len(raw)
+    t = SparseTensor.from_arrays((1, 1, n), np.zeros(n), np.zeros(n), np.arange(n), raw)
+    logged = normalize(t)
+    assert logged.values.tobytes() == np.array([np.log1p(v) for v in raw.tolist()]).tobytes()
+    back = denormalize(logged)
+    assert back.values.tobytes() == np.array(
+        [np.expm1(v) for v in logged.values.tolist()]).tobytes()
+
+
+# ----------------------------------------------------------------- properties
+
+FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]))
+
+
+@st.composite
+def sparse_tensors(draw):
+    dims = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    positions = draw(st.lists(st.integers(0, math.prod(dims) - 1), unique=True))
+    values = draw(st.lists(FINITE, min_size=len(positions), max_size=len(positions)))
+    ii, jj, kk = np.unravel_index(np.array(positions, dtype=np.int64), dims)
+    return SparseTensor.from_arrays(dims, ii, jj, kk, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=sparse_tensors())
+def test_coo_round_trip_is_bitwise(tmp_path_factory, t):
+    path = tmp_path_factory.mktemp("coo") / "t.txt"
+    write_coo(t, path)
+    back = ingest(path)
+    assert back.dims == t.dims
+    for name in ("ii", "jj", "kk", "values"):
+        ours, theirs = getattr(back, name), getattr(t, name)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+@given(n=st.integers(0, 10 ** 6),
+       ratios=st.tuples(*[st.integers(0, 50)] * 3).filter(lambda r: sum(r) > 0))
+def test_largest_remainder_sizes_property(n, ratios):
+    sizes = largest_remainder_sizes(n, ratios)
+    assert sum(sizes) == n
+    for size, ratio in zip(sizes, ratios):
+        assert abs(size - Fraction(n * ratio, sum(ratios))) < 1

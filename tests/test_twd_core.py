@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tensorwheel import (
     BoundsError,
@@ -258,6 +261,34 @@ def test_checkpoint_round_trip_exact(tmp_path):
     assert back.ranks == f.ranks
     for name in "gabc":
         assert np.array_equal(getattr(back, name), getattr(f, name))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+
+
+@st.composite
+def finite_factors(draw):
+    """Factors of small random shape holding any finite floats."""
+    small = st.integers(1, 3)
+    dims = tuple(draw(small) for _ in range(3))
+    ranks = Ranks(r=tuple(draw(small) for _ in range(3)), h=tuple(draw(small) for _ in range(3)))
+    (r1, r2, r3), (h1, h2, h3), (ni, nj, nk) = ranks.r, ranks.h, dims
+    shapes = [(h1, h2, h3), (r3, ni, r1, h1), (r1, nj, r2, h2), (r2, nk, r3, h3)]
+    return TwdFactors(*(draw(arrays(np.float64, s, elements=FINITE)) for s in shapes),
+                      dims, ranks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=finite_factors())
+def test_checkpoint_round_trip_is_bitwise(tmp_path_factory, f):
+    path = tmp_path_factory.mktemp("ckpt") / "model.txt"
+    save_checkpoint(f, path)
+    back = load_checkpoint(path)
+    assert back.dims == f.dims and back.ranks == f.ranks
+    for name in "gabc":
+        ours, theirs = getattr(back, name), getattr(f, name)
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
 
 
 def test_checkpoint_header_format(tmp_path):
