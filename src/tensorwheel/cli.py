@@ -29,15 +29,10 @@ from .errors import ParameterError, StateError, TensorWheelError
 from .metrics import evaluate
 from .pid_sgd import DivergenceError, HyperParams, train
 from .synthgen import SynthSpec, generate
-from .tensor_store import (SparseTensor, SplitSpec, ingest, normalize, read_dims_header,
-                           split, write_coo)
-from .twd_core import (
-    Ranks,
-    checkpoint_text,
-    init_factors,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .tensor_store import (SparseTensor, SplitSpec, ingest, normalize, open_replacing,
+                           read_dims_header, split, write_coo)
+from .twd_core import Ranks, checkpoint_text, init_factors, load_checkpoint, save_checkpoint
+
 
 def _parse_ints(text: str, n: int, what: str) -> tuple:
     parts = text.split(",")
@@ -103,7 +98,7 @@ def _config(args, tensor, ranks: Ranks, ratios, **fields) -> dict:
 def _write_report(report: dict, path, summary: str) -> int:
     # strict JSON: a non-finite metric is a bug upstream, not a report
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_replacing(path) as fh:
         fh.write(text + "\n")
     print(f"{summary} -> {path}")
     return 0

@@ -46,12 +46,17 @@ class SizeCapError(TensorWheelError, ValueError):
 class DivergenceError(TensorWheelError, ArithmeticError):
     """Training produced a non-finite value; carries the entry id (None
     when an epoch's loss or validation RMSE, not a step, diverged), the
-    epoch, and what diverged."""
+    epoch, and what diverged.  Raised by ``train``, it also carries the
+    learning rate ``eta`` and ``norms``, the Frobenius norms of g, a, b
+    and c as a dict: the factors were finite then, as a diverging step
+    writes nothing back."""
 
-    def __init__(self, entry_id=None, epoch=None, what="value"):
+    def __init__(self, entry_id=None, epoch=None, what="value", eta=None, norms=None):
         self.entry_id = entry_id
         self.epoch = epoch
         self.what = what
+        self.eta = eta
+        self.norms = norms
         super().__init__(self._format())
 
     def _format(self):
@@ -61,5 +66,5 @@ class DivergenceError(TensorWheelError, ArithmeticError):
         return (f"non-finite {self.what} during training ({', '.join(where)}); "
                 f"try a smaller learning rate")
 
-    def with_epoch(self, epoch):
-        return DivergenceError(self.entry_id, epoch, self.what)
+    def with_epoch(self, epoch, eta=None, norms=None):
+        return DivergenceError(self.entry_id, epoch, self.what, eta, norms)

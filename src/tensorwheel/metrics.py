@@ -17,9 +17,6 @@ class EvalReport:
     mae: float
     count: int
 
-    def to_dict(self) -> dict:
-        return {"rmse": self.rmse, "mae": self.mae, "count": self.count}
-
 
 def evaluate(f: TwdFactors, test_set: SparseTensor, raw_domain: bool = False) -> EvalReport:
     """RMSE and MAE of the model's reconstructions over a held-out set.

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import BoundsError, DivergenceError, ParameterError
 from .metrics import evaluate
 from .tensor_store import Entry, SparseTensor
-from .twd_core import Ranks, TwdFactors, entry_partials, init_factors, reconstruct_entries
+from .twd_core import (Ranks, TwdFactors, block_partials, entry_blocks, init_factors,
+                       reconstruct_entries, scatter_blocks)
 
 DEFAULT_ETA = 0.01
 DEFAULT_LAMBDA = 0.01
@@ -145,40 +146,34 @@ def pid_error(state: PidState, entry_id: int, e_n: float, hp: HyperParams) -> fl
     return composite
 
 
-def _apply_update(f: TwdFactors, i, j, k, e_t, eta, lam, t_g, t_a, t_b, t_c, entry_id):
-    """Apply the four update rules from a pre-step snapshot.
-
-    All partials were evaluated before any write, so the four blocks see
-    the same point (Jacobi-style within the step).  Overflow is caught by
-    the finiteness checks; ``train`` silences numpy's warnings for it.
-    """
-    blocks = ((f.g, t_g), (f.a[:, i], t_a), (f.b[:, j], t_b), (f.c[:, k], t_c))
-    for view, t in blocks:
-        view += eta * (e_t * t - lam * view)
-    if not math.isfinite(e_t):
-        raise DivergenceError(entry_id)
-    for view, _ in blocks:
-        if not np.isfinite(view).all():
-            raise DivergenceError(entry_id)
-
-
-def sgd_step(f: TwdFactors, entry: Entry, entry_id: int, state: PidState,
+def sgd_step(f: TwdFactors, entry: Entry, entry_id: int, state: PidState | None,
              hp: HyperParams) -> None:
-    """One PID-guided SGD step on a single observation (in place)."""
-    x_hat, t_g, t_a, t_b, t_c = entry_partials(f, entry.i, entry.j, entry.k)
-    e = entry.value - x_hat
-    e_t = pid_error(state, entry_id, e, hp)
-    _apply_update(f, entry.i, entry.j, entry.k, e_t, hp.eta, hp.lam,
-                  t_g, t_a, t_b, t_c, entry_id)
+    """One PID-guided SGD step on a single observation (in place); with
+    ``state`` None, the plain SGD step, driven by the raw residual.
+
+    Every partial is taken before any write (Jacobi-style within the
+    step).  The four blocks the entry touches are gathered into one
+    vector p, p moves by one expression, and p is written back only if
+    it and the driving error are finite: a diverging step raises
+    DivergenceError and leaves f as it was.  ``train`` silences numpy's
+    overflow warnings for it.
+    """
+    blocks = entry_blocks(f, entry.i, entry.j, entry.k)
+    x_hat, *partials = block_partials(*blocks)
+    e_t = entry.value - x_hat
+    if state is not None:
+        e_t = pid_error(state, entry_id, e_t, hp)
+    p = np.concatenate(blocks, axis=None)
+    p += hp.eta * (e_t * np.concatenate(partials, axis=None) - hp.lam * p)
+    if not (math.isfinite(e_t) and np.isfinite(p).all()):
+        raise DivergenceError(entry_id)
+    scatter_blocks(p, blocks)
 
 
 def plain_sgd_step(f: TwdFactors, entry: Entry, entry_id: int, hp: HyperParams) -> None:
     """One plain SGD step: the raw residual drives the update directly,
     with no PID bookkeeping.  Reference path for the reduction check."""
-    x_hat, t_g, t_a, t_b, t_c = entry_partials(f, entry.i, entry.j, entry.k)
-    e = entry.value - x_hat
-    _apply_update(f, entry.i, entry.j, entry.k, e, hp.eta, hp.lam,
-                  t_g, t_a, t_b, t_c, entry_id)
+    sgd_step(f, entry, entry_id, None, hp)
 
 
 def epoch_visit_order(rng: np.random.Generator, n_entries: int) -> np.ndarray:
@@ -199,7 +194,8 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     hp.max_epochs or (with early_stop) once validation RMSE has not
     improved for hp.patience consecutive epochs.  The returned factors
     are the checkpoint from the best-validation epoch.  A non-finite
-    factor, loss or validation RMSE raises DivergenceError with the epoch.
+    factor, loss or validation RMSE raises DivergenceError with the
+    epoch, hp.eta and the norms of the last finite factors.
 
     Args:
         train_set: observed entries to fit; must be non-empty.
@@ -233,23 +229,20 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
 
     for epoch in range(hp.max_epochs):
         order = epoch_visit_order(order_rng, n)
-        # overflow in a diverging run surfaces as DivergenceError, not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                if pid:
-                    for entry_id in order:
-                        sgd_step(factors, entries[entry_id], int(entry_id), state, hp)
-                else:
-                    for entry_id in order:
-                        plain_sgd_step(factors, entries[entry_id], int(entry_id), hp)
-            except DivergenceError as err:
-                raise err.with_epoch(epoch) from None
-            loss = compute_loss(factors, train_set, hp.lam)
-            rmse = evaluate(factors, valid_set).rmse if use_valid else None
-        if not math.isfinite(loss):
-            raise DivergenceError(epoch=epoch, what="loss")
-        if rmse is not None and not math.isfinite(rmse):
-            raise DivergenceError(epoch=epoch, what="validation RMSE")
+        try:
+            # overflow in a diverging run surfaces as DivergenceError, not as numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                for entry_id in order:
+                    sgd_step(factors, entries[entry_id], int(entry_id), state, hp)
+                loss = compute_loss(factors, train_set, hp.lam)
+                rmse = evaluate(factors, valid_set).rmse if use_valid else None
+            if not math.isfinite(loss):
+                raise DivergenceError(what="loss")
+            if rmse is not None and not math.isfinite(rmse):
+                raise DivergenceError(what="validation RMSE")
+        except DivergenceError as err:
+            # a diverging step wrote nothing back: the factors are still finite
+            raise err.with_epoch(epoch, hp.eta, factors.norms()) from None
 
         report.loss_history.append(loss)
         report.epochs_run = epoch + 1

@@ -72,7 +72,7 @@ def generate(spec: SynthSpec) -> tuple[SparseTensor, TwdFactors]:
     values = reconstruct_entries(truth, ii, jj, kk)
     if spec.noise_sigma > 0:
         values = values + rng.normal(0.0, spec.noise_sigma, n_obs)
-    return SparseTensor.from_arrays(spec.dims, ii, jj, kk, values), truth
+    return SparseTensor._over_valid_keys(spec.dims, ii, jj, kk, values), truth
 
 
 def holdout_set(observed: SparseTensor, truth: TwdFactors) -> SparseTensor:
@@ -86,5 +86,5 @@ def holdout_set(observed: SparseTensor, truth: TwdFactors) -> SparseTensor:
     mask[observed.ii, observed.jj, observed.kk] = True
     hi, hj, hk = np.nonzero(~mask)
     values = reconstruct_entries(truth, hi, hj, hk)
-    return SparseTensor.from_arrays(observed.dims, hi, hj, hk, values,
-                                    normalized=observed.normalized)
+    return SparseTensor._over_valid_keys(observed.dims, hi, hj, hk, values,
+                                         normalized=observed.normalized)

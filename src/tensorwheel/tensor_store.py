@@ -9,6 +9,8 @@ Indices are 0-based both in files and in memory.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,30 +69,39 @@ class SparseTensor:
     @classmethod
     def from_arrays(cls, dims, ii, jj, kk, values, normalized: bool = False) -> SparseTensor:
         """A tensor over copies of the given index and value arrays."""
-        t = cls.__new__(cls)
-        t._store(dims, ii, jj, kk, values, normalized)
-        return t
+        return cls.__new__(cls)._store(dims, ii, jj, kk, values, normalized)
 
-    def _store(self, dims, ii, jj, kk, values, normalized):
-        """Validate and keep the arrays; the first faulty entry decides the error."""
+    @classmethod
+    def _over_valid_keys(cls, dims, ii, jj, kk, values, normalized: bool = False):
+        """A tensor over keys in bounds and distinct by construction: taken
+        from a validated tensor, or from a mask of shape dims.  The index
+        arrays are kept, not copied, and only the values are checked; the
+        arrays must not be written afterwards."""
+        return cls.__new__(cls)._store(dims, ii, jj, kk, values, normalized, keys_valid=True)
+
+    def _store(self, dims, ii, jj, kk, values, normalized, keys_valid=False):
+        """Validate and keep the arrays, and return self; the first faulty
+        entry decides the error."""
         if len(dims) != 3:
             raise ParameterError(f"dims must be three sizes, got {dims}")
         self.dims = tuple(int(d) for d in dims)
         if min(self.dims) < 1:
             raise ParameterError(f"dims must be >= 1, got {self.dims}")
-        ii, jj, kk = (np.array(a, dtype=np.int64) for a in (ii, jj, kk))
-        values = np.array(values, dtype=np.float64)
+        keep = np.asarray if keys_valid else np.array
+        ii, jj, kk = (keep(a, dtype=np.int64) for a in (ii, jj, kk))
+        values = keep(values, dtype=np.float64)
         if values.ndim != 1 or not ii.shape == jj.shape == kk.shape == values.shape:
             raise ParameterError("index and value arrays must be 1-D and of one length")
-        ni, nj, nk = self.dims
-        outside = (ii < 0) | (ii >= ni) | (jj < 0) | (jj >= nj) | (kk < 0) | (kk >= nk)
         non_finite = ~np.isfinite(values)
-        # a stable sort keeps the repeats of a key in entry order, so every
-        # occurrence after the first is marked; unlike a linear index of
-        # the dims, sorting the keys cannot overflow
-        order = np.lexsort((kk, jj, ii))
-        repeat = np.zeros(len(values), dtype=bool)
-        repeat[order[1:]] = (np.diff(np.stack((ii, jj, kk))[:, order]) == 0).all(axis=0)
+        outside = repeat = np.zeros_like(non_finite)
+        if not keys_valid:
+            ni, nj, nk = self.dims
+            outside = (ii < 0) | (ii >= ni) | (jj < 0) | (jj >= nj) | (kk < 0) | (kk >= nk)
+            # a stable sort keeps the repeats of a key in entry order, so every
+            # occurrence after the first is marked; unlike a linear index of
+            # the dims, sorting the keys cannot overflow
+            order = np.lexsort((kk, jj, ii))
+            repeat[order[1:]] = (np.diff(np.stack((ii, jj, kk))[:, order]) == 0).all(axis=0)
         faulty = outside | non_finite | repeat
         if faulty.any():
             p = int(np.argmax(faulty))
@@ -104,6 +115,7 @@ class SparseTensor:
             a.flags.writeable = False
         self.ii, self.jj, self.kk, self.values = ii, jj, kk, values
         self.normalized = normalized
+        return self
 
     def __len__(self):
         return len(self.values)
@@ -209,10 +221,38 @@ def ingest(path, dims="infer", keep_last: bool = False) -> SparseTensor:
     return SparseTensor.from_arrays(dims, *keys.T, list(records.values()))
 
 
+@contextmanager
+def open_replacing(path, encoding: str = "utf-8"):
+    """Open a new temp file beside ``path`` for text writing; on a clean
+    exit it replaces ``path``.
+
+    A write that raises leaves ``path`` as it was and removes the temp
+    file, so a reader never sees a partly written file.  The replace is
+    not fsynced.  A path that exists but is not a regular file, such as
+    a device or a pipe, cannot be replaced and is written in place; a
+    symlink is followed, so the file it points to is replaced.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding=encoding) as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "x", encoding=encoding)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_coo(t: SparseTensor, path) -> None:
-    """Write a SparseTensor in the COO text format with a dims header."""
+    """Write a SparseTensor in the COO text format with a dims header,
+    replacing ``path`` only once the whole file is written."""
     ni, nj, nk = t.dims
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_replacing(path) as fh:
         fh.write(f"# dims {ni} {nj} {nk}\n")
         for i, j, k, v in zip(t.ii.tolist(), t.jj.tolist(), t.kk.tolist(), t.values.tolist()):
             fh.write(f"{i} {j} {k} {v!r}\n")
@@ -226,14 +266,15 @@ def normalize(t: SparseTensor) -> SparseTensor:
         p = int(np.argmax(t.values < 0))
         raise DomainError(f"cannot normalize negative value {t.values[p]} "
                           f"at ({t.ii[p]}, {t.jj[p]}, {t.kk[p]})")
-    return SparseTensor.from_arrays(t.dims, t.ii, t.jj, t.kk, np.log1p(t.values), normalized=True)
+    return SparseTensor._over_valid_keys(t.dims, t.ii, t.jj, t.kk, np.log1p(t.values),
+                                         normalized=True)
 
 
 def denormalize(t: SparseTensor) -> SparseTensor:
     """Invert ``normalize``: replace every value v by exp(v) - 1."""
     if not t.normalized:
         raise StateError("tensor is not normalized")
-    return SparseTensor.from_arrays(t.dims, t.ii, t.jj, t.kk, np.expm1(t.values))
+    return SparseTensor._over_valid_keys(t.dims, t.ii, t.jj, t.kk, np.expm1(t.values))
 
 
 def largest_remainder_sizes(n: int, ratios: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -263,6 +304,6 @@ def split(t: SparseTensor, spec: SplitSpec) -> tuple[SparseTensor, SparseTensor,
         raise ParameterError("cannot split an empty tensor")
     n_train, n_valid, n_test = largest_remainder_sizes(n, spec.ratios)
     perm = np.random.default_rng(spec.seed).permutation(n)
-    return tuple(SparseTensor.from_arrays(t.dims, t.ii[idx], t.jj[idx], t.kk[idx], t.values[idx],
-                                          normalized=t.normalized)
+    return tuple(SparseTensor._over_valid_keys(t.dims, t.ii[idx], t.jj[idx], t.kk[idx],
+                                               t.values[idx], normalized=t.normalized)
                  for idx in np.split(perm, [n_train, n_train + n_valid]))

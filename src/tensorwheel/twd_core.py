@@ -17,10 +17,12 @@ matrix products on reshaped slices:
     2. sum over (r3, r2):    ab (H1*H2, R3*R2) . c_k (R3*R2, H3) -> t_g
     3. sum over (h1, h2, h3): vdot(t_g, g)
 
-``entry_partials`` runs the three stages for one position and, from
-stage 1's product and the same slices, the partials with respect to the
-a, b and c slices.  ``reconstruct_entry`` runs the same stages, so it
-equals the trainer's x_hat bit for bit.  ``reconstruct_entries`` and
+``block_partials`` runs the three stages for one position, on the four
+blocks it touches, and, from stage 1's product and the same blocks, the
+partials with respect to the a, b and c slices.  ``entry_partials``,
+``reconstruct_entry`` and the trainer's step all run it, so
+``reconstruct_entry`` equals the trainer's x_hat bit for bit.
+``reconstruct_entries`` and
 ``reconstruct_full`` run the same stages, summing over the same indices
 in the same order, as batched products over gathered slices,
 BATCH_CHUNK positions at a time; the products are grouped differently
@@ -32,11 +34,13 @@ for bit.  ``reconstruct_full`` contracts the row-major index grid with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundsError, ParameterError, SizeCapError
+from .tensor_store import open_replacing
 
 DENSE_CAP = 10_000_000  # max elements a dense reconstruction may materialize
 BATCH_CHUNK = 256  # positions per batched-kernel call; bounds its temporaries
@@ -70,6 +74,12 @@ class Ranks:
         return cls(r=(dim, dim, dim), h=(2, 2, 2))
 
 
+def factor_shapes(dims, ranks: Ranks) -> list:
+    """Shapes of g, a, b and c, in that order, for dims (I, J, K)."""
+    (ni, nj, nk), (r1, r2, r3), (h1, h2, h3) = dims, ranks.r, ranks.h
+    return [(h1, h2, h3), (r3, ni, r1, h1), (r1, nj, r2, h2), (r2, nk, r3, h3)]
+
+
 @dataclass
 class TwdFactors:
     """Dense factor set of one tensor wheel model.
@@ -86,16 +96,7 @@ class TwdFactors:
     ranks: Ranks
 
     def __post_init__(self):
-        ni, nj, nk = self.dims
-        r1, r2, r3 = self.ranks.r
-        h1, h2, h3 = self.ranks.h
-        expected = {
-            "g": (h1, h2, h3),
-            "a": (r3, ni, r1, h1),
-            "b": (r1, nj, r2, h2),
-            "c": (r2, nk, r3, h3),
-        }
-        for name, shape in expected.items():
+        for name, shape in zip("gabc", factor_shapes(self.dims, self.ranks)):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ParameterError(f"factor {name} has shape {arr.shape}, expected {shape}")
@@ -106,9 +107,10 @@ class TwdFactors:
         return TwdFactors(self.g.copy(), self.a.copy(), self.b.copy(),
                           self.c.copy(), self.dims, self.ranks)
 
-    @property
-    def n_parameters(self) -> int:
-        return self.g.size + self.a.size + self.b.size + self.c.size
+    def norms(self) -> dict[str, float]:
+        """Frobenius norm of each of g, a, b and c; exact where squaring
+        the values would overflow."""
+        return {name: math.hypot(*getattr(self, name).ravel().tolist()) for name in "gabc"}
 
 
 def init_factors(dims, ranks: Ranks, seed: int, scale: float) -> TwdFactors:
@@ -122,13 +124,8 @@ def init_factors(dims, ranks: Ranks, seed: int, scale: float) -> TwdFactors:
         raise ParameterError(f"dims must be >= 1, got {dims}")
     if scale < 0:
         raise ParameterError(f"init scale must be >= 0, got {scale}")
-    r1, r2, r3 = ranks.r
-    h1, h2, h3 = ranks.h
     rng = np.random.default_rng(seed)
-    g = rng.random((h1, h2, h3)) * scale
-    a = rng.random((r3, ni, r1, h1)) * scale
-    b = rng.random((r1, nj, r2, h2)) * scale
-    c = rng.random((r2, nk, r3, h3)) * scale
+    g, a, b, c = (rng.random(shape) * scale for shape in factor_shapes((ni, nj, nk), ranks))
     return TwdFactors(g, a, b, c, (ni, nj, nk), ranks)
 
 
@@ -138,57 +135,77 @@ def _check_index(f: TwdFactors, i: int, j: int, k: int):
         raise BoundsError(f"index ({i}, {j}, {k}) outside dims {f.dims}")
 
 
-def _stages(f: TwdFactors, i: int, j: int, k: int):
-    """Stages 1 and 2 of the contraction at (i, j, k).
+def block_partials(g, a_i, b_j, c_k):
+    """Reconstruction at one position and its partial derivative w.r.t.
+    each block it touches, from the blocks alone: the core ``g``
+    (H1, H2, H3) and the slices ``a_i`` (R3, R1, H1), ``b_j``
+    (R1, R2, H2) and ``c_k`` (R2, R3, H3) of a, b and c.
 
-    Returns ``ab`` of shape (R3, H1, R2, H2), summed over r1, and ``t_g``
-    of shape (H1, H2, H3), summed over (r3, r2); ``t_g`` is the partial
-    of the element with respect to the core.
+    Returns (x_hat, t_g, t_a, t_b, t_c), each partial in its block's
+    shape.  The only single-position contraction: ``entry_partials``,
+    ``reconstruct_entry`` and the trainer's step all run it.
     """
-    r1, r2, r3 = f.ranks.r
-    h1, h2, h3 = f.ranks.h
-    ab = np.dot(f.a[:, i].transpose(0, 2, 1).reshape(r3 * h1, r1),
-                f.b[:, j].reshape(r1, r2 * h2)).reshape(r3, h1, r2, h2)
+    r3, r1, h1 = a_i.shape
+    _, r2, h2 = b_j.shape
+    h3 = g.shape[2]
+    # stage 1, sum over r1 -> (R3, H1, R2, H2); stage 2, over (r3, r2) -> t_g
+    ab = np.dot(a_i.transpose(0, 2, 1).reshape(r3 * h1, r1),
+                b_j.reshape(r1, r2 * h2)).reshape(r3, h1, r2, h2)
     t_g = np.dot(ab.transpose(1, 3, 0, 2).reshape(h1 * h2, r3 * r2),
-                 f.c[:, k].transpose(1, 0, 2).reshape(r3 * r2, h3)).reshape(h1, h2, h3)
-    return ab, t_g
-
-
-def entry_partials(f: TwdFactors, i: int, j: int, k: int):
-    """Reconstruction at (i, j, k) and its partial derivative w.r.t. each
-    touched parameter block, all from the current factor values.
-
-    Returns (x_hat, t_g, t_a, t_b, t_c) where t_g has the core's shape
-    and t_a/t_b/t_c the shapes of the i/j/k factor slices.  Indices are
-    not bounds-checked; this is the trainer's per-step kernel.
-    """
-    r1, r2, r3 = f.ranks.r
-    h1, h2, h3 = f.ranks.h
-    g = f.g
-    ab, t_g = _stages(f, i, j, k)
+                 c_k.transpose(1, 0, 2).reshape(r3 * r2, h3)).reshape(h1, h2, h3)
     x_hat = float(np.vdot(t_g, g))
     # sum over (h1, h2) -> (R3, R2, H3), reordered to c's slice layout (R2, R3, H3)
     t_c = np.dot(ab.transpose(0, 2, 1, 3).reshape(r3 * r2, h1 * h2),
                  g.reshape(h1 * h2, h3)).reshape(r3, r2, h3).transpose(1, 0, 2)
     # sum over h2 -> (R1, R2, H1, H3), then (r2, h3) -> (R1, H1, R3) -> (R3, R1, H1)
-    gb = np.dot(f.b[:, j].reshape(r1 * r2, h2),
+    gb = np.dot(b_j.reshape(r1 * r2, h2),
                 g.transpose(1, 0, 2).reshape(h2, h1 * h3)).reshape(r1, r2, h1, h3)
-    c_r3 = f.c[:, k].transpose(0, 2, 1).reshape(r2 * h3, r3)
+    c_r3 = c_k.transpose(0, 2, 1).reshape(r2 * h3, r3)
     t_a = np.dot(gb.transpose(0, 2, 1, 3).reshape(r1 * h1, r2 * h3),
                  c_r3).reshape(r1, h1, r3).transpose(2, 0, 1)
     # sum over r3 -> (R2, H3, R1, H1), then (h1, h3) -> (R2, R1, H2) -> (R1, R2, H2)
-    ca = np.dot(c_r3, f.a[:, i].reshape(r3, r1 * h1)).reshape(r2, h3, r1, h1)
+    ca = np.dot(c_r3, a_i.reshape(r3, r1 * h1)).reshape(r2, h3, r1, h1)
     t_b = np.dot(ca.transpose(0, 2, 3, 1).reshape(r2 * r1, h1 * h3),
                  g.transpose(0, 2, 1).reshape(h1 * h3, h2))
     t_b = t_b.reshape(r2, r1, h2).transpose(1, 0, 2)
     return x_hat, t_g, t_a, t_b, t_c
 
 
+def entry_blocks(f: TwdFactors, i: int, j: int, k: int) -> tuple:
+    """Views into f of the four blocks position (i, j, k) touches, in the
+    order g, a[:, i], b[:, j], c[:, k].  ``np.concatenate(blocks,
+    axis=None)`` gathers them into one vector; ``scatter_blocks`` writes
+    such a vector back.  Indices are not bounds-checked.
+
+    The partials are taken from these views, not from a gathered copy:
+    where a rank is 1, numpy hands some products to BLAS as
+    matrix-vector calls, whose rounding can depend on the operands'
+    strides.
+    """
+    return f.g, f.a[:, i], f.b[:, j], f.c[:, k]
+
+
+def scatter_blocks(flat: np.ndarray, blocks) -> None:
+    """Write a vector laid out as ``np.concatenate(blocks, axis=None)``
+    back into ``blocks``, arrays or views, each in row-major order."""
+    start = 0
+    for block in blocks:
+        end = start + block.size
+        block.flat = flat[start:end]
+        start = end
+
+
+def entry_partials(f: TwdFactors, i: int, j: int, k: int):
+    """``block_partials`` of the four blocks at (i, j, k), from the current
+    factor values.  Indices are not bounds-checked."""
+    return block_partials(*entry_blocks(f, i, j, k))
+
+
 def reconstruct_entry(f: TwdFactors, i: int, j: int, k: int) -> float:
-    """Reconstruct one element through the trainer's stages, so the
+    """Reconstruct one element through the trainer's kernel, so the
     result equals the training path's x_hat bit for bit."""
     _check_index(f, i, j, k)
-    return float(np.vdot(_stages(f, i, j, k)[1], f.g))
+    return entry_partials(f, i, j, k)[0]
 
 
 def oracle_entry(f: TwdFactors, i: int, j: int, k: int) -> float:
@@ -302,7 +319,8 @@ def checkpoint_text(f: TwdFactors) -> str:
 
 
 def save_checkpoint(f: TwdFactors, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    """Write ``checkpoint_text(f)``, replacing ``path`` only once it is whole."""
+    with open_replacing(path, encoding="ascii") as fh:
         fh.write(checkpoint_text(f))
 
 
@@ -326,20 +344,15 @@ def load_checkpoint(path) -> TwdFactors:
         raise ParameterError(f"bad checkpoint header: {lines[0]!r}") from None
     if min(ni, nj, nk) < 1:
         raise ParameterError(f"bad checkpoint header: {lines[0]!r}")
-    ranks = Ranks(r=(r1, r2, r3), h=(h1, h2, h3))
+    dims, ranks = (ni, nj, nk), Ranks(r=(r1, r2, r3), h=(h1, h2, h3))
     try:
         values = np.array([float(t) for line in lines[1:] for t in line.split()])
     except ValueError as exc:
         raise ParameterError(f"bad checkpoint value: {exc}") from None
-    shapes = [(h1, h2, h3), (r3, ni, r1, h1), (r1, nj, r2, h2), (r2, nk, r3, h3)]
-    expected = sum(int(np.prod(s)) for s in shapes)
+    shapes = factor_shapes(dims, ranks)
+    expected = sum(math.prod(s) for s in shapes)
     if values.size != expected:
         raise ParameterError(f"checkpoint holds {values.size} values, expected {expected}")
-    arrays = []
-    offset = 0
-    for shape in shapes:
-        n = int(np.prod(shape))
-        arrays.append(values[offset:offset + n].reshape(shape))
-        offset += n
-    g, a, b, c = arrays
-    return TwdFactors(g, a, b, c, (ni, nj, nk), ranks)
+    arrays = [np.empty(shape) for shape in shapes]
+    scatter_blocks(values, arrays)
+    return TwdFactors(*arrays, dims, ranks)

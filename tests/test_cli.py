@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -132,6 +133,23 @@ def test_train_missing_input_no_report(tmp_path, capsys):
     assert code == 1
     assert not report_path.exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_failed_report_write_keeps_the_previous_report(synth_file, tmp_path, capsys,
+                                                     monkeypatch):
+    obs, _ = synth_file
+    report_path = tmp_path / "report.json"
+    assert run(train_args(obs, report_path, **{"--epochs": 5})) == 0
+    before = report_path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "replace", fail)
+    capsys.readouterr()
+    assert run(train_args(obs, report_path, **{"--epochs": 6})) == 1
+    assert_one_error_line(capsys, "disk full")
+    assert report_path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["obs.txt", "report.json", "truth.txt"]
 
 
 def test_train_writes_checkpoints_scoreable_by_evaluate(synth_file, tmp_path, capsys):

@@ -1,5 +1,10 @@
+import math
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tensorwheel import (
     BoundsError,
@@ -28,6 +33,7 @@ from tensorwheel import (
 from tensorwheel import pid_sgd
 from tensorwheel.metrics import EvalReport
 from tensorwheel.pid_sgd import epoch_visit_order
+from tensorwheel.twd_core import entry_partials
 
 
 def scalar_factors(g, a, b, c):
@@ -257,6 +263,85 @@ def test_plain_step_equals_pid_step_at_reduction_gains():
         assert np.array_equal(getattr(f1, name), getattr(f2, name))
 
 
+def per_block_step(f, entry, entry_id, state, hp):
+    """The update as four per-block expressions, each block updated in
+    place and checked after all four moved: the reference the fused step
+    must match bit for bit.  ``state`` None is the plain step."""
+    i, j, k = entry.i, entry.j, entry.k
+    x_hat, t_g, t_a, t_b, t_c = entry_partials(f, i, j, k)
+    e_t = entry.value - x_hat
+    if state is not None:
+        e_t = pid_error(state, entry_id, e_t, hp)
+    blocks = ((f.g, t_g), (f.a[:, i], t_a), (f.b[:, j], t_b), (f.c[:, k], t_c))
+    for view, t in blocks:
+        view += hp.eta * (e_t * t - hp.lam * view)
+    if not math.isfinite(e_t):
+        raise DivergenceError(entry_id)
+    for view, _ in blocks:
+        if not np.isfinite(view).all():
+            raise DivergenceError(entry_id)
+
+
+GAINS = st.sampled_from([0.0, 1.0, 0.5, 0.01, 0.001]) | st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 5)] * 3),
+       r=st.tuples(*[st.integers(1, 4)] * 3), h=st.tuples(*[st.integers(1, 4)] * 3),
+       lam=st.sampled_from([0.0, 0.01]), eta=st.sampled_from([0.01, 0.05, 0.2]),
+       cp=GAINS, ci=GAINS, cd=GAINS, seed=st.integers(0, 2**32 - 1))
+# a rank of 1 makes numpy multiply a matrix by a strided vector, whose
+# rounding in BLAS depends on the stride: the partials must come from the
+# factors' own views, not from a gathered copy
+@example(dims=(1, 2, 1), r=(3, 1, 1), h=(4, 1, 4), lam=0.0, eta=0.05, cp=1.0, ci=0.0, cd=0.0,
+         seed=0)
+def test_fused_step_equals_the_per_block_update(dims, r, h, lam, eta, cp, ci, cd, seed):
+    ranks = Ranks(r=r, h=h)
+    hp = HyperParams(eta=eta, lam=lam, cp=cp, ci=ci, cd=cd)
+    rng = np.random.default_rng(seed)
+    entries = [Entry(*(int(rng.integers(d)) for d in dims), float(rng.uniform(-1, 1)))
+               for _ in range(3)]
+    start = init_factors(dims, ranks, seed, 0.3)
+    fused_state, ref_state = PidState(len(entries)), PidState(len(entries))
+    arms = ((partial(sgd_step, state=fused_state, hp=hp),
+             partial(per_block_step, state=ref_state, hp=hp)),
+            (partial(plain_sgd_step, hp=hp), partial(per_block_step, state=None, hp=hp)))
+    for fused_step, ref_step in arms:
+        fused, ref = start.copy(), start.copy()
+        for step in range(8):  # entries repeat, so the PID state carries over
+            entry_id = step % len(entries)
+            diverged = [diverges(step_fn, f, entries[entry_id], entry_id)
+                        for step_fn, f in ((fused_step, fused), (ref_step, ref))]
+            assert diverged[0] == diverged[1]
+            if diverged[0]:
+                break  # the reference wrote the diverged blocks; the fused step did not
+            for name in "gabc":
+                assert getattr(fused, name).tobytes() == getattr(ref, name).tobytes()
+    assert fused_state.integral.tobytes() == ref_state.integral.tobytes()
+
+
+def diverges(step_fn, f, entry, entry_id):
+    """Run one step; whether it raised DivergenceError."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            step_fn(f, entry, entry_id)
+    except DivergenceError:
+        return True
+    return False
+
+
+def test_diverging_step_leaves_the_factors_unchanged():
+    ranks = Ranks(r=(2, 2, 2), h=(2, 2, 2))
+    f = init_factors((3, 3, 3), ranks, seed=1, scale=1.0)
+    before = f.copy()
+    state = PidState(1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        sgd_step(f, Entry(1, 2, 0, 1e300), 0, state, proportional_hp(eta=1e10))
+    assert err.value.entry_id == 0
+    for name in "gabc":
+        assert getattr(f, name).tobytes() == getattr(before, name).tobytes()
+
+
 # ----------------------------------------------------------------- train
 
 def small_planted(seed=0, dims=(8, 8, 6), density=0.4):
@@ -305,6 +390,35 @@ def test_train_divergence_reports_epoch_and_entry():
         train(tr, va, observed.dims, Ranks(r=(2, 2, 2), h=(2, 2, 2)), hp)
     assert err.value.epoch is not None
     assert "epoch" in str(err.value) and "entry" in str(err.value)
+
+
+def test_train_divergence_carries_eta_and_the_last_finite_norms():
+    observed, _ = small_planted()
+    tr, va, _ = split(observed, SplitSpec(ratios=(8, 2, 0), seed=0))
+    ranks = Ranks(r=(2, 2, 2), h=(2, 2, 2))
+    hp = HyperParams(eta=5000.0, lam=0.0, max_epochs=10, seed=0)
+    with pytest.raises(DivergenceError) as err:
+        train(tr, va, observed.dims, ranks, hp)
+    failed = err.value
+    assert failed.eta == 5000.0 and failed.entry_id is not None
+    assert sorted(failed.norms) == ["a", "b", "c", "g"]
+    assert all(math.isfinite(v) for v in failed.norms.values())
+    # replay the run up to the failing step: the norms are of the factors
+    # before it, and the failing step leaves them unchanged
+    factors = init_factors(observed.dims, ranks, hp.seed, hp.init_scale)
+    state, rng = PidState(len(tr)), np.random.default_rng(hp.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(failed.epoch + 1):
+            for eid in epoch_visit_order(rng, len(tr)):
+                if (epoch, eid) == (failed.epoch, failed.entry_id):
+                    break
+                sgd_step(factors, tr.entries[eid], int(eid), state, hp)
+        assert factors.norms() == failed.norms
+        before = factors.copy()
+        with pytest.raises(DivergenceError):
+            sgd_step(factors, tr.entries[failed.entry_id], failed.entry_id, state, hp)
+    for name in "gabc":
+        assert getattr(factors, name).tobytes() == getattr(before, name).tobytes()
 
 
 def test_train_non_finite_loss_is_divergence():

@@ -1,5 +1,10 @@
 import math
+import os
+import re
+import stat
+import threading
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,10 +18,14 @@ from tensorwheel import (
     Entry,
     ParameterError,
     ParseError,
+    Ranks,
     SparseTensor,
     SplitSpec,
     StateError,
+    SynthSpec,
     denormalize,
+    generate,
+    holdout_set,
     ingest,
     normalize,
     split,
@@ -480,6 +489,90 @@ def test_log_transforms_match_the_per_entry_reference():
     back = denormalize(logged)
     assert back.values.tobytes() == np.array(
         [np.expm1(v) for v in logged.values.tolist()]).tobytes()
+
+
+# ------------------------------------------- tensors derived from valid keys
+
+def test_derived_tensors_do_not_check_their_keys_again(monkeypatch):
+    # their keys come from a validated tensor or from a mask of shape dims,
+    # so none of them sorts the keys to look for repeats
+    def no_sort(*args, **kwargs):
+        pytest.fail("keys valid by construction were checked again")
+    monkeypatch.setattr(np, "lexsort", no_sort)
+    spec = SynthSpec(dims=(5, 4, 3), ranks=Ranks(r=(2, 2, 2), h=(2, 2, 2)), density=0.5, seed=1)
+    observed, truth = generate(spec)
+    held = holdout_set(observed, truth)
+    parts = split(denormalize(normalize(observed)), SplitSpec(ratios=(1, 1, 1), seed=0))
+    assert len(observed) + len(held) == 60 and sum(map(len, parts)) == len(observed)
+    monkeypatch.undo()
+    with pytest.raises(DuplicateKeyError):
+        SparseTensor.from_arrays((2, 2, 2), [0, 0], [1, 1], [0, 0], [1.0, 2.0])
+
+
+def test_log_transforms_share_the_index_arrays():
+    t = SparseTensor.from_arrays((2, 2, 2), [0, 1], [1, 0], [0, 1], [1.0, 2.0])
+    logged = normalize(t)
+    back = denormalize(logged)
+    for name in ("ii", "jj", "kk"):
+        assert getattr(logged, name) is getattr(t, name) is getattr(back, name)
+        assert not getattr(back, name).flags.writeable
+
+
+def test_denormalize_overflow_is_a_domain_error():
+    t = SparseTensor.from_arrays((1, 1, 2), [0, 0], [0, 0], [0, 1], [1.0, 1000.0],
+                                 normalized=True)
+    with np.errstate(over="ignore"), pytest.raises(
+            DomainError, match=re.escape("entry (0, 0, 1) has non-finite value inf")):
+        denormalize(t)
+
+
+# ------------------------------------------------------------ replacing writes
+
+class FailingValue(float):
+    """A value whose formatting fails, so that a write raises part way."""
+
+    def __repr__(self):
+        raise OSError("disk full")
+
+
+def test_write_coo_that_fails_part_way_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "out.txt"
+    write_coo(SparseTensor((2, 2, 2), [Entry(0, 0, 0, 1.0)]), path)
+    before = path.read_bytes()
+    # two entries, of which only the first can be written
+    half = SimpleNamespace(dims=(2, 2, 2), ii=np.array([0, 1]), jj=np.array([0, 1]),
+                           kk=np.array([0, 1]),
+                           values=SimpleNamespace(tolist=lambda: [2.0, FailingValue(3.0)]))
+    with pytest.raises(OSError, match="disk full"):
+        write_coo(half, path)
+    assert path.read_bytes() == before
+    with pytest.raises(OSError, match="disk full"):
+        write_coo(half, tmp_path / "new.txt")
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_coo_through_a_symlink_replaces_its_target(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    t = SparseTensor((2, 2, 2), [Entry(1, 0, 1, 0.5)])
+    write_coo(t, link)
+    assert link.is_symlink() and ingest(target).entries == t.entries
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "target.txt"]
+
+
+def test_write_coo_into_a_pipe_writes_in_place(tmp_path):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+    reader.start()
+    write_coo(SparseTensor((2, 2, 2), [Entry(0, 0, 0, 1.0)]), pipe)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == ["# dims 2 2 2\n0 0 0 1.0\n"]
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
 
 
 # ----------------------------------------------------------------- properties

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,6 +291,30 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path_factory, f):
     for name in "gabc":
         ours, theirs = getattr(back, name), getattr(f, name)
         assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.txt"
+    save_checkpoint(init_factors((2, 2, 2), Ranks(r=(1, 1, 1), h=(1, 1, 1)), seed=0, scale=1.0),
+                    path)
+    before = path.read_bytes()
+
+    def fail_after_writing(src, dst):
+        assert os.path.getsize(src) > 0  # the whole new checkpoint went to the temp file
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "replace", fail_after_writing)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(init_factors((3, 3, 3), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=1,
+                                     scale=1.0), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.txt"]
+
+
+def test_norms_do_not_overflow():
+    f = TwdFactors(np.full((1, 1, 1), -1e-200), np.array([3e300, 4e300]).reshape(1, 2, 1, 1),
+                   np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)), (2, 1, 1),
+                   Ranks(r=(1, 1, 1), h=(1, 1, 1)))
+    assert f.norms() == pytest.approx({"g": 1e-200, "a": 5e300, "b": 1.0, "c": 0.0}, rel=1e-15)
 
 
 def test_checkpoint_header_format(tmp_path):
