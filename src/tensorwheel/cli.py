@@ -31,7 +31,8 @@ from .pid_sgd import DivergenceError, HyperParams, train
 from .synthgen import SynthSpec, generate
 from .tensor_store import (SparseTensor, SplitSpec, ingest, normalize, open_replacing,
                            read_dims_header, split, write_coo)
-from .twd_core import Ranks, checkpoint_text, init_factors, load_checkpoint, save_checkpoint
+from .twd_core import (Ranks, checkpoint_text, init_factors, kernel_name, load_checkpoint,
+                       save_checkpoint)
 
 
 def _parse_ints(text: str, n: int, what: str) -> tuple:
@@ -88,11 +89,13 @@ def _prepare(args):
 
 
 def _config(args, tensor, ranks: Ranks, ratios, **fields) -> dict:
-    """The report's config: the keys every training command shares, plus fields."""
+    """The report's config: the keys every training command shares, plus fields.
+    ``kernel`` names the single-entry kernel the training ran on, as
+    results are byte-identical only between runs on the same kernel."""
     return {"input": args.input, "dims": list(tensor.dims),
             "ranks": {"r": list(ranks.r), "h": list(ranks.h)}, "split": list(ratios),
             "normalize": not args.no_normalize, "early_stop": not args.no_early_stop,
-            **fields}
+            "kernel": kernel_name(), **fields}
 
 
 def _write_report(report: dict, path, summary: str) -> int:

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundsError, DivergenceError, ParameterError
+from .errors import BoundsError, DivergenceError, DomainError, ParameterError
 from .metrics import evaluate
 from .tensor_store import Entry, SparseTensor
-from .twd_core import (Ranks, TwdFactors, block_partials, entry_blocks, init_factors,
-                       reconstruct_entries, scatter_blocks)
+from .twd_core import (Ranks, TwdFactors, block_partials, check_index, entry_blocks,
+                       init_factors, native_kernel, reconstruct_entries, scatter_blocks)
 
 DEFAULT_ETA = 0.01
 DEFAULT_LAMBDA = 0.01
@@ -146,6 +146,14 @@ def pid_error(state: PidState, entry_id: int, e_n: float, hp: HyperParams) -> fl
     return composite
 
 
+def _pid_arrays(state: PidState | None):
+    return None if state is None else (state.integral, state.prev_error, state.visit_count)
+
+
+def _gains(hp: HyperParams) -> tuple:
+    return hp.eta, hp.lam, hp.cp, hp.ci, hp.cd
+
+
 def sgd_step(f: TwdFactors, entry: Entry, entry_id: int, state: PidState | None,
              hp: HyperParams) -> None:
     """One PID-guided SGD step on a single observation (in place); with
@@ -155,12 +163,27 @@ def sgd_step(f: TwdFactors, entry: Entry, entry_id: int, state: PidState | None,
     step).  The four blocks the entry touches are gathered into one
     vector p, p moves by one expression, and p is written back only if
     it and the driving error are finite: a diverging step raises
-    DivergenceError and leaves f as it was.  ``train`` silences numpy's
-    overflow warnings for it.
+    DivergenceError and leaves f as it was, with the PID state folded.
+    Runs the native kernel when it is loaded, else ``_numpy_step``.
     """
-    blocks = entry_blocks(f, entry.i, entry.j, entry.k)
+    check_index(f, entry.i, entry.j, entry.k)
+    if state is not None and not 0 <= entry_id < len(state):
+        raise BoundsError(f"entry id {entry_id} outside state of size {len(state)}")
+    kernel = native_kernel()
+    if kernel is None:
+        _numpy_step(f, entry.i, entry.j, entry.k, entry.value, entry_id, state, hp)
+    else:
+        kernel.step(f, entry.i, entry.j, entry.k, entry.value, entry_id, _pid_arrays(state),
+                    _gains(hp))
+
+
+def _numpy_step(f: TwdFactors, i: int, j: int, k: int, value: float, entry_id: int,
+                state: PidState | None, hp: HyperParams) -> None:
+    """``sgd_step`` in numpy, on checked indices; the caller silences
+    numpy's overflow warnings for it."""
+    blocks = entry_blocks(f, i, j, k)
     x_hat, *partials = block_partials(*blocks)
-    e_t = entry.value - x_hat
+    e_t = value - x_hat
     if state is not None:
         e_t = pid_error(state, entry_id, e_t, hp)
     p = np.concatenate(blocks, axis=None)
@@ -182,6 +205,23 @@ def epoch_visit_order(rng: np.random.Generator, n_entries: int) -> np.ndarray:
     return rng.permutation(n_entries)
 
 
+def _epoch_runner(f: TwdFactors, train_set: SparseTensor, state: PidState | None,
+                  hp: HyperParams):
+    """The function that runs one epoch's steps over a visit order: one
+    call into the native kernel when it is loaded, else a loop of numpy
+    steps.  It raises DivergenceError at the first step that diverges."""
+    columns = (train_set.ii, train_set.jj, train_set.kk, train_set.values)
+    kernel = native_kernel()
+    if kernel is not None:
+        return kernel.epoch(f, columns, _pid_arrays(state), _gains(hp))
+    ii, jj, kk, values = (col.tolist() for col in columns)
+
+    def run(order):
+        for e in order.tolist():
+            _numpy_step(f, ii[e], jj[e], kk[e], values[e], e, state, hp)
+    return run
+
+
 def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
           hp: HyperParams, pid: bool = True,
           early_stop: bool = True) -> tuple[TwdFactors, TrainReport]:
@@ -195,10 +235,13 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     improved for hp.patience consecutive epochs.  The returned factors
     are the checkpoint from the best-validation epoch.  A non-finite
     factor, loss or validation RMSE raises DivergenceError with the
-    epoch, hp.eta and the norms of the last finite factors.
+    epoch, hp.eta and the norms of the last finite factors.  Each
+    epoch's steps run in one call into the native kernel when it is
+    loaded (``twd_core.native_kernel``), else as numpy steps.
 
     Args:
-        train_set: observed entries to fit; must be non-empty.
+        train_set: observed entries to fit; must be non-empty, with
+            indices inside dims (else BoundsError).
         valid_set: held-out entries for stopping/model selection; may be
             empty, in which case stopping uses max_epochs only and the
             final factors are returned.
@@ -216,9 +259,13 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     if n == 0:
         raise ParameterError("training set is empty")
     factors = init_factors(dims, ranks, hp.seed, hp.init_scale)
+    # the store keeps indices >= 0; only dims smaller than the data's can fail
+    for col, dim in zip((train_set.ii, train_set.jj, train_set.kk), factors.dims):
+        if col.max() >= dim:
+            raise BoundsError(f"training indices outside dims {factors.dims}")
     state = PidState(n) if pid else None
     order_rng = np.random.default_rng(hp.seed)
-    entries = train_set.entries
+    run_epoch = _epoch_runner(factors, train_set, state, hp)
     use_valid = len(valid_set) > 0
 
     report = TrainReport()
@@ -232,12 +279,14 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
         try:
             # overflow in a diverging run surfaces as DivergenceError, not as numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                for entry_id in order:
-                    sgd_step(factors, entries[entry_id], int(entry_id), state, hp)
+                run_epoch(order)
                 loss = compute_loss(factors, train_set, hp.lam)
-                rmse = evaluate(factors, valid_set).rmse if use_valid else None
             if not math.isfinite(loss):
                 raise DivergenceError(what="loss")
+            try:
+                rmse = evaluate(factors, valid_set).rmse if use_valid else None
+            except DomainError:
+                rmse = math.nan  # the predictions overflowed
             if rmse is not None and not math.isfinite(rmse):
                 raise DivergenceError(what="validation RMSE")
         except DivergenceError as err:

@@ -19,8 +19,12 @@ matrix products on reshaped slices:
 
 ``block_partials`` runs the three stages for one position, on the four
 blocks it touches, and, from stage 1's product and the same blocks, the
-partials with respect to the a, b and c slices.  ``entry_partials``,
-``reconstruct_entry`` and the trainer's step all run it, so
+partials with respect to the a, b and c slices.  ``twd_kernel.c`` runs
+the same stages in C, with the trainer's step and epoch around them; it
+is built with the system C compiler on first use and loaded with ctypes
+(``native_kernel``), and numpy's ``block_partials`` runs wherever it
+cannot be.  ``entry_partials``, ``reconstruct_entry`` and the trainer's
+step all run whichever kernel is loaded, never a mix, so
 ``reconstruct_entry`` equals the trainer's x_hat bit for bit.
 ``reconstruct_entries`` and
 ``reconstruct_full`` run the same stages, summing over the same indices
@@ -34,18 +38,28 @@ for bit.  ``reconstruct_full`` contracts the row-major index grid with
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import subprocess
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import BoundsError, ParameterError, SizeCapError
+from .errors import BoundsError, DivergenceError, ParameterError, SizeCapError
 from .tensor_store import open_replacing
 
 DENSE_CAP = 10_000_000  # max elements a dense reconstruction may materialize
 BATCH_CHUNK = 256  # positions per batched-kernel call; bounds its temporaries
 
 CHECKPOINT_MAGIC = "TWD v1"
+
+KERNEL_SOURCE = Path(__file__).with_name("twd_kernel.c")
+CC = "cc"
+# no FMA contraction: the kernel's update and PID fold round as numpy's do
+CC_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 @dataclass(frozen=True)
@@ -97,7 +111,8 @@ class TwdFactors:
 
     def __post_init__(self):
         for name, shape in zip("gabc", factor_shapes(self.dims, self.ranks)):
-            arr = getattr(self, name)
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            setattr(self, name, arr)
             if arr.shape != shape:
                 raise ParameterError(f"factor {name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
@@ -129,7 +144,8 @@ def init_factors(dims, ranks: Ranks, seed: int, scale: float) -> TwdFactors:
     return TwdFactors(g, a, b, c, (ni, nj, nk), ranks)
 
 
-def _check_index(f: TwdFactors, i: int, j: int, k: int):
+def check_index(f: TwdFactors, i: int, j: int, k: int):
+    """Raise BoundsError unless (i, j, k) lies inside f's dims."""
     ni, nj, nk = f.dims
     if not (0 <= i < ni and 0 <= j < nj and 0 <= k < nk):
         raise BoundsError(f"index ({i}, {j}, {k}) outside dims {f.dims}")
@@ -171,6 +187,13 @@ def block_partials(g, a_i, b_j, c_k):
     return x_hat, t_g, t_a, t_b, t_c
 
 
+def block_shapes(ranks: Ranks) -> list:
+    """Shapes of the four blocks one position touches: g, a[:, i], b[:, j]
+    and c[:, k], in that order."""
+    (r1, r2, r3), (h1, h2, h3) = ranks.r, ranks.h
+    return [(h1, h2, h3), (r3, r1, h1), (r1, r2, h2), (r2, r3, h3)]
+
+
 def entry_blocks(f: TwdFactors, i: int, j: int, k: int) -> tuple:
     """Views into f of the four blocks position (i, j, k) touches, in the
     order g, a[:, i], b[:, j], c[:, k].  ``np.concatenate(blocks,
@@ -195,16 +218,165 @@ def scatter_blocks(flat: np.ndarray, blocks) -> None:
         start = end
 
 
+class NativeKernel:
+    """The entry points of the compiled ``twd_kernel.c``.
+
+    Each call checks the arrays it hands over: float64 (int64 for
+    counts and indices), C order, their shapes or lengths, and writeable
+    where the kernel writes.  The indices and entry ids the kernel
+    follows are checked by the callers, the public functions of this
+    module and of ``pid_sgd``; only the epoch's visit order is checked
+    here.
+    """
+
+    def __init__(self, lib: ctypes.CDLL):
+        ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+        lib.tw_partials.argtypes = [ptr] * 5 + [i64] * 3 + [ptr]
+        lib.tw_partials.restype = f64
+        lib.tw_step.argtypes = [ptr] * 5 + [i64] * 3 + [f64, i64] + [ptr] * 5
+        lib.tw_step.restype = ctypes.c_int
+        lib.tw_epoch.argtypes = [ptr] * 10 + [i64] + [ptr] * 5
+        lib.tw_epoch.restype = i64
+        self._lib = lib
+
+    @staticmethod
+    def _operands(f: TwdFactors, write: bool) -> list:
+        """The kernel's shape vector, f's four arrays and a fresh workspace."""
+        arrays = []
+        for name, shape in zip("gabc", factor_shapes(f.dims, f.ranks)):
+            arr = getattr(f, name)
+            arr = arr if write else np.ascontiguousarray(arr, dtype=np.float64)
+            if (arr.dtype != np.float64 or arr.shape != shape or not arr.flags.c_contiguous
+                    or (write and not arr.flags.writeable)):
+                raise ParameterError(f"factor {name} must be a C-ordered float64 array of "
+                                     f"shape {shape}" + (", writeable" if write else ""))
+            arrays.append(arr)
+        (r1, r2, r3), (h1, h2, h3) = f.ranks.r, f.ranks.h
+        n = sum(math.prod(s) for s in block_shapes(f.ranks))
+        # p and t, then the stage products ab, gb and ca
+        work = np.empty(2 * n + r3 * h1 * r2 * h2 + r1 * r2 * h1 * h3 + r2 * h3 * r1 * h1)
+        return [np.array([*f.dims, *f.ranks.r, *f.ranks.h], dtype=np.int64), *arrays, work]
+
+    def partials(self, f: TwdFactors, i: int, j: int, k: int):
+        """``block_partials``'s result at (i, j, k), computed in C."""
+        operands = self._operands(f, write=False)
+        shape, g, a, b, c, work = (arr.ctypes.data for arr in operands)
+        x_hat = self._lib.tw_partials(shape, g, a, b, c, i, j, k, work)
+        shapes = block_shapes(f.ranks)
+        ends = np.cumsum([math.prod(s) for s in shapes])
+        t = np.split(operands[-1][ends[-1]:2 * ends[-1]], ends[:-1])
+        return (x_hat, *(part.reshape(s) for part, s in zip(t, shapes)))
+
+    @staticmethod
+    def _pid(pid) -> list:
+        """Pointers to the PID state (integral, prev_error, visit_count), or
+        NULLs for the plain step."""
+        if pid is None:
+            return [None] * 3
+        n = len(pid[0])
+        for arr, dtype in zip(pid, (np.float64, np.float64, np.int64)):
+            if (arr.dtype != dtype or arr.shape != (n,) or not arr.flags.c_contiguous
+                    or not arr.flags.writeable):
+                raise ParameterError("PID state arrays must be writeable, C-ordered and "
+                                     "of one length")
+        return [arr.ctypes.data for arr in pid]
+
+    def step(self, f: TwdFactors, i: int, j: int, k: int, value: float, entry_id: int,
+             pid, gains) -> None:
+        """One step in place (the plain step with ``pid`` None); gains are
+        (eta, lam, cp, ci, cd).  A diverging step raises DivergenceError
+        and writes nothing."""
+        operands = self._operands(f, write=True)
+        hp = np.array(gains, dtype=np.float64)
+        shape, g, a, b, c, work = (arr.ctypes.data for arr in operands)
+        if self._lib.tw_step(shape, g, a, b, c, i, j, k, value, entry_id, hp.ctypes.data,
+                             *self._pid(pid), work):
+            raise DivergenceError(entry_id)
+
+    def epoch(self, f: TwdFactors, columns, pid, gains):
+        """A function running one epoch of steps over an order of entry ids
+        in one call; it raises DivergenceError at the step that diverges.
+        ``columns`` (ii, jj, kk, values) are copied once, here; their
+        indices must lie inside f's dims, and the PID state must cover them."""
+        operands = self._operands(f, write=True)
+        cols = [np.array(col, dtype=dtype)
+                for col, dtype in zip(columns, (np.int64,) * 3 + (np.float64,))]
+        hp = np.array(gains, dtype=np.float64)
+        shape, g, a, b, c, work = (arr.ctypes.data for arr in operands)
+        head = [shape, g, a, b, c, *(col.ctypes.data for col in cols)]
+        tail = [hp.ctypes.data, *self._pid(pid), work]
+        n = len(cols[3])
+        if any(len(col) != n for col in cols) or (pid is not None and len(pid[0]) != n):
+            raise ParameterError("the training columns and the PID state differ in length")
+
+        def run(order: np.ndarray) -> None:
+            order = np.ascontiguousarray(order, dtype=np.int64)
+            if len(order) and (order.min() < 0 or order.max() >= n):
+                raise BoundsError(f"visit order outside the {n} training entries")
+            diverged = self._lib.tw_epoch(*head, order.ctypes.data, len(order), *tail)
+            if diverged >= 0:
+                raise DivergenceError(diverged)
+
+        run.buffers = (operands, cols, hp)  # the memory head and tail point into
+        return run
+
+
+_UNLOADED = object()
+_native = _UNLOADED  # the NativeKernel once loaded, None where it cannot be
+
+
+def _build_kernel() -> Path:
+    """The kernel's shared library, compiled into the cache
+    ($XDG_CACHE_HOME/tensorwheel, by default ~/.cache/tensorwheel) unless
+    a build of the same source and flags is there; the build goes to a
+    temp file that replaces the target only once it is whole."""
+    source = KERNEL_SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(CC_FLAGS).encode()).hexdigest()
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache", "tensorwheel")
+    path = cache / f"{key}.so"
+    if not path.exists():
+        cache.mkdir(parents=True, exist_ok=True)
+        tmp = cache / f"{key}.{os.urandom(6).hex()}.tmp"
+        try:
+            subprocess.run([CC, *CC_FLAGS, "-o", str(tmp), "-x", "c", "-"], input=source,
+                           capture_output=True, check=True, timeout=300)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    return path
+
+
+def native_kernel() -> NativeKernel | None:
+    """The compiled kernel, built and loaded on the first call; None, and
+    numpy runs instead, when the compiler is missing or the build or the
+    load fails."""
+    global _native
+    if _native is _UNLOADED:
+        try:
+            _native = NativeKernel(ctypes.CDLL(str(_build_kernel())))
+        except (OSError, subprocess.SubprocessError):
+            _native = None
+    return _native
+
+
+def kernel_name() -> str:
+    """The kernel single-entry contractions run on: "native" or "numpy"."""
+    return "numpy" if native_kernel() is None else "native"
+
+
 def entry_partials(f: TwdFactors, i: int, j: int, k: int):
     """``block_partials`` of the four blocks at (i, j, k), from the current
-    factor values.  Indices are not bounds-checked."""
-    return block_partials(*entry_blocks(f, i, j, k))
+    factor values, on whichever kernel is loaded."""
+    check_index(f, i, j, k)
+    kernel = native_kernel()
+    if kernel is None:
+        return block_partials(*entry_blocks(f, i, j, k))
+    return kernel.partials(f, i, j, k)
 
 
 def reconstruct_entry(f: TwdFactors, i: int, j: int, k: int) -> float:
     """Reconstruct one element through the trainer's kernel, so the
     result equals the training path's x_hat bit for bit."""
-    _check_index(f, i, j, k)
     return entry_partials(f, i, j, k)[0]
 
 
@@ -214,7 +386,7 @@ def oracle_entry(f: TwdFactors, i: int, j: int, k: int) -> float:
     Deliberately unoptimized; exists only to cross-check the staged
     kernels in tests.
     """
-    _check_index(f, i, j, k)
+    check_index(f, i, j, k)
     r1n, r2n, r3n = f.ranks.r
     h1n, h2n, h3n = f.ranks.h
     total = 0.0

@@ -368,6 +368,25 @@ def test_non_utf8_input_is_one_error_line(tmp_path, capsys, command):
     assert_one_error_line(capsys, "line 2", "UTF-8")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value_scale, code", [(3, 0), (4, 1)])
+def test_evaluate_raw_domain_metrics_are_finite_or_one_error_line(tmp_path, capsys,
+                                                                 value_scale, code):
+    # at value scale 3 the squared raw-domain residuals overflow, at 4 the
+    # predictions themselves do
+    obs, truth = tmp_path / "obs.txt", tmp_path / "truth.txt"
+    assert run(["synth", "--dims", "6,6,4", "--ranks", "2,2,2,2,2,2", "--density", "0.5",
+                "--value-scale", value_scale, "--output", obs, "--truth", truth]) == 0
+    capsys.readouterr()
+    assert run(["evaluate", "--input", obs, "--checkpoint", truth, "--normalize",
+                "--raw-domain-metrics"]) == code
+    if code:
+        assert_one_error_line(capsys, "rmse is not finite")
+    else:
+        out = capsys.readouterr().out
+        assert "inf" not in out and "nan" not in out and out.startswith("rmse ")
+
+
 TRAINING_COMMANDS = ("train", "ablate", "grid")
 # the fixture's data diverges in both ways: at eta 200 (normalized, lambda 0.01,
 # split 1:2:7) every step stays finite but the epoch's loss overflows to inf;

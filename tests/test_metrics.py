@@ -1,14 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorwheel import (
+    DomainError,
     Entry,
     ParameterError,
     Ranks,
     SparseTensor,
     StateError,
+    TensorWheelError,
     TwdFactors,
     evaluate,
     normalize,
@@ -114,3 +119,37 @@ def test_raw_domain_requires_normalized_input():
     t = SparseTensor((1, 1, 1), [Entry(0, 0, 0, 1.0)])
     with pytest.raises(StateError):
         evaluate(f, t, raw_domain=True)
+
+
+def test_overflowing_sums_are_taken_again_scaled():
+    # each residual is finite, but their squares (and in the second case
+    # their absolute sum) overflow float64
+    report = eval_residuals([1e200, -1e200, 1e200])
+    assert (report.rmse, report.mae) == (1e200, 1e200)
+    report = eval_residuals([1.5e308, 1.5e308])
+    assert (report.rmse, report.mae) == (1.5e308, 1.5e308)
+
+
+def test_an_overflowing_residual_is_a_domain_error():
+    f = model_predicting([-1e308], (1, 1))
+    with pytest.raises(DomainError, match="rmse"):
+        evaluate(f, SparseTensor((1, 1, 1), [Entry(0, 0, 0, 1e308)]))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=8), raw=st.booleans())
+def test_finite_inputs_give_finite_metrics_or_one_error(pairs, raw):
+    preds, values = zip(*pairs)
+    f = model_predicting(preds, (1, 1))
+    test_set = SparseTensor((1, 1, len(values)),
+                            [Entry(0, 0, k, v) for k, v in enumerate(values)], normalized=raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = evaluate(f, test_set, raw_domain=raw)
+        except TensorWheelError:
+            return
+    assert math.isfinite(report.rmse) and math.isfinite(report.mae)
