@@ -111,22 +111,28 @@ def compute_loss(f: TwdFactors, obs: SparseTensor, lam: float) -> float:
     Sum over observed entries of the squared residual plus lam times the
     squared norms of the core tensor and of the factor slices the entry
     touches (i-slice of a, j-slice of b, k-slice of c).  lam=0 gives the
-    pure density-oriented objective.  Empty observation sets cost 0.
+    pure density-oriented objective.  Empty observation sets cost 0.  A
+    loss that overflows raises DomainError.
     """
     n = len(obs)
     if n == 0:
         return 0.0
     ii, jj, kk = obs.ii, obs.jj, obs.kk
-    preds = reconstruct_entries(f, ii, jj, kk)
-    residual_sq = float(np.sum((obs.values - preds) ** 2))
-    if lam == 0.0:
-        return residual_sq
-    g_norm = float(np.sum(f.g ** 2))
-    a_norms = np.sum(f.a ** 2, axis=(0, 2, 3))
-    b_norms = np.sum(f.b ** 2, axis=(0, 2, 3))
-    c_norms = np.sum(f.c ** 2, axis=(0, 2, 3))
-    reg = n * g_norm + float(np.sum(a_norms[ii]) + np.sum(b_norms[jj]) + np.sum(c_norms[kk]))
-    return residual_sq + lam * reg
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = reconstruct_entries(f, ii, jj, kk)
+        loss = float(np.sum((obs.values - preds) ** 2))
+        if lam != 0.0:
+            g_norm = float(np.sum(f.g ** 2))
+            a_norms = np.sum(f.a ** 2, axis=(0, 2, 3))
+            b_norms = np.sum(f.b ** 2, axis=(0, 2, 3))
+            c_norms = np.sum(f.c ** 2, axis=(0, 2, 3))
+            reg = n * g_norm + float(np.sum(a_norms[ii]) + np.sum(b_norms[jj])
+                                     + np.sum(c_norms[kk]))
+            loss += lam * reg
+    if not math.isfinite(loss):
+        raise DomainError("loss is not finite: a reconstruction or a factor norm overflows "
+                          "float64")
+    return loss
 
 
 def pid_error(state: PidState, entry_id: int, e_n: float, hp: HyperParams) -> float:
@@ -222,6 +228,17 @@ def _epoch_runner(f: TwdFactors, train_set: SparseTensor, state: PidState | None
     return run
 
 
+def _loss_runner(f: TwdFactors, train_set: SparseTensor, lam: float):
+    """The function that returns the epoch's training loss: one call into
+    the native kernel when it is loaded, else ``compute_loss``.  Where the
+    loss overflows, the native one returns a non-finite float and
+    ``compute_loss`` raises DomainError."""
+    kernel = native_kernel()
+    if kernel is not None:
+        return kernel.loss(f, (train_set.ii, train_set.jj, train_set.kk, train_set.values), lam)
+    return lambda: compute_loss(f, train_set, lam)
+
+
 def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
           hp: HyperParams, pid: bool = True,
           early_stop: bool = True) -> tuple[TwdFactors, TrainReport]:
@@ -236,8 +253,10 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     are the checkpoint from the best-validation epoch.  A non-finite
     factor, loss or validation RMSE raises DivergenceError with the
     epoch, hp.eta and the norms of the last finite factors.  Each
-    epoch's steps run in one call into the native kernel when it is
-    loaded (``twd_core.native_kernel``), else as numpy steps.
+    epoch's steps, and its loss, run in one call each into the native
+    kernel when it is loaded (``twd_core.native_kernel``), else as numpy
+    steps and ``compute_loss``; the validation RMSE is numpy's
+    ``evaluate`` on either.
 
     Args:
         train_set: observed entries to fit; must be non-empty, with
@@ -266,6 +285,7 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     state = PidState(n) if pid else None
     order_rng = np.random.default_rng(hp.seed)
     run_epoch = _epoch_runner(factors, train_set, state, hp)
+    epoch_loss = _loss_runner(factors, train_set, hp.lam)
     use_valid = len(valid_set) > 0
 
     report = TrainReport()
@@ -280,7 +300,10 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
             # overflow in a diverging run surfaces as DivergenceError, not as numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
                 run_epoch(order)
-                loss = compute_loss(factors, train_set, hp.lam)
+            try:
+                loss = epoch_loss()
+            except DomainError:
+                loss = math.nan  # the loss overflowed
             if not math.isfinite(loss):
                 raise DivergenceError(what="loss")
             try:

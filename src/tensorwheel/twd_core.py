@@ -20,20 +20,23 @@ matrix products on reshaped slices:
 ``block_partials`` runs the three stages for one position, on the four
 blocks it touches, and, from stage 1's product and the same blocks, the
 partials with respect to the a, b and c slices.  ``twd_kernel.c`` runs
-the same stages in C, with the trainer's step and epoch around them; it
-is built with the system C compiler on first use and loaded with ctypes
-(``native_kernel``), and numpy's ``block_partials`` runs wherever it
-cannot be.  ``entry_partials``, ``reconstruct_entry`` and the trainer's
-step all run whichever kernel is loaded, never a mix, so
-``reconstruct_entry`` equals the trainer's x_hat bit for bit.
-``reconstruct_entries`` and
-``reconstruct_full`` run the same stages, summing over the same indices
-in the same order, as batched products over gathered slices,
-BATCH_CHUNK positions at a time; the products are grouped differently
-there, so they agree with ``reconstruct_entry`` to rounding, not bit
-for bit.  ``reconstruct_full`` contracts the row-major index grid with
-``reconstruct_entries``'s chunks, so the two agree bit for bit there.
-``oracle_entry`` is the independent six-loop reference.
+the same stages in C, with the trainer's step, its epoch and its
+training loss around them; every contraction there sums a few outputs
+per pass, each in the order of a plain loop, so blocking changes no
+bit.  It is built with the system C compiler on first use and loaded
+with ctypes (``native_kernel``), and numpy's ``block_partials`` runs
+wherever it cannot be.  ``entry_partials``, ``reconstruct_entry`` and
+the trainer's step all run whichever kernel is loaded, never a mix, so
+``reconstruct_entry`` equals the trainer's x_hat bit for bit, as does
+each reconstruction of the native training loss.
+``reconstruct_entries`` and ``reconstruct_full`` run the same stages,
+summing over the same indices in the same order, as batched products
+over gathered slices, BATCH_CHUNK positions at a time; the products are
+grouped differently there, so they agree with ``reconstruct_entry`` to
+rounding, not bit for bit.  ``reconstruct_full`` contracts the row-major
+index grid in ``reconstruct_entries``'s chunks, stage 1 once per (i, j)
+pair of a chunk, so the two agree bit for bit there.  ``oracle_entry``
+is the independent six-loop reference.
 """
 
 from __future__ import annotations
@@ -237,29 +240,45 @@ class NativeKernel:
         lib.tw_step.restype = ctypes.c_int
         lib.tw_epoch.argtypes = [ptr] * 10 + [i64] + [ptr] * 5
         lib.tw_epoch.restype = i64
+        lib.tw_loss.argtypes = [ptr] * 9 + [i64, f64, ptr]
+        lib.tw_loss.restype = f64
         self._lib = lib
 
     @staticmethod
-    def _operands(f: TwdFactors, write: bool) -> list:
-        """The kernel's shape vector, f's four arrays and a fresh workspace."""
+    def _operands(f: TwdFactors, in_place: bool, extra: int = 0) -> list:
+        """The kernel's shape vector, f's four arrays and a fresh workspace,
+        ``extra`` doubles longer than a step's.  In place, the arrays are
+        f's own, which the kernel writes or a runner reads across calls,
+        so they must be writeable; else they may be contiguous copies."""
         arrays = []
         for name, shape in zip("gabc", factor_shapes(f.dims, f.ranks)):
             arr = getattr(f, name)
-            arr = arr if write else np.ascontiguousarray(arr, dtype=np.float64)
+            arr = arr if in_place else np.ascontiguousarray(arr, dtype=np.float64)
             if (arr.dtype != np.float64 or arr.shape != shape or not arr.flags.c_contiguous
-                    or (write and not arr.flags.writeable)):
+                    or (in_place and not arr.flags.writeable)):
                 raise ParameterError(f"factor {name} must be a C-ordered float64 array of "
-                                     f"shape {shape}" + (", writeable" if write else ""))
+                                     f"shape {shape}" + (", writeable" if in_place else ""))
             arrays.append(arr)
         (r1, r2, r3), (h1, h2, h3) = f.ranks.r, f.ranks.h
         n = sum(math.prod(s) for s in block_shapes(f.ranks))
         # p and t, then the stage products ab, gb and ca
-        work = np.empty(2 * n + r3 * h1 * r2 * h2 + r1 * r2 * h1 * h3 + r2 * h3 * r1 * h1)
+        work = np.empty(2 * n + r3 * h1 * r2 * h2 + r1 * r2 * h1 * h3 + r2 * h3 * r1 * h1
+                        + extra)
         return [np.array([*f.dims, *f.ranks.r, *f.ranks.h], dtype=np.int64), *arrays, work]
+
+    @staticmethod
+    def _columns(columns) -> list:
+        """Copies of the training columns (ii, jj, kk, values) as int64 and
+        float64 arrays, of one length."""
+        cols = [np.array(col, dtype=dtype)
+                for col, dtype in zip(columns, (np.int64,) * 3 + (np.float64,))]
+        if any(col.shape != cols[3].shape for col in cols) or cols[3].ndim != 1:
+            raise ParameterError("the training columns differ in length")
+        return cols
 
     def partials(self, f: TwdFactors, i: int, j: int, k: int):
         """``block_partials``'s result at (i, j, k), computed in C."""
-        operands = self._operands(f, write=False)
+        operands = self._operands(f, in_place=False)
         shape, g, a, b, c, work = (arr.ctypes.data for arr in operands)
         x_hat = self._lib.tw_partials(shape, g, a, b, c, i, j, k, work)
         shapes = block_shapes(f.ranks)
@@ -286,7 +305,7 @@ class NativeKernel:
         """One step in place (the plain step with ``pid`` None); gains are
         (eta, lam, cp, ci, cd).  A diverging step raises DivergenceError
         and writes nothing."""
-        operands = self._operands(f, write=True)
+        operands = self._operands(f, in_place=True)
         hp = np.array(gains, dtype=np.float64)
         shape, g, a, b, c, work = (arr.ctypes.data for arr in operands)
         if self._lib.tw_step(shape, g, a, b, c, i, j, k, value, entry_id, hp.ctypes.data,
@@ -298,15 +317,14 @@ class NativeKernel:
         in one call; it raises DivergenceError at the step that diverges.
         ``columns`` (ii, jj, kk, values) are copied once, here; their
         indices must lie inside f's dims, and the PID state must cover them."""
-        operands = self._operands(f, write=True)
-        cols = [np.array(col, dtype=dtype)
-                for col, dtype in zip(columns, (np.int64,) * 3 + (np.float64,))]
+        operands = self._operands(f, in_place=True)
+        cols = self._columns(columns)
         hp = np.array(gains, dtype=np.float64)
         shape, g, a, b, c, work = (arr.ctypes.data for arr in operands)
         head = [shape, g, a, b, c, *(col.ctypes.data for col in cols)]
         tail = [hp.ctypes.data, *self._pid(pid), work]
         n = len(cols[3])
-        if any(len(col) != n for col in cols) or (pid is not None and len(pid[0]) != n):
+        if pid is not None and len(pid[0]) != n:
             raise ParameterError("the training columns and the PID state differ in length")
 
         def run(order: np.ndarray) -> None:
@@ -318,6 +336,25 @@ class NativeKernel:
                 raise DivergenceError(diverged)
 
         run.buffers = (operands, cols, hp)  # the memory head and tail point into
+        return run
+
+    def loss(self, f: TwdFactors, columns, lam: float):
+        """A function returning ``pid_sgd.compute_loss`` of f's current
+        values over ``columns`` (ii, jj, kk, values) with L2 weight lam, in
+        one call, or a non-finite float where that overflows.  Each
+        reconstruction equals the step's bit for bit; the sums run in an
+        order of their own, so the loss agrees with numpy's to rounding.
+        The columns are copied once, here; their indices must lie inside
+        f's dims."""
+        operands = self._operands(f, in_place=True, extra=sum(f.dims))
+        cols = self._columns(columns)
+        args = [*(arr.ctypes.data for arr in operands[:-1]), *(col.ctypes.data for col in cols),
+                len(cols[3]), float(lam), operands[-1].ctypes.data]
+
+        def run() -> float:
+            return self._lib.tw_loss(*args)
+
+        run.buffers = (operands, cols)  # the memory args point into
         return run
 
 
@@ -416,21 +453,23 @@ def _slice_major(f: TwdFactors):
             np.ascontiguousarray(f.c.transpose(1, 2, 0, 3)).reshape(nk, 1, r3 * r2, h3))
 
 
-def _contract_batch(f: TwdFactors, slices, ii: np.ndarray, jj: np.ndarray,
-                    kk: np.ndarray) -> np.ndarray:
-    """The three stages for a batch of positions, as batched matmuls over
-    slices gathered from ``_slice_major(f)``.
-
-    Stage 1 yields, per position and h1, an (R3*R2, H2) block, so stage 2
-    multiplies its transpose without a copy, per position and h1.
-    """
+def _stage1(f: TwdFactors, slices, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Stage 1 for a batch of (i, j) pairs, as one batched matmul over
+    slices gathered from ``_slice_major(f)``: per pair and h1, an
+    (R3*R2, H2) block, so that stage 2 multiplies its transpose without a
+    copy."""
     _, r2, r3 = f.ranks.r
+    h1, h2, _ = f.ranks.h
+    a_s, b_s, _ = slices
+    return (a_s[ii] @ b_s[jj]).reshape(len(ii), h1, r3 * r2, h2)
+
+
+def _stages23(f: TwdFactors, ab: np.ndarray, c_k: np.ndarray) -> np.ndarray:
+    """Stages 2 and 3 for a batch of positions, from their stage-1 blocks
+    and their gathered c slices, per position and h1."""
     h1, h2, h3 = f.ranks.h
-    a_s, b_s, c_s = slices
-    n = len(ii)
-    ab = (a_s[ii] @ b_s[jj]).reshape(n, h1, r3 * r2, h2)
-    t_g = ab.transpose(0, 1, 3, 2) @ c_s[kk]  # (n, H1, H2, H3)
-    return t_g.reshape(n, h1 * h2 * h3) @ f.g.ravel()
+    t_g = ab.transpose(0, 1, 3, 2) @ c_k  # (n, H1, H2, H3)
+    return t_g.reshape(len(ab), h1 * h2 * h3) @ f.g.ravel()
 
 
 def reconstruct_entries(f: TwdFactors, ii: np.ndarray, jj: np.ndarray,
@@ -447,17 +486,19 @@ def reconstruct_entries(f: TwdFactors, ii: np.ndarray, jj: np.ndarray,
     out = np.empty(n)
     for start in range(0, n, BATCH_CHUNK):
         stop = start + BATCH_CHUNK
-        out[start:stop] = _contract_batch(f, slices, ii[start:stop], jj[start:stop],
-                                          kk[start:stop])
+        ab = _stage1(f, slices, ii[start:stop], jj[start:stop])
+        out[start:stop] = _stages23(f, ab, slices[2][kk[start:stop]])
     return out
 
 
 def reconstruct_full(f: TwdFactors, cap: int = DENSE_CAP) -> np.ndarray:
     """Materialize the full dense reconstruction of shape ``f.dims``.
 
-    Runs the batched kernel over the row-major index grid, so it equals
-    ``reconstruct_entries`` on that grid bit for bit.  Raises
-    SizeCapError when the element count exceeds ``cap``.
+    Runs the batched kernel over the row-major index grid, in the chunks
+    ``reconstruct_entries`` would, so it equals ``reconstruct_entries`` on
+    that grid bit for bit; stage 1 runs once per (i, j) pair a chunk
+    covers, not once per position.  Raises SizeCapError when the element
+    count exceeds ``cap``.
     """
     ni, nj, nk = f.dims
     total = ni * nj * nk
@@ -467,8 +508,10 @@ def reconstruct_full(f: TwdFactors, cap: int = DENSE_CAP) -> np.ndarray:
     out = np.empty(total)
     for start in range(0, total, BATCH_CHUNK):
         stop = min(start + BATCH_CHUNK, total)
-        out[start:stop] = _contract_batch(f, slices,
-                                          *np.unravel_index(np.arange(start, stop), f.dims))
+        pair, kk = np.divmod(np.arange(start, stop), nk)
+        first = start // nk
+        ab = _stage1(f, slices, *np.divmod(np.arange(first, pair[-1] + 1), nj))
+        out[start:stop] = _stages23(f, ab[pair - first], slices[2][kk])
     return out.reshape(f.dims)
 
 

@@ -8,7 +8,8 @@
  * gathered into one vector p laid out as g (H1,H2,H3), a[:, i]
  * (R3,R1,H1), b[:, j] (R1,R2,H2) and c[:, k] (R2,R3,H3); its partials t
  * share that layout.  The workspace w holds p, t and the three stage
- * products; twd_core sizes it.  Every index is checked by the caller.
+ * products, and for tw_loss the slice norms before them; twd_core sizes
+ * it.  Every index is checked by the caller.
  */
 #include <math.h>
 #include <stdint.h>
@@ -39,6 +40,74 @@ static void move_blocks(const int64_t *s, double *g, double *a, double *b, doubl
         }
 }
 
+/* One operand x of dots: its term for output o and summed indices (u, v)
+ * is x.p[o*x.o + u*x.u + v*x.v]. */
+typedef struct {
+    const double *p;
+    int64_t o, u, v;
+} operand;
+
+/* L outputs of dots, from o on; inlined, as dots is, so that each call
+ * site's constant strides and lane count fold away. */
+static inline __attribute__((always_inline)) void lanes(int L, int64_t o, double *out,
+                                                        int64_t os, operand x, operand y,
+                                                        int64_t nu, int64_t nv)
+{
+    double acc[4] = {0.0, 0.0, 0.0, 0.0};
+    for (int64_t u = 0; u < nu; u++)
+        for (int64_t v = 0; v < nv; v++) {
+            const double *xp = x.p + o * x.o + u * x.u + v * x.v;
+            const double *yp = y.p + o * y.o + u * y.u + v * y.v;
+            for (int l = 0; l < L; l++)
+                acc[l] += xp[l * x.o] * yp[l * y.o];
+        }
+    for (int l = 0; l < L; l++)
+        out[(o + l) * os] = acc[l];
+}
+
+/* The kernel's one contraction loop: out[o*os], for o < n, is the sum
+ * over u < nu, then v < nv, of x(o, u, v) y(o, u, v), starting from 0.0
+ * and adding its terms in that order.  Four outputs are summed per pass,
+ * then two, then one, so that their add chains overlap; each output's
+ * order, and with it its rounding, is that of one output at a time. */
+static inline __attribute__((always_inline)) void dots(int64_t n, double *out, int64_t os,
+                                                       operand x, operand y, int64_t nu,
+                                                       int64_t nv)
+{
+    int64_t o = 0;
+    for (; o + 4 <= n; o += 4)
+        lanes(4, o, out, os, x, y, nu, nv);
+    for (; o + 2 <= n; o += 2)
+        lanes(2, o, out, os, x, y, nu, nv);
+    for (; o < n; o++)
+        lanes(1, o, out, os, x, y, nu, nv);
+}
+
+/* The reconstruction at p's position: stage 1 into ab[r3,h1,r2,h2], the
+ * sum over r1 of a_i[r3,r1,h1] b_j[r1,r2,h2]; stage 2 into
+ * t_g[h1,h2,h3], the sum over (r3, r2) of ab[r3,h1,r2,h2] c_k[r2,r3,h3];
+ * stage 3, returned, the sum over (h1, h2, h3) of t_g g, in that order. */
+static double reconstruct(const int64_t *s, const double *p, double *ab, double *tg)
+{
+    const int64_t R1 = s[3], R2 = s[4], R3 = s[5], H1 = s[6], H2 = s[7], H3 = s[8];
+    const double *g = p, *ai = g + H1 * H2 * H3, *bj = ai + R3 * R1 * H1,
+                 *ck = bj + R1 * R2 * H2;
+    double x = 0.0;
+    for (int64_t r3 = 0; r3 < R3; r3++)
+        for (int64_t h1 = 0; h1 < H1; h1++)
+            dots(R2 * H2, ab + (r3 * H1 + h1) * R2 * H2, 1,
+                 (operand){ai + r3 * R1 * H1 + h1, 0, H1, 0}, (operand){bj, 1, R2 * H2, 0},
+                 R1, 1);
+    for (int64_t h1 = 0; h1 < H1; h1++)
+        for (int64_t h2 = 0; h2 < H2; h2++)
+            dots(H3, tg + (h1 * H2 + h2) * H3, 1,
+                 (operand){ab + h1 * R2 * H2 + h2, 0, H1 * R2 * H2, H2},
+                 (operand){ck, 1, H3, R3 * H3}, R3, R2);
+    for (int64_t q = 0; q < H1 * H2 * H3; q++)
+        x += tg[q] * g[q];
+    return x;
+}
+
 /* The reconstruction at p's position, returned, and its partials, into
  * t; the stages of twd_core.block_partials: r1, then (r3, r2), then the
  * core, with the a, b and c partials from stage 1's product. */
@@ -49,80 +118,36 @@ static double partials(const int64_t *s, const double *p, double *t, double *w)
                  *ck = bj + R1 * R2 * H2;
     double *tg = t, *ta = tg + H1 * H2 * H3, *tb = ta + R3 * R1 * H1, *tc = tb + R1 * R2 * H2;
     double *ab = w, *gb = ab + R3 * H1 * R2 * H2, *ca = gb + R1 * R2 * H1 * H3;
-    double x = 0.0;
-    /* stage 1: ab[r3,h1,r2,h2] = sum over r1 of a_i[r3,r1,h1] b_j[r1,r2,h2] */
-    for (int64_t r3 = 0; r3 < R3; r3++)
-        for (int64_t h1 = 0; h1 < H1; h1++)
-            for (int64_t q = 0; q < R2 * H2; q++) {
-                double acc = 0.0;
-                for (int64_t r1 = 0; r1 < R1; r1++)
-                    acc += ai[(r3 * R1 + r1) * H1 + h1] * bj[r1 * R2 * H2 + q];
-                ab[(r3 * H1 + h1) * R2 * H2 + q] = acc;
-            }
-    /* stage 2: t_g[h1,h2,h3] = sum over (r3, r2) of ab[r3,h1,r2,h2] c_k[r2,r3,h3];
-     * stage 3: x = sum over (h1, h2, h3) of t_g g, in the same order */
-    for (int64_t h1 = 0; h1 < H1; h1++)
-        for (int64_t h2 = 0; h2 < H2; h2++)
-            for (int64_t h3 = 0; h3 < H3; h3++) {
-                double acc = 0.0;
-                for (int64_t r3 = 0; r3 < R3; r3++)
-                    for (int64_t r2 = 0; r2 < R2; r2++)
-                        acc += ab[((r3 * H1 + h1) * R2 + r2) * H2 + h2]
-                               * ck[(r2 * R3 + r3) * H3 + h3];
-                tg[(h1 * H2 + h2) * H3 + h3] = acc;
-                x += acc * g[(h1 * H2 + h2) * H3 + h3];
-            }
+    const double x = reconstruct(s, p, ab, tg);
     /* t_c[r2,r3,h3] = sum over (h1, h2) of ab[r3,h1,r2,h2] g[h1,h2,h3] */
     for (int64_t r2 = 0; r2 < R2; r2++)
-        for (int64_t r3 = 0; r3 < R3; r3++)
-            for (int64_t h3 = 0; h3 < H3; h3++) {
-                double acc = 0.0;
-                for (int64_t h1 = 0; h1 < H1; h1++)
-                    for (int64_t h2 = 0; h2 < H2; h2++)
-                        acc += ab[((r3 * H1 + h1) * R2 + r2) * H2 + h2]
-                               * g[(h1 * H2 + h2) * H3 + h3];
-                tc[(r2 * R3 + r3) * H3 + h3] = acc;
-            }
+        for (int64_t h3 = 0; h3 < H3; h3++)
+            dots(R3, tc + r2 * R3 * H3 + h3, H3,
+                 (operand){ab + r2 * H2, H1 * R2 * H2, R2 * H2, 1},
+                 (operand){g + h3, 0, H2 * H3, H3}, H1, H2);
     /* gb[r1,r2,h1,h3] = sum over h2 of b_j[r1,r2,h2] g[h1,h2,h3], then
      * t_a[r3,r1,h1] = sum over (r2, h3) of gb[r1,r2,h1,h3] c_k[r2,r3,h3] */
-    for (int64_t q = 0; q < R1 * R2; q++)
-        for (int64_t h1 = 0; h1 < H1; h1++)
-            for (int64_t h3 = 0; h3 < H3; h3++) {
-                double acc = 0.0;
-                for (int64_t h2 = 0; h2 < H2; h2++)
-                    acc += bj[q * H2 + h2] * g[(h1 * H2 + h2) * H3 + h3];
-                gb[(q * H1 + h1) * H3 + h3] = acc;
-            }
+    for (int64_t h1 = 0; h1 < H1; h1++)
+        for (int64_t h3 = 0; h3 < H3; h3++)
+            dots(R1 * R2, gb + h1 * H3 + h3, H1 * H3, (operand){bj, H2, 1, 0},
+                 (operand){g + h1 * H2 * H3 + h3, 0, H3, 0}, H2, 1);
     for (int64_t r3 = 0; r3 < R3; r3++)
-        for (int64_t r1 = 0; r1 < R1; r1++)
-            for (int64_t h1 = 0; h1 < H1; h1++) {
-                double acc = 0.0;
-                for (int64_t r2 = 0; r2 < R2; r2++)
-                    for (int64_t h3 = 0; h3 < H3; h3++)
-                        acc += gb[((r1 * R2 + r2) * H1 + h1) * H3 + h3]
-                               * ck[(r2 * R3 + r3) * H3 + h3];
-                ta[(r3 * R1 + r1) * H1 + h1] = acc;
-            }
+        for (int64_t h1 = 0; h1 < H1; h1++)
+            dots(R1, ta + r3 * R1 * H1 + h1, H1,
+                 (operand){gb + h1 * H3, R2 * H1 * H3, H1 * H3, 1},
+                 (operand){ck + r3 * H3, 0, R3 * H3, 1}, R2, H3);
     /* ca[r2,h3,r1,h1] = sum over r3 of c_k[r2,r3,h3] a_i[r3,r1,h1], then
      * t_b[r1,r2,h2] = sum over (h1, h3) of ca[r2,h3,r1,h1] g[h1,h2,h3] */
     for (int64_t r2 = 0; r2 < R2; r2++)
         for (int64_t h3 = 0; h3 < H3; h3++)
-            for (int64_t q = 0; q < R1 * H1; q++) {
-                double acc = 0.0;
-                for (int64_t r3 = 0; r3 < R3; r3++)
-                    acc += ck[(r2 * R3 + r3) * H3 + h3] * ai[r3 * R1 * H1 + q];
-                ca[(r2 * H3 + h3) * R1 * H1 + q] = acc;
-            }
+            dots(R1 * H1, ca + (r2 * H3 + h3) * R1 * H1, 1,
+                 (operand){ck + r2 * R3 * H3 + h3, 0, H3, 0}, (operand){ai, 1, R1 * H1, 0},
+                 R3, 1);
     for (int64_t r1 = 0; r1 < R1; r1++)
-        for (int64_t r2 = 0; r2 < R2; r2++)
-            for (int64_t h2 = 0; h2 < H2; h2++) {
-                double acc = 0.0;
-                for (int64_t h1 = 0; h1 < H1; h1++)
-                    for (int64_t h3 = 0; h3 < H3; h3++)
-                        acc += ca[((r2 * H3 + h3) * R1 + r1) * H1 + h1]
-                               * g[(h1 * H2 + h2) * H3 + h3];
-                tb[(r1 * R2 + r2) * H2 + h2] = acc;
-            }
+        for (int64_t h2 = 0; h2 < H2; h2++)
+            dots(R2, tb + r1 * R2 * H2 + h2, H2,
+                 (operand){ca + r1 * H1, H3 * R1 * H1, 1, R1 * H1},
+                 (operand){g + h2 * H3, 0, H2 * H3, 1}, H1, H3);
     return x;
 }
 
@@ -181,4 +206,49 @@ int64_t tw_epoch(const int64_t *s, double *g, double *a, double *b, double *c,
             return id;
     }
     return -1;
+}
+
+/* Squared Frobenius norm of each of the n slices of a factor laid out as
+ * (runs, n, len), into out. */
+static void slice_norms(const double *f, int64_t runs, int64_t n, int64_t len, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = 0.0;
+    for (int64_t r = 0; r < runs; r++)
+        for (int64_t i = 0; i < n; i++, f += len)
+            for (int64_t q = 0; q < len; q++)
+                out[i] += f[q] * f[q];
+}
+
+/* The regularized loss over the n entries (ii, jj, kk, values): the sum
+ * of their squared residuals, each reconstruction that of a step at the
+ * entry, plus, unless lam is 0, lam times (n |g|^2 + the sum over the
+ * entries of the squared norms of the a, b and c slices each touches);
+ * pid_sgd.compute_loss's terms.  The slice norms take w's first I + J + K
+ * places. */
+double tw_loss(const int64_t *s, double *g, double *a, double *b, double *c,
+               const int64_t *ii, const int64_t *jj, const int64_t *kk, const double *values,
+               int64_t n, double lam, double *w)
+{
+    const int64_t R1 = s[3], R2 = s[4], R3 = s[5], H1 = s[6], H2 = s[7], H3 = s[8];
+    double *an = w, *bn = an + s[0], *cn = bn + s[1], *p = cn + s[2];
+    const int64_t len = block_len(s);
+    double squares = 0.0, g_norm = 0.0, sa = 0.0, sb = 0.0, sc = 0.0;
+    for (int64_t q = 0; q < n; q++) {
+        move_blocks(s, g, a, b, c, ii[q], jj[q], kk[q], p, 1);
+        const double r = values[q] - reconstruct(s, p, p + 2 * len, p + len);
+        squares += r * r;
+    }
+    if (lam == 0.0)
+        return squares;
+    slice_norms(g, 1, 1, H1 * H2 * H3, &g_norm);
+    slice_norms(a, R3, s[0], R1 * H1, an);
+    slice_norms(b, R1, s[1], R2 * H2, bn);
+    slice_norms(c, R2, s[2], R3 * H3, cn);
+    for (int64_t q = 0; q < n; q++) {
+        sa += an[ii[q]];
+        sb += bn[jj[q]];
+        sc += cn[kk[q]];
+    }
+    return squares + lam * ((double)n * g_norm + (sa + sb + sc));
 }

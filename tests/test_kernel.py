@@ -19,9 +19,11 @@ from tensorwheel import (
     HyperParams,
     PidState,
     Ranks,
+    SparseTensor,
     SplitSpec,
     SynthSpec,
     TwdFactors,
+    compute_loss,
     generate,
     init_factors,
     oracle_entry,
@@ -134,6 +136,53 @@ def test_native_partials_match_numpy_block_partials(f, data):
         assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * magnitude)
 
 
+def chain(terms):
+    """A sum from 0.0, one term after the other."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def plain_loop_partials(g, a_i, b_j, c_k):
+    """``block_partials`` in Python floats, each output one sum of its
+    terms in the order of the kernel's stages."""
+    g, a, b, c = (block.tolist() for block in (g, a_i, b_j, c_k))
+    R3, R1, H1 = np.shape(a_i)
+    _, R2, H2 = np.shape(b_j)
+    H3 = len(g[0][0])
+    ab = [[[[chain(a[r3][r1][h1] * b[r1][r2][h2] for r1 in range(R1)) for h2 in range(H2)]
+            for r2 in range(R2)] for h1 in range(H1)] for r3 in range(R3)]
+    t_g = [[[chain(ab[r3][h1][r2][h2] * c[r2][r3][h3] for r3 in range(R3) for r2 in range(R2))
+             for h3 in range(H3)] for h2 in range(H2)] for h1 in range(H1)]
+    x_hat = chain(t_g[h1][h2][h3] * g[h1][h2][h3]
+                  for h1 in range(H1) for h2 in range(H2) for h3 in range(H3))
+    t_c = [[[chain(ab[r3][h1][r2][h2] * g[h1][h2][h3] for h1 in range(H1) for h2 in range(H2))
+             for h3 in range(H3)] for r3 in range(R3)] for r2 in range(R2)]
+    gb = [[[[chain(b[r1][r2][h2] * g[h1][h2][h3] for h2 in range(H2)) for h3 in range(H3)]
+            for h1 in range(H1)] for r2 in range(R2)] for r1 in range(R1)]
+    t_a = [[[chain(gb[r1][r2][h1][h3] * c[r2][r3][h3] for r2 in range(R2) for h3 in range(H3))
+             for h1 in range(H1)] for r1 in range(R1)] for r3 in range(R3)]
+    ca = [[[[chain(c[r2][r3][h3] * a[r3][r1][h1] for r3 in range(R3)) for h1 in range(H1)]
+            for r1 in range(R1)] for h3 in range(H3)] for r2 in range(R2)]
+    t_b = [[[chain(ca[r2][h3][r1][h1] * g[h1][h2][h3] for h1 in range(H1) for h3 in range(H3))
+             for h2 in range(H2)] for r2 in range(R2)] for r1 in range(R1)]
+    return x_hat, *(np.array(t) for t in (t_g, t_a, t_b, t_c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=factor_sets(rank=st.integers(1, 5)), data=st.data())
+def test_native_partials_sum_each_output_in_plain_loop_order(f, data):
+    # the kernel sums several outputs per pass; each must still round as a
+    # lone sum of its terms, in its stage's order, does
+    i, j, k = (data.draw(st.integers(0, d - 1)) for d in f.dims)
+    ours = native().partials(f, i, j, k)
+    want = plain_loop_partials(*entry_blocks(f, i, j, k))
+    assert ours[0] == want[0]
+    for got, plain in zip(ours[1:], want[1:]):
+        assert got.tobytes() == plain.tobytes()
+
+
 # gains that damp the error: negative ones make the trajectories grow
 # without bound, and rounding differences with them
 GAINS = st.sampled_from([0.0, 1.0, 0.5, 0.01, 0.001]) | st.floats(0.0, 2.0)
@@ -174,6 +223,42 @@ def test_native_and_numpy_trajectories_agree(dims, r, h, lam, eta, cp, ci, cd, s
                        atol=1e-12 * np.abs(ref_state.integral).max(), equal_nan=True)
 
 
+def columns(obs):
+    return obs.ii, obs.jj, obs.kk, obs.values
+
+
+def test_native_loss_of_one_entry_without_l2_is_its_squared_residual():
+    f = init_factors((3, 4, 2), Ranks(r=(2, 3, 1), h=(3, 1, 2)), seed=5, scale=0.7)
+    # slice norms that overflow, where lam = 0 must not read them
+    skewed = TwdFactors(f.g, f.a * 1e160, f.b * 1e-160, f.c, f.dims, f.ranks)
+    obs = SparseTensor(f.dims, [Entry(1, 3, 1, 0.25)])
+    for factors in (f, skewed):
+        want = (0.25 - reconstruct_entry(factors, 1, 3, 1)) ** 2
+        assert native().loss(factors, columns(obs), 0.0)() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=factor_sets(rank=st.integers(1, 5)), n=st.integers(1, 30),
+       lam=st.sampled_from([0.0, 0.01, 0.7]), seed=st.integers(0, 2**32 - 1))
+def test_native_loss_matches_compute_loss(f, n, lam, seed):
+    rng = np.random.default_rng(seed)
+    ii, jj, kk = (rng.integers(0, d, n) for d in f.dims)
+    keys = np.unique(np.stack([ii, jj, kk]), axis=1)  # distinct positions
+    obs = SparseTensor.from_arrays(f.dims, *keys, rng.uniform(-1, 1, keys.shape[1]))
+    ours, want = native().loss(f, columns(obs), lam)(), compute_loss(f, obs, lam)
+    # relative to the loss, or to the residuals' scale where a reconstruction
+    # cancels its observation
+    scale = want + np.sum((np.abs(obs.values) + term_magnitude(f, *keys)) ** 2)
+    assert abs(ours - want) <= 1e-12 * scale
+
+
+def test_native_loss_overflow_is_not_finite():
+    f = init_factors((3, 3, 3), Ranks(r=(2, 2, 2), h=(2, 2, 2)), 0, 1.0)
+    big = TwdFactors(*(getattr(f, name) * 1e80 for name in "gabc"), f.dims, f.ranks)
+    obs = SparseTensor(f.dims, [Entry(0, 1, 2, 1.0), Entry(2, 0, 1, -1.0)])
+    assert not np.isfinite(native().loss(big, columns(obs), 0.01)())
+
+
 def planted_split(seed=2):
     spec = SynthSpec(dims=(8, 8, 6), ranks=Ranks(r=(2, 2, 2), h=(2, 2, 2)),
                      density=0.4, noise_sigma=0.0, seed=seed)
@@ -206,6 +291,42 @@ def test_train_equals_its_sgd_step_replay_on_both_kernels(kernel):
             sgd_step(replay, entries[eid], int(eid), state, hp)
     for name in "gabc":
         assert getattr(trained, name).tobytes() == getattr(replay, name).tobytes()
+
+
+def test_train_loss_history_is_a_compute_loss_replay_on_both_kernels(kernel):
+    observed, tr, va = planted_split(seed=3)
+    ranks = Ranks(r=(3, 2, 2), h=(2, 3, 1))
+    hp = HyperParams(eta=0.05, lam=0.01, cp=1.0, ci=0.01, cd=0.001, max_epochs=60,
+                     patience=3, seed=3)
+    _, report = train(tr, va, observed.dims, ranks, hp)
+    replay = init_factors(observed.dims, ranks, hp.seed, hp.init_scale)
+    state, rng = PidState(len(tr)), np.random.default_rng(hp.seed)
+    losses = []
+    for _ in range(report.epochs_run):
+        for eid in epoch_visit_order(rng, len(tr)):
+            sgd_step(replay, tr.entries[eid], int(eid), state, hp)
+        losses.append(compute_loss(replay, tr, hp.lam))
+    if kernel == "numpy":
+        assert report.loss_history == losses
+    else:
+        assert np.allclose(report.loss_history, losses, rtol=1e-12, atol=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(twd_core, "_native", None)
+        _, on_numpy = train(tr, va, observed.dims, ranks, hp)
+    assert report.epochs_run < hp.max_epochs  # early stopping decided
+    assert (report.epochs_run, report.converged_at) == (on_numpy.epochs_run,
+                                                        on_numpy.converged_at)
+
+
+def test_a_loss_overflow_is_divergence_on_both_kernels(kernel):
+    # every step stays finite, but the epoch's loss overflows
+    observed, _ = generate(SynthSpec(dims=(8, 8, 6), ranks=Ranks(r=(2, 2, 2), h=(2, 2, 2)),
+                                     density=0.4, noise_sigma=0.0, seed=2))
+    tr, va, _ = split(observed, SplitSpec(ratios=(1, 2, 7), seed=0))
+    hp = HyperParams(eta=200.0, lam=0.01, max_epochs=1, seed=0)
+    with pytest.raises(DivergenceError, match="non-finite loss") as err:
+        train(tr, va, observed.dims, Ranks(r=(2, 2, 2), h=(2, 2, 2)), hp)
+    assert (err.value.epoch, err.value.entry_id) == (0, None)
 
 
 def test_reports_are_byte_deterministic_per_kernel(kernel, tmp_path):
