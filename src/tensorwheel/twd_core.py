@@ -335,7 +335,7 @@ class NativeKernel:
             if diverged >= 0:
                 raise DivergenceError(diverged)
 
-        run.buffers = (operands, cols, hp)  # the memory head and tail point into
+        run.buffers = (operands, cols, hp, pid)  # the memory head and tail point into
         return run
 
     def loss(self, f: TwdFactors, columns, lam: float):

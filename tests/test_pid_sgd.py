@@ -124,18 +124,14 @@ def test_compute_loss_bounds():
         compute_loss(f, obs, 0.0)
 
 
-def overflowing_loss_case():
-    """Factors whose reconstructions overflow float64, and two entries."""
+def test_compute_loss_overflow_raises_domain_error():
+    # reconstructions that overflow float64: not inf after an overflow
+    # warning (pytest turns warnings into failures)
     f = init_factors((3, 3, 3), Ranks(r=(2, 2, 2), h=(2, 2, 2)), 0, 1.0)
     big = TwdFactors(*(getattr(f, name) * 1e80 for name in "gabc"), f.dims, f.ranks)
-    return big, SparseTensor((3, 3, 3), [Entry(0, 1, 2, 1.0), Entry(2, 0, 1, -1.0)])
-
-
-def test_compute_loss_overflow_raises_domain_error():
-    # not inf after an overflow warning (pytest turns warnings into failures)
-    f, obs = overflowing_loss_case()
+    obs = SparseTensor((3, 3, 3), [Entry(0, 1, 2, 1.0), Entry(2, 0, 1, -1.0)])
     with pytest.raises(DomainError, match="loss is not finite"):
-        compute_loss(f, obs, 0.01)
+        compute_loss(big, obs, 0.01)
 
 
 # ------------------------------------------------------------- pid error
