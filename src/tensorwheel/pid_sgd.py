@@ -291,7 +291,9 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     report = TrainReport()
     best_rmse = np.inf
     best_epoch = 0
-    best_factors = None
+    # the best epoch's g, a, b and c are copied in place, and checked once, at return
+    arrays = (factors.g, factors.a, factors.b, factors.c)  # written in place by every epoch
+    best = [np.empty_like(x) for x in arrays] if use_valid else None
     bad_epochs = 0
 
     for epoch in range(hp.max_epochs):
@@ -324,7 +326,8 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
             if rmse < best_rmse:
                 best_rmse = rmse
                 best_epoch = epoch
-                best_factors = factors.copy()
+                for dst, src in zip(best, arrays):
+                    np.copyto(dst, src)
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -333,6 +336,6 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
 
     if use_valid:
         report.converged_at = best_epoch
-        return best_factors, report
+        return TwdFactors(*best, factors.dims, factors.ranks), report
     report.converged_at = report.epochs_run - 1
     return factors, report

@@ -8,8 +8,10 @@ Indices are 0-based both in files and in memory.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,6 +25,7 @@ from .errors import (
     ParameterError,
     ParseError,
     StateError,
+    TensorWheelError,
 )
 
 
@@ -175,12 +178,65 @@ def ingest(path, dims="infer", keep_last: bool = False) -> SparseTensor:
     win over the header; with ``dims="infer"`` and no header, dimensions
     are one past the largest index seen.
 
+    A well-formed file is parsed in one pass by numpy's reader.  A file
+    that pass refuses, for any fault or for a comment after the first
+    entry, is read again line by line, so that every error names its
+    line and repeats are merged in file order.
+
     Args:
         path: file to read.
         dims: (I, J, K) tuple, or "infer".
         keep_last: when True, a repeated (i, j, k) silently replaces the
             earlier record instead of raising DuplicateKeyError.
     """
+    try:
+        tensor = _ingest_whole(path, dims)
+    except (ValueError, TypeError, Warning, TensorWheelError):
+        tensor = None  # numpy's reader or the tensor's checks refused the file
+    return tensor if tensor is not None else _ingest_lines(path, dims, keep_last)
+
+
+_COO_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("value", np.float64)])
+
+
+def _ingest_whole(path, dims) -> SparseTensor | None:
+    """The tensor of a COO file parsed in one ``np.loadtxt`` call over its
+    lines, or None for a file with no entry.  Raises where numpy's reader
+    refuses a field that ``int`` or ``float`` may still take, such as a
+    Unicode digit or "1_0", and where a check of the tensor fails, as
+    for a negative index, a non-finite value or a repeated key.  A
+    comment after the first entry is refused too: loadtxt strips none,
+    and no field holding '#' parses as a number, so a line such as
+    "0 1 2 3.0 # note" is never taken where the line loop refuses it."""
+    with open(path, encoding="utf-8") as fh:
+        header_dims = None
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith("#"):
+                header_dims = header_dims or _dims_header(line, line_no)
+            elif line:
+                break
+        else:
+            return None
+        # the lines stream from the file: the whole text is never held at once
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(itertools.chain([raw], fh), dtype=_COO_ROW, comments=None,
+                              ndmin=1)
+    keys = rows["i"], rows["j"], rows["k"]
+    if dims == "infer":
+        dims = header_dims or _inferred_dims(*keys)
+    return SparseTensor.from_arrays(dims, *keys, rows["value"])
+
+
+def _inferred_dims(ii, jj, kk) -> tuple[int, int, int]:
+    """One past the largest index on each axis, (1, 1, 1) for no entries;
+    in Python ints, as one past 2**63 - 1 wraps around in int64."""
+    return tuple(int(col.max(initial=0)) + 1 for col in (ii, jj, kk))
+
+
+def _ingest_lines(path, dims, keep_last: bool) -> SparseTensor:
+    """``ingest`` one line at a time: the path that names a bad line."""
     header_dims = None
     records = {}  # (i, j, k) -> value, insertion-ordered
     try:
@@ -217,7 +273,7 @@ def ingest(path, dims="infer", keep_last: bool = False) -> SparseTensor:
     keys = np.array(list(records), dtype=np.int64).reshape(-1, 3)
     if dims == "infer":
         # one past the largest index seen; (1, 1, 1) for an empty file
-        dims = header_dims or (keys.max(axis=0, initial=0) + 1).tolist()
+        dims = header_dims or _inferred_dims(*keys.T)
     return SparseTensor.from_arrays(dims, *keys.T, list(records.values()))
 
 

@@ -143,7 +143,11 @@ def init_factors(dims, ranks: Ranks, seed: int, scale: float) -> TwdFactors:
     if scale < 0:
         raise ParameterError(f"init scale must be >= 0, got {scale}")
     rng = np.random.default_rng(seed)
-    g, a, b, c = (rng.random(shape) * scale for shape in factor_shapes((ni, nj, nk), ranks))
+    try:
+        g, a, b, c = (rng.random(shape) * scale for shape in factor_shapes((ni, nj, nk), ranks))
+    except (MemoryError, ValueError) as exc:  # ValueError: a size beyond numpy's index range
+        raise ParameterError(f"cannot allocate factors for dims {(ni, nj, nk)}, "
+                             f"ranks r={ranks.r} h={ranks.h}: {exc}") from None
     return TwdFactors(g, a, b, c, (ni, nj, nk), ranks)
 
 
@@ -527,9 +531,9 @@ def checkpoint_text(f: TwdFactors) -> str:
                      *(str(x) for x in f.ranks.r), *(str(x) for x in f.ranks.h)])
     lines = [head]
     for arr in (f.g, f.a, f.b, f.c):
-        flat = arr.ravel()
-        for start in range(0, flat.size, 8):
-            lines.append(" ".join(repr(float(v)) for v in flat[start:start + 8]))
+        flat = arr.ravel().tolist()
+        for start in range(0, len(flat), 8):
+            lines.append(" ".join(map(repr, flat[start:start + 8])))
     return "\n".join(lines) + "\n"
 
 

@@ -368,6 +368,22 @@ def test_non_utf8_input_is_one_error_line(tmp_path, capsys, command):
     assert_one_error_line(capsys, "line 2", "UTF-8")
 
 
+# sizes numpy refuses at once, without touching memory: 10**14 rows of a
+# factor exceed any address space, and 10**20 exceeds numpy's index range
+@pytest.mark.parametrize("header, over", [
+    ("# dims 100000000000000 3 3\n", {}),
+    ("", {"--dims": "3,100000000000000000000,3"}),
+])
+def test_train_dims_too_large_for_the_factors_is_one_error_line(tmp_path, capsys, header, over):
+    path = tmp_path / "d.txt"
+    path.write_text(header + "".join(f"{i} {j} {k} 1.0\n" for i in range(3) for j in range(3)
+                                     for k in range(3)))
+    report_path = tmp_path / "r.json"
+    assert run(train_args(path, report_path, **over)) == 1
+    assert_one_error_line(capsys, "cannot allocate factors for dims", "ranks")
+    assert not report_path.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value_scale, code", [(3, 0), (4, 1)])
 def test_evaluate_raw_domain_metrics_are_finite_or_one_error_line(tmp_path, capsys,

@@ -480,6 +480,21 @@ def test_train_early_stopping_respects_patience():
     assert evaluate(factors, va).rmse == pytest.approx(best, abs=1e-15)
 
 
+def test_train_returns_the_best_epoch_factors_bitwise():
+    # validation only decides when to stop, so a run without it that ends at
+    # the best epoch holds that epoch's factors as its live ones
+    observed, _ = small_planted()
+    tr, va, _ = split(observed, SplitSpec(ratios=(8, 2, 0), seed=0))
+    ranks = Ranks(r=(2, 2, 2), h=(2, 2, 2))
+    hp = HyperParams(eta=0.1, lam=0.0, max_epochs=1000, patience=5, seed=0)
+    factors, report = train(tr, va, observed.dims, ranks, hp)
+    assert 0 < report.converged_at < report.epochs_run - 1
+    cut = HyperParams(eta=0.1, lam=0.0, max_epochs=report.converged_at + 1, seed=0)
+    live, _ = train(tr, SparseTensor(observed.dims, []), observed.dims, ranks, cut)
+    for name in "gabc":
+        assert getattr(factors, name).tobytes() == getattr(live, name).tobytes()
+
+
 def test_train_no_early_stop_flag():
     observed, _ = small_planted()
     tr, va, _ = split(observed, SplitSpec(ratios=(8, 2, 0), seed=0))

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorwheel import (
@@ -31,6 +31,7 @@ from tensorwheel import (
     split,
     write_coo,
 )
+from tensorwheel import tensor_store
 from tensorwheel.tensor_store import largest_remainder_sizes, read_dims_header
 
 
@@ -459,6 +460,14 @@ def test_ingest_rejects_index_beyond_int64(tmp_path):
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize("tail", ["", "# a comment after the entries\n"])
+def test_ingest_infers_dims_past_the_largest_int64_index(tmp_path, tail):
+    # one past 2**63 - 1 is a Python int: in int64 it wrapped to -2**63
+    t = ingest(write_file(tmp_path, f"0 0 0 1.0\n0 {2 ** 63 - 1} 1 2.0\n" + tail))
+    assert t.dims == (1, 2 ** 63, 2)
+    assert t.entries == [Entry(0, 0, 0, 1.0), Entry(0, 2 ** 63 - 1, 1, 2.0)]
+
+
 def test_arrays_are_read_only_and_not_shared_with_callers():
     values = np.array([1.0, 3.0])
     t = SparseTensor.from_arrays((1, 1, 2), np.zeros(2, dtype=np.int64), [0, 0], [0, 1], values)
@@ -609,3 +618,107 @@ def test_largest_remainder_sizes_property(n, ratios):
     assert sum(sizes) == n
     for size, ratio in zip(sizes, ratios):
         assert abs(size - Fraction(n * ratio, sum(ratios))) < 1
+
+
+# ------------------------------------------- one-pass parse against the line loop
+
+def ingest_outcome(read, path, dims, keep_last):
+    """The dims and the arrays' bytes that reading ``path`` gives, or its
+    error's class, message and line number."""
+    try:
+        t = read(path, dims=dims, keep_last=keep_last)
+    except Exception as exc:  # the error itself is the outcome
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return t.dims, *((a.dtype, a.tobytes()) for a in (t.ii, t.jj, t.kk, t.values))
+
+
+PLAIN_INDEX = ["0", "1", "2", "3"]
+ODD_INDEX = ["+1", "-0", "007", "\u0661", "1_0", "-1", "1.0", "x", "#",
+             str(2 ** 63), str(2 ** 63 - 1)]
+ODD_VALUE = ["nan", "inf", "-inf", "1e400", "1e-400", "-0.0", ".5", "1.", "Infinity", "1_0",
+             "\u0663", "\u0661.5", "0x1", "5e", "#", "1.0#x"]
+SEPARATORS = [" ", " ", " ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028",
+              "\u3000"]
+OTHER_LINES = ["", "  ", "\t", "\x0b", "# note", "#", "# 1 2 3 4", "# dims 4 4 4",
+               "# dims 2 2 2", "  # dims 3 4 5", "# dims 0 4 4", "# dims 4 4", "# dims x 4 4"]
+LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", ""]
+
+
+@st.composite
+def coo_texts(draw):
+    """COO file text.  Half the files are well formed: a header, then
+    entries of plain tokens.  The other half mix in the tokens and
+    whitespace where ``int``/``float`` and numpy's reader differ, and
+    comments, headers, blank lines and wrong field counts among the
+    entries."""
+    plain = draw(st.booleans())
+    index = st.sampled_from(PLAIN_INDEX if plain else PLAIN_INDEX * 4 + ODD_INDEX)
+    value = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    if not plain:
+        value |= st.sampled_from(PLAIN_INDEX + ODD_VALUE)
+    kinds = ["entry"] if plain else ["entry"] * 6 + ["short", "long", "other"]
+    sep = st.sampled_from(SEPARATORS)
+    text = [draw(st.sampled_from(["", "# dims 4 4 4\n", "# note\n\n# dims 3 3 3\r\n"]))]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "other":
+            line = draw(st.sampled_from(OTHER_LINES))
+        else:
+            fields = [draw(index) for _ in range(3)] + [draw(value)]
+            if kind == "short":
+                fields.pop()
+            elif kind == "long":
+                fields.append(draw(st.sampled_from(["# note", "#", "9"])))
+            line = "".join(f + draw(sep) for f in fields[:-1]) + fields[-1]
+            line = draw(st.sampled_from(["", "", " ", "\xa0"])) + line + draw(
+                st.sampled_from(["", "", " ", "\x0b"]))
+        text.append(line + draw(st.sampled_from(LINE_ENDS[:-1] if plain else LINE_ENDS)))
+    return "".join(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=coo_texts(), dims=st.sampled_from(["infer", (4, 4, 4), (2, 2, 2)]),
+       keep_last=st.booleans())
+@example(text="# dims 3 3 3\n", dims="infer", keep_last=False)
+@example(text="\n  \n\t\n", dims="infer", keep_last=False)
+@example(text="0 1 2 3.0 # note\n", dims="infer", keep_last=False)
+@example(text="# dims 4 4 4\r\n0 1 2 3.0\r\n1 1 1 0.5\r\n", dims="infer", keep_last=False)
+@example(text="\u0661 0 0 1.0\n", dims="infer", keep_last=False)
+@example(text="0 0 0 1.0\n0 0 0 2.0\n1 1 1 3.0\n", dims="infer", keep_last=True)
+def test_ingest_equals_the_line_loop(tmp_path_factory, text, dims, keep_last):
+    path = tmp_path_factory.mktemp("coo") / "d.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert (ingest_outcome(ingest, path, dims, keep_last)
+            == ingest_outcome(tensor_store._ingest_lines, path, dims, keep_last))
+
+
+def test_well_formed_file_is_parsed_without_the_line_loop(tmp_path, monkeypatch):
+    t = generate(SynthSpec(dims=(6, 5, 4), ranks=Ranks(r=(2, 2, 2), h=(2, 2, 2)),
+                           density=0.5, seed=3))[0]
+    path = tmp_path / "d.txt"
+    write_coo(t, path)
+    monkeypatch.setattr(tensor_store, "_ingest_lines",
+                        lambda *args: pytest.fail("the line loop read a well-formed file"))
+    back = ingest(path)
+    assert back.dims == t.dims
+    assert all(getattr(back, n).tobytes() == getattr(t, n).tobytes()
+               for n in ("ii", "jj", "kk", "values"))
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    # loadtxt with comments="#" would drop a trailing comment; the loop counts its fields
+    ("0 0 0 1.0\n0 1 2 3.0 # note\n", 2, "expected 4 fields, got 6"),
+    ("# dims 3 3 3\r\n0 0 0 1.0\r\n0 0 x 1.0\r\n", 3, "non-numeric field"),
+    ("0 0 0 1.0\n0 0 1 1.0\n0 0 -1 1.0\n", 3, "negative index"),
+    ("0 0 0 1.0\n\n0 0 1 1e400\n", 3, "non-finite value"),
+])
+def test_ingest_errors_name_the_line_the_loop_names(tmp_path, text, line_no, message):
+    with pytest.raises(ParseError, match=message) as err:
+        ingest(write_file(tmp_path, text))
+    assert err.value.line_no == line_no
+
+
+def test_ingest_takes_what_int_and_float_take(tmp_path):
+    # Unicode digits and underscores, which numpy's reader refuses
+    t = ingest(write_file(tmp_path, "\u0661 0 0 1_0.5\n0 1_0 0 \u0663\n"))
+    assert t.entries == [Entry(1, 0, 0, 10.5), Entry(0, 10, 0, 3.0)]

@@ -20,6 +20,7 @@ from tensorwheel import (
     reconstruct_full,
     save_checkpoint,
 )
+from tensorwheel.twd_core import checkpoint_text
 
 
 def random_instance(rng, max_dim=4, max_rank=3, low=-1.0, high=1.0):
@@ -93,6 +94,14 @@ def test_init_factors_shapes_and_counts():
 def test_init_factors_rejects_zero_dims():
     with pytest.raises(ParameterError):
         init_factors((0, 2, 2), Ranks(r=(1, 1, 1), h=(1, 1, 1)), seed=0, scale=0.1)
+
+
+# sizes numpy refuses at once: 10**14 rows of factor a exceed any address
+# space, and 10**20 exceeds numpy's index range
+@pytest.mark.parametrize("dims", [(10 ** 14, 3, 3), (3, 10 ** 20, 3)])
+def test_init_factors_too_large_to_allocate_is_parameter_error(dims):
+    with pytest.raises(ParameterError, match=r"cannot allocate factors for dims .*r=\(1, 1, 1\)"):
+        init_factors(dims, Ranks(r=(1, 1, 1), h=(1, 1, 1)), seed=0, scale=0.1)
 
 
 def test_factors_shape_mismatch_rejected():
@@ -291,6 +300,22 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path_factory, f):
     for name in "gabc":
         ours, theirs = getattr(back, name), getattr(f, name)
         assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+
+def per_element_checkpoint_text(f):
+    """The checkpoint text as formerly written: repr of each numpy scalar."""
+    lines = [" ".join(["TWD v1", *map(str, f.dims), *map(str, f.ranks.r), *map(str, f.ranks.h)])]
+    for arr in (f.g, f.a, f.b, f.c):
+        flat = arr.ravel()
+        lines += [" ".join(repr(float(v)) for v in flat[start:start + 8])
+                  for start in range(0, flat.size, 8)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=finite_factors())
+def test_checkpoint_text_equals_the_per_element_form(f):
+    assert checkpoint_text(f) == per_element_checkpoint_text(f)
 
 
 def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
