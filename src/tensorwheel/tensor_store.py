@@ -8,6 +8,7 @@ Indices are 0-based both in files and in memory.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import os
@@ -143,14 +144,19 @@ def _dims_header(line: str, line_no: int):
         raise ParseError(line_no, f"malformed dims header: {line!r}") from None
 
 
-def _undecodable_line(path) -> int:
-    """1-based number of the first line of a file that is not valid UTF-8."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                raw.encode("utf-8")  # an undecodable byte was escaped to a lone surrogate
-            except UnicodeEncodeError:
-                return line_no
+def _text_lines(data: bytes, errors: str = "strict"):
+    """The lines of a file's bytes as ``open(path, encoding="utf-8")``
+    yields them: decoded as UTF-8, with "\\r\\n" and "\\r" ending a line."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+
+
+def _undecodable_line(data: bytes) -> int:
+    """1-based number of the first line of a file's bytes that is not valid UTF-8."""
+    for line_no, raw in enumerate(_text_lines(data, errors="surrogateescape"), start=1):
+        try:
+            raw.encode("utf-8")  # an undecodable byte was escaped to a lone surrogate
+        except UnicodeEncodeError:
+            return line_no
     return line_no
 
 
@@ -178,10 +184,10 @@ def ingest(path, dims="infer", keep_last: bool = False) -> SparseTensor:
     win over the header; with ``dims="infer"`` and no header, dimensions
     are one past the largest index seen.
 
-    A well-formed file is parsed in one pass by numpy's reader.  A file
-    that pass refuses, for any fault or for a comment after the first
-    entry, is read again line by line, so that every error names its
-    line and repeats are merged in file order.
+    The file is read once, so a pipe works too.  A well-formed file is
+    parsed in one pass by numpy's reader.  A file that pass refuses, for
+    any fault, is parsed again line by line from the bytes read, so that
+    every error names its line.
 
     Args:
         path: file to read.
@@ -189,44 +195,74 @@ def ingest(path, dims="infer", keep_last: bool = False) -> SparseTensor:
         keep_last: when True, a repeated (i, j, k) silently replaces the
             earlier record instead of raising DuplicateKeyError.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        tensor = _ingest_whole(path, dims)
+        return _ingest_whole(data, dims, keep_last)
     except (ValueError, TypeError, Warning, TensorWheelError):
-        tensor = None  # numpy's reader or the tensor's checks refused the file
-    return tensor if tensor is not None else _ingest_lines(path, dims, keep_last)
+        pass  # numpy's reader or the tensor's checks refused the file
+    return _ingest_lines(data, dims, keep_last)
 
 
 _COO_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("value", np.float64)])
 
 
-def _ingest_whole(path, dims) -> SparseTensor | None:
-    """The tensor of a COO file parsed in one ``np.loadtxt`` call over its
-    lines, or None for a file with no entry.  Raises where numpy's reader
-    refuses a field that ``int`` or ``float`` may still take, such as a
-    Unicode digit or "1_0", and where a check of the tensor fails, as
-    for a negative index, a non-finite value or a repeated key.  A
-    comment after the first entry is refused too: loadtxt strips none,
-    and no field holding '#' parses as a number, so a line such as
-    "0 1 2 3.0 # note" is never taken where the line loop refuses it."""
-    with open(path, encoding="utf-8") as fh:
-        header_dims = None
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                header_dims = header_dims or _dims_header(line, line_no)
-            elif line:
-                break
-        else:
-            return None
-        # the lines stream from the file: the whole text is never held at once
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(itertools.chain([raw], fh), dtype=_COO_ROW, comments=None,
-                              ndmin=1)
-    keys = rows["i"], rows["j"], rows["k"]
+def _ingest_whole(data: bytes, dims, keep_last: bool) -> SparseTensor:
+    """The tensor of a COO file's bytes, its entry lines parsed in one
+    ``np.loadtxt`` call.  Raises where numpy's reader refuses a field
+    that ``int`` or ``float`` may still take, such as a Unicode digit or
+    "1_0", on a file with no entry, and where a check of the tensor
+    fails, as for a negative index, a non-finite value or, without
+    ``keep_last``, a repeated key.
+
+    Comment lines are found from each '#' in the file and left out of
+    the lines loadtxt reads, which strips no comment itself: a '#' in
+    any other line, as in "0 1 2 3.0 # note", raises, as the loop
+    refuses every such line."""
+    if b"\r" in data:  # as a text file is read: "\r\n" and "\r" end a line
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    header_dims = None
+    entry_lines = bytearray(b"\x01") * (data.count(b"\n") + 1)  # 0 marks a comment line
+    line_no, counted = 1, 0
+    at = data.find(b"#")
+    while at != -1:
+        start = data.rfind(b"\n", 0, at) + 1
+        end = data.find(b"\n", at) + 1 or len(data)
+        line = data[start:end].decode("utf-8").strip()
+        if not line.startswith("#"):
+            raise ValueError(f"'#' inside an entry line: {line!r}")
+        line_no += data.count(b"\n", counted, start)
+        counted = start
+        entry_lines[line_no - 1] = 0
+        header_dims = header_dims or _dims_header(line, line_no)
+        at = data.find(b"#", end)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = np.loadtxt(itertools.compress(_text_lines(data), entry_lines), dtype=_COO_ROW,
+                          comments=None, ndmin=1)
+    keys, values = (rows["i"], rows["j"], rows["k"]), rows["value"]
+    if keep_last:
+        if not np.isfinite(values).all():
+            raise DomainError("non-finite value")  # the loop names its line before any merge
+        keys, values = _last_of_each_key(*keys, values)
     if dims == "infer":
         dims = header_dims or _inferred_dims(*keys)
-    return SparseTensor.from_arrays(dims, *keys, rows["value"])
+    return SparseTensor.from_arrays(dims, *keys, values)
+
+
+def _last_of_each_key(ii, jj, kk, values):
+    """The keys in order of first appearance, each with its last value,
+    as the line loop merges repeats under ``keep_last``."""
+    order = np.lexsort((kk, jj, ii))  # stable: the repeats of a key stay in file order
+    first_of_run = np.ones(len(order), dtype=bool)
+    first_of_run[1:] = (np.diff(np.stack((ii, jj, kk))[:, order]) != 0).any(axis=0)
+    if first_of_run.all():
+        return (ii, jj, kk), values
+    first = order[first_of_run]
+    last = order[np.append(first_of_run[1:], True)]
+    by_file_order = np.argsort(first)
+    first, last = first[by_file_order], last[by_file_order]
+    return (ii[first], jj[first], kk[first]), values[last]
 
 
 def _inferred_dims(ii, jj, kk) -> tuple[int, int, int]:
@@ -235,40 +271,40 @@ def _inferred_dims(ii, jj, kk) -> tuple[int, int, int]:
     return tuple(int(col.max(initial=0)) + 1 for col in (ii, jj, kk))
 
 
-def _ingest_lines(path, dims, keep_last: bool) -> SparseTensor:
-    """``ingest`` one line at a time: the path that names a bad line."""
+def _ingest_lines(data: bytes, dims, keep_last: bool) -> SparseTensor:
+    """``ingest`` of a file's bytes one line at a time: the path that
+    names a bad line."""
     header_dims = None
     records = {}  # (i, j, k) -> value, insertion-ordered
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if line.startswith("#"):
-                    if header_dims is None:
-                        header_dims = _dims_header(line, line_no)
-                    continue
-                if not line:
-                    continue
-                fields = line.split()
-                if len(fields) != 4:
-                    raise ParseError(line_no, f"expected 4 fields, got {len(fields)}")
-                try:
-                    i, j, k = int(fields[0]), int(fields[1]), int(fields[2])
-                    value = float(fields[3])
-                except ValueError:
-                    raise ParseError(line_no, f"non-numeric field in {line!r}") from None
-                if min(i, j, k) < 0:
-                    raise ParseError(line_no, f"negative index in {line!r}")
-                if max(i, j, k) >= 2 ** 63:
-                    raise ParseError(line_no, f"index beyond int64 in {line!r}")
-                if not math.isfinite(value):
-                    raise ParseError(line_no, f"non-finite value in {line!r}")
-                key = (i, j, k)
-                if key in records and not keep_last:
-                    raise DuplicateKeyError(key, line_no)
-                records[key] = value
+        for line_no, raw in enumerate(_text_lines(data), start=1):
+            line = raw.strip()
+            if line.startswith("#"):
+                if header_dims is None:
+                    header_dims = _dims_header(line, line_no)
+                continue
+            if not line:
+                continue
+            fields = line.split()
+            if len(fields) != 4:
+                raise ParseError(line_no, f"expected 4 fields, got {len(fields)}")
+            try:
+                i, j, k = int(fields[0]), int(fields[1]), int(fields[2])
+                value = float(fields[3])
+            except ValueError:
+                raise ParseError(line_no, f"non-numeric field in {line!r}") from None
+            if min(i, j, k) < 0:
+                raise ParseError(line_no, f"negative index in {line!r}")
+            if max(i, j, k) >= 2 ** 63:
+                raise ParseError(line_no, f"index beyond int64 in {line!r}")
+            if not math.isfinite(value):
+                raise ParseError(line_no, f"non-finite value in {line!r}")
+            key = (i, j, k)
+            if key in records and not keep_last:
+                raise DuplicateKeyError(key, line_no)
+            records[key] = value
     except UnicodeDecodeError:
-        raise ParseError(_undecodable_line(path), "not valid UTF-8 text") from None
+        raise ParseError(_undecodable_line(data), "not valid UTF-8 text") from None
 
     keys = np.array(list(records), dtype=np.int64).reshape(-1, 3)
     if dims == "infer":

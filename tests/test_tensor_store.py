@@ -632,6 +632,11 @@ def ingest_outcome(read, path, dims, keep_last):
     return t.dims, *((a.dtype, a.tobytes()) for a in (t.ii, t.jj, t.kk, t.values))
 
 
+def line_loop(path, dims, keep_last):
+    """``ingest`` by the line loop alone."""
+    return tensor_store._ingest_lines(path.read_bytes(), dims, keep_last)
+
+
 PLAIN_INDEX = ["0", "1", "2", "3"]
 ODD_INDEX = ["+1", "-0", "007", "\u0661", "1_0", "-1", "1.0", "x", "#",
              str(2 ** 63), str(2 ** 63 - 1)]
@@ -647,10 +652,10 @@ LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", ""]
 @st.composite
 def coo_texts(draw):
     """COO file text.  Half the files are well formed: a header, then
-    entries of plain tokens.  The other half mix in the tokens and
-    whitespace where ``int``/``float`` and numpy's reader differ, and
-    comments, headers, blank lines and wrong field counts among the
-    entries."""
+    entries of plain tokens, then perhaps a comment.  The other half mix
+    in the tokens and whitespace where ``int``/``float`` and numpy's
+    reader differ, and comments, headers, blank lines and wrong field
+    counts among the entries."""
     plain = draw(st.booleans())
     index = st.sampled_from(PLAIN_INDEX if plain else PLAIN_INDEX * 4 + ODD_INDEX)
     value = st.floats(allow_nan=False, allow_infinity=False).map(repr)
@@ -673,6 +678,7 @@ def coo_texts(draw):
             line = draw(st.sampled_from(["", "", " ", "\xa0"])) + line + draw(
                 st.sampled_from(["", "", " ", "\x0b"]))
         text.append(line + draw(st.sampled_from(LINE_ENDS[:-1] if plain else LINE_ENDS)))
+    text.append(draw(st.sampled_from(["", "", "# end\n", "\n# dims 9 9 9"])))
     return "".join(text)
 
 
@@ -685,11 +691,14 @@ def coo_texts(draw):
 @example(text="# dims 4 4 4\r\n0 1 2 3.0\r\n1 1 1 0.5\r\n", dims="infer", keep_last=False)
 @example(text="\u0661 0 0 1.0\n", dims="infer", keep_last=False)
 @example(text="0 0 0 1.0\n0 0 0 2.0\n1 1 1 3.0\n", dims="infer", keep_last=True)
+@example(text="0 0 0 nan\n0 0 0 2.0\n", dims="infer", keep_last=True)
+@example(text="0 0 0 1.0\n# dims 5 5 5\n1 1 1 2.0\n# end", dims="infer", keep_last=False)
+@example(text="# dims 4 4 4\r0 1 2 3.0\r# x\r\n1 1 1 0.5\r", dims="infer", keep_last=False)
 def test_ingest_equals_the_line_loop(tmp_path_factory, text, dims, keep_last):
     path = tmp_path_factory.mktemp("coo") / "d.txt"
     path.write_bytes(text.encode("utf-8"))
     assert (ingest_outcome(ingest, path, dims, keep_last)
-            == ingest_outcome(tensor_store._ingest_lines, path, dims, keep_last))
+            == ingest_outcome(line_loop, path, dims, keep_last))
 
 
 def test_well_formed_file_is_parsed_without_the_line_loop(tmp_path, monkeypatch):
@@ -703,6 +712,51 @@ def test_well_formed_file_is_parsed_without_the_line_loop(tmp_path, monkeypatch)
     assert back.dims == t.dims
     assert all(getattr(back, n).tobytes() == getattr(t, n).tobytes()
                for n in ("ii", "jj", "kk", "values"))
+
+
+@pytest.mark.parametrize("text, keep_last", [
+    ("# dims 4 4 4\n0 0 0 1.0\n# a comment among the entries\n1 2 3 2.0\n# end\n", False),
+    ("0 0 0 1.0\n1 2 3 2.0\n0 0 0 3.0\n2 2 2 4.0\n1 2 3 5.0\n", True),
+])
+def test_valid_comments_and_repeats_are_parsed_without_the_line_loop(
+        tmp_path, monkeypatch, text, keep_last):
+    path = write_file(tmp_path, text)
+    expected = ingest_outcome(line_loop, path, "infer", keep_last)
+    monkeypatch.setattr(tensor_store, "_ingest_lines",
+                        lambda *args: pytest.fail("the line loop read a valid file"))
+    assert ingest_outcome(ingest, path, "infer", keep_last) == expected
+
+
+def read_through_a_pipe(tmp_path, text, **kwargs):
+    """``ingest`` of ``text`` written into a named pipe by another thread."""
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_text(text), daemon=True)
+    writer.start()
+    try:
+        return ingest(pipe, **kwargs)
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("keep_last", [False, True])
+def test_ingest_reads_a_pipe_once(tmp_path, keep_last):
+    # a pipe cannot be read again, so the line loop must get the bytes already read
+    text = "# dims 3 3 3\n0 0 0 1.0\n1 1 1 2.0\n0 0 0 3.0\n# end\n"
+    if keep_last:
+        t = read_through_a_pipe(tmp_path, text, keep_last=True)
+        assert t.dims == (3, 3, 3) and t.entries == [Entry(0, 0, 0, 3.0), Entry(1, 1, 1, 2.0)]
+    else:
+        with pytest.raises(DuplicateKeyError) as err:
+            read_through_a_pipe(tmp_path, text)
+        assert err.value.line_no == 4
+
+
+def test_ingest_names_the_bad_line_of_a_pipe(tmp_path):
+    with pytest.raises(ParseError, match="expected 4 fields, got 6") as err:
+        read_through_a_pipe(tmp_path, "0 0 0 1.0\n0 1 2 3.0 # note\n")
+    assert err.value.line_no == 2
 
 
 @pytest.mark.parametrize("text, line_no, message", [
