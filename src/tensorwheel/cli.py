@@ -20,7 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +30,7 @@ from .metrics import evaluate
 from .pid_sgd import DivergenceError, HyperParams, train
 from .synthgen import SynthSpec, generate
 from .tensor_store import (SparseTensor, SplitSpec, ingest, normalize, open_replacing,
-                           read_dims_header, split, write_coo)
+                           read_coo, split, write_coo)
 from .twd_core import (Ranks, checkpoint_text, init_factors, kernel_name, load_checkpoint,
                        save_checkpoint)
 
@@ -98,6 +98,18 @@ def _config(args, tensor, ranks: Ranks, ratios, **fields) -> dict:
             "kernel": kernel_name(), **fields}
 
 
+def _mean(values) -> float:
+    """The mean of values; a sum that overflows is taken again scaled by
+    m = max|x|, as m * mean(x / m), the way ``metrics.evaluate`` does."""
+    x = np.asarray(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(x))
+    if not np.isfinite(mean):
+        m = float(np.max(np.abs(x)))
+        mean = m * float(np.mean(x / m))
+    return mean
+
+
 def _write_report(report: dict, path, summary: str) -> int:
     # strict JSON: a non-finite metric is a bug upstream, not a report
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
@@ -112,7 +124,7 @@ def cmd_ingest_check(args) -> int:
     values = tensor.values
     print(f"ok: {len(tensor)} entries, dims {tensor.dims}")
     if len(tensor):
-        print(f"values: min {values.min():g} max {values.max():g} mean {values.mean():g}")
+        print(f"values: min {values.min():g} max {values.max():g} mean {_mean(values):g}")
     return 0
 
 
@@ -198,12 +210,12 @@ def run_train(args) -> dict:
         factors, report, summary = _fit(args, rep)
         if args.checkpoint:
             save_checkpoint(factors, f"{args.checkpoint}.rep{rep.index}.txt")
-        return {**summary, **report.to_dict(), "test_count": len(rep.test_set)}
+        return {**summary, **asdict(report), "test_count": len(rep.test_set)}
 
     result = _repeat(args, "train", one)
     reps = result["repetitions"]
-    return {**result, "mean_rmse": float(np.mean([r["rmse"] for r in reps])),
-            "mean_mae": float(np.mean([r["mae"] for r in reps]))}
+    return {**result, "mean_rmse": _mean([r["rmse"] for r in reps]),
+            "mean_mae": _mean([r["mae"] for r in reps])}
 
 
 def cmd_train(args) -> int:
@@ -216,8 +228,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     factors = load_checkpoint(args.checkpoint)
     dims = _parse_dims(args)
-    tensor = ingest(args.input, dims=dims)
-    declared = read_dims_header(args.input) if dims == "infer" else dims
+    tensor, header_dims = read_coo(args.input, dims=dims)
+    declared = header_dims if dims == "infer" else dims
     if declared is not None and declared != factors.dims:
         raise ParameterError(f"data declares dims {declared}, "
                              f"but the checkpoint has dims {factors.dims}")
@@ -246,10 +258,10 @@ def run_ablate(args) -> dict:
     result = _repeat(args, "ablate", one)
     reps = result["repetitions"]
     return {**result,
-            "mean_converged_at_pid": float(np.mean([r["pid"]["converged_at"] for r in reps])),
-            "mean_converged_at_plain": float(np.mean([r["plain"]["converged_at"] for r in reps])),
-            "mean_rmse_pid": float(np.mean([r["pid"]["rmse"] for r in reps])),
-            "mean_rmse_plain": float(np.mean([r["plain"]["rmse"] for r in reps]))}
+            "mean_converged_at_pid": _mean([r["pid"]["converged_at"] for r in reps]),
+            "mean_converged_at_plain": _mean([r["plain"]["converged_at"] for r in reps]),
+            "mean_rmse_pid": _mean([r["pid"]["rmse"] for r in reps]),
+            "mean_rmse_plain": _mean([r["plain"]["rmse"] for r in reps])}
 
 
 def cmd_ablate(args) -> int:
@@ -334,26 +346,27 @@ def _add_training_flags(p):
     p.add_argument("--no-normalize", action="store_true",
                    help="skip the log transform (data already in model domain)")
     _add_model_flags(p)
-    p.add_argument("--cp", type=float, default=1.0, help="proportional gain")
-    p.add_argument("--ci", type=float, default=0.0, help="integral gain")
-    p.add_argument("--cd", type=float, default=0.001, help="derivative gain")
-    p.add_argument("--epochs", type=int, default=1000, help="max training epochs")
-    p.add_argument("--patience", type=int, default=10,
+    p.add_argument("--cp", type=float, default=HyperParams.cp, help="proportional gain")
+    p.add_argument("--ci", type=float, default=HyperParams.ci, help="integral gain")
+    p.add_argument("--cd", type=float, default=HyperParams.cd, help="derivative gain")
+    p.add_argument("--epochs", type=int, default=HyperParams.max_epochs,
+                   help="max training epochs")
+    p.add_argument("--patience", type=int, default=HyperParams.patience,
                    help="validation epochs without improvement before stopping")
-    p.add_argument("--init-scale", type=float, default=0.1,
+    p.add_argument("--init-scale", type=float, default=HyperParams.init_scale,
                    help="factor initialization scale")
     p.add_argument("--no-early-stop", action="store_true",
                    help="always run the full epoch budget")
     p.add_argument("--split", default="1:2:7", help="train:valid:test ratio")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=HyperParams.seed,
                    help="split and trainer seed; repetition r adds r")
     p.add_argument("--report", required=True, help="JSON report path")
 
 
 def _add_repetition_flags(p, reps: int):
     """Flags of the commands that repeat over seeds: train and ablate."""
-    p.add_argument("--eta", type=float, default=0.01, help="learning rate")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01,
+    p.add_argument("--eta", type=float, default=HyperParams.eta, help="learning rate")
+    p.add_argument("--lambda", dest="lam", type=float, default=HyperParams.lam,
                    help="L2 regularization coefficient")
     p.add_argument("--reps", type=int, default=reps,
                    help="independent repetitions averaged in the report")
@@ -386,9 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--density", type=float, default=0.3,
                    help="fraction of positions observed")
-    p.add_argument("--noise", type=float, default=0.0, help="Gaussian noise sigma")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--value-scale", type=float, default=0.5,
+    p.add_argument("--noise", type=float, default=SynthSpec.noise_sigma,
+                   help="Gaussian noise sigma")
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
+    p.add_argument("--value-scale", type=float, default=SynthSpec.value_scale,
                    help="scale of planted factor values")
     p.add_argument("--output", required=True, help="COO file to write")
     p.add_argument("--truth", default=None, help="also write the planted checkpoint here")

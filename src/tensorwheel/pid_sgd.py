@@ -21,11 +21,8 @@ from .errors import BoundsError, DivergenceError, DomainError, ParameterError
 from .metrics import evaluate
 from .tensor_store import Entry, SparseTensor
 from .twd_core import (Ranks, TwdFactors, block_partials, check_index, entry_blocks,
-                       init_factors, native_kernel, reconstruct_entries, scatter_blocks)
-
-DEFAULT_ETA = 0.01
-DEFAULT_LAMBDA = 0.01
-DEFAULT_PID = (1.0, 0.0, 0.001)
+                       finite_loss, init_factors, native_kernel, reconstruct_entries,
+                       scatter_blocks)
 
 
 @dataclass(frozen=True)
@@ -37,11 +34,11 @@ class HyperParams:
     validation epochs without improvement before early stop.
     """
 
-    eta: float = DEFAULT_ETA
-    lam: float = DEFAULT_LAMBDA
-    cp: float = DEFAULT_PID[0]
-    ci: float = DEFAULT_PID[1]
-    cd: float = DEFAULT_PID[2]
+    eta: float = 0.01
+    lam: float = 0.01
+    cp: float = 1.0
+    ci: float = 0.0
+    cd: float = 0.001
     max_epochs: int = 1000
     patience: int = 10
     seed: int = 0
@@ -71,13 +68,12 @@ class PidState:
 
     integral[e] is the sum of all residuals observed for entry e so far
     (current visit included), prev_error[e] the residual of its previous
-    visit (0 before the first), visit_count[e] the number of visits.
+    visit (0 before the first).
     """
 
     def __init__(self, n_entries: int):
         self.integral = np.zeros(n_entries)
         self.prev_error = np.zeros(n_entries)
-        self.visit_count = np.zeros(n_entries, dtype=np.int64)
 
     def __len__(self):
         return len(self.integral)
@@ -95,14 +91,6 @@ class TrainReport:
     valid_rmse_history: list[float] = field(default_factory=list)
     epochs_run: int = 0
     converged_at: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "loss_history": self.loss_history,
-            "valid_rmse_history": self.valid_rmse_history,
-            "epochs_run": self.epochs_run,
-            "converged_at": self.converged_at,
-        }
 
 
 def compute_loss(f: TwdFactors, obs: SparseTensor, lam: float) -> float:
@@ -129,10 +117,7 @@ def compute_loss(f: TwdFactors, obs: SparseTensor, lam: float) -> float:
             reg = n * g_norm + float(np.sum(a_norms[ii]) + np.sum(b_norms[jj])
                                      + np.sum(c_norms[kk]))
             loss += lam * reg
-    if not math.isfinite(loss):
-        raise DomainError("loss is not finite: a reconstruction or a factor norm overflows "
-                          "float64")
-    return loss
+    return finite_loss(loss)
 
 
 def pid_error(state: PidState, entry_id: int, e_n: float, hp: HyperParams) -> float:
@@ -148,12 +133,11 @@ def pid_error(state: PidState, entry_id: int, e_n: float, hp: HyperParams) -> fl
     state.integral[entry_id] = integral
     composite = hp.cp * e_n + hp.ci * integral + hp.cd * (e_n - state.prev_error[entry_id])
     state.prev_error[entry_id] = e_n
-    state.visit_count[entry_id] += 1
     return composite
 
 
 def _pid_arrays(state: PidState | None):
-    return None if state is None else (state.integral, state.prev_error, state.visit_count)
+    return None if state is None else (state.integral, state.prev_error)
 
 
 def _gains(hp: HyperParams) -> tuple:
@@ -230,9 +214,8 @@ def _epoch_runner(f: TwdFactors, train_set: SparseTensor, state: PidState | None
 
 def _loss_runner(f: TwdFactors, train_set: SparseTensor, lam: float):
     """The function that returns the epoch's training loss: one call into
-    the native kernel when it is loaded, else ``compute_loss``.  Where the
-    loss overflows, the native one returns a non-finite float and
-    ``compute_loss`` raises DomainError."""
+    the native kernel when it is loaded, else ``compute_loss``.  Either
+    raises DomainError where the loss overflows."""
     kernel = native_kernel()
     if kernel is not None:
         return kernel.loss(f, (train_set.ii, train_set.jj, train_set.kk, train_set.values), lam)
@@ -305,14 +288,10 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
             try:
                 loss = epoch_loss()
             except DomainError:
-                loss = math.nan  # the loss overflowed
-            if not math.isfinite(loss):
                 raise DivergenceError(what="loss")
             try:
                 rmse = evaluate(factors, valid_set).rmse if use_valid else None
             except DomainError:
-                rmse = math.nan  # the predictions overflowed
-            if rmse is not None and not math.isfinite(rmse):
                 raise DivergenceError(what="validation RMSE")
         except DivergenceError as err:
             # a diverging step wrote nothing back: the factors are still finite

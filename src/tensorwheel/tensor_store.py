@@ -160,21 +160,6 @@ def _undecodable_line(data: bytes) -> int:
     return line_no
 
 
-def read_dims_header(path):
-    """The dims a COO file declares in its "# dims" header, or None.
-
-    The first header counts, as in ``ingest``.
-    """
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                dims = _dims_header(line, line_no)
-                if dims is not None:
-                    return dims
-    return None
-
-
 def ingest(path, dims="infer", keep_last: bool = False) -> SparseTensor:
     """Load a COO text file into a SparseTensor.
 
@@ -195,6 +180,12 @@ def ingest(path, dims="infer", keep_last: bool = False) -> SparseTensor:
         keep_last: when True, a repeated (i, j, k) silently replaces the
             earlier record instead of raising DuplicateKeyError.
     """
+    return read_coo(path, dims, keep_last)[0]
+
+
+def read_coo(path, dims="infer", keep_last: bool = False):
+    """``ingest``'s tensor, and the dims the file's first "# dims" header
+    declares, or None where it has none: (tensor, header_dims)."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -207,8 +198,8 @@ def ingest(path, dims="infer", keep_last: bool = False) -> SparseTensor:
 _COO_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("value", np.float64)])
 
 
-def _ingest_whole(data: bytes, dims, keep_last: bool) -> SparseTensor:
-    """The tensor of a COO file's bytes, its entry lines parsed in one
+def _ingest_whole(data: bytes, dims, keep_last: bool):
+    """``read_coo`` of a COO file's bytes, its entry lines parsed in one
     ``np.loadtxt`` call.  Raises where numpy's reader refuses a field
     that ``int`` or ``float`` may still take, such as a Unicode digit or
     "1_0", on a file with no entry, and where a check of the tensor
@@ -247,7 +238,7 @@ def _ingest_whole(data: bytes, dims, keep_last: bool) -> SparseTensor:
         keys, values = _last_of_each_key(*keys, values)
     if dims == "infer":
         dims = header_dims or _inferred_dims(*keys)
-    return SparseTensor.from_arrays(dims, *keys, values)
+    return SparseTensor.from_arrays(dims, *keys, values), header_dims
 
 
 def _last_of_each_key(ii, jj, kk, values):
@@ -271,8 +262,8 @@ def _inferred_dims(ii, jj, kk) -> tuple[int, int, int]:
     return tuple(int(col.max(initial=0)) + 1 for col in (ii, jj, kk))
 
 
-def _ingest_lines(data: bytes, dims, keep_last: bool) -> SparseTensor:
-    """``ingest`` of a file's bytes one line at a time: the path that
+def _ingest_lines(data: bytes, dims, keep_last: bool):
+    """``read_coo`` of a file's bytes one line at a time: the path that
     names a bad line."""
     header_dims = None
     records = {}  # (i, j, k) -> value, insertion-ordered
@@ -310,7 +301,7 @@ def _ingest_lines(data: bytes, dims, keep_last: bool) -> SparseTensor:
     if dims == "infer":
         # one past the largest index seen; (1, 1, 1) for an empty file
         dims = header_dims or _inferred_dims(*keys.T)
-    return SparseTensor.from_arrays(dims, *keys.T, list(records.values()))
+    return SparseTensor.from_arrays(dims, *keys.T, list(records.values())), header_dims
 
 
 @contextmanager

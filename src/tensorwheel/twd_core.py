@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BoundsError, DivergenceError, ParameterError, SizeCapError
+from .errors import BoundsError, DivergenceError, DomainError, ParameterError, SizeCapError
 from .tensor_store import open_replacing
 
 DENSE_CAP = 10_000_000  # max elements a dense reconstruction may materialize
@@ -225,11 +225,19 @@ def scatter_blocks(flat: np.ndarray, blocks) -> None:
         start = end
 
 
+def finite_loss(loss: float) -> float:
+    """``loss``, or DomainError where it is not finite."""
+    if not math.isfinite(loss):
+        raise DomainError("loss is not finite: a reconstruction or a factor norm overflows "
+                          "float64")
+    return loss
+
+
 class NativeKernel:
     """The entry points of the compiled ``twd_kernel.c``.
 
     Each call checks the arrays it hands over: float64 (int64 for
-    counts and indices), C order, their shapes or lengths, and writeable
+    indices), C order, their shapes or lengths, and writeable
     where the kernel writes.  The indices and entry ids the kernel
     follows are checked by the callers, the public functions of this
     module and of ``pid_sgd``; only the epoch's visit order is checked
@@ -240,9 +248,9 @@ class NativeKernel:
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
         lib.tw_partials.argtypes = [ptr] * 5 + [i64] * 3 + [ptr]
         lib.tw_partials.restype = f64
-        lib.tw_step.argtypes = [ptr] * 5 + [i64] * 3 + [f64, i64] + [ptr] * 5
+        lib.tw_step.argtypes = [ptr] * 5 + [i64] * 3 + [f64, i64] + [ptr] * 4
         lib.tw_step.restype = ctypes.c_int
-        lib.tw_epoch.argtypes = [ptr] * 10 + [i64] + [ptr] * 5
+        lib.tw_epoch.argtypes = [ptr] * 10 + [i64] + [ptr] * 4
         lib.tw_epoch.restype = i64
         lib.tw_loss.argtypes = [ptr] * 9 + [i64, f64, ptr]
         lib.tw_loss.restype = f64
@@ -292,13 +300,13 @@ class NativeKernel:
 
     @staticmethod
     def _pid(pid) -> list:
-        """Pointers to the PID state (integral, prev_error, visit_count), or
-        NULLs for the plain step."""
+        """Pointers to the PID state (integral, prev_error), or NULLs for
+        the plain step."""
         if pid is None:
-            return [None] * 3
+            return [None] * 2
         n = len(pid[0])
-        for arr, dtype in zip(pid, (np.float64, np.float64, np.int64)):
-            if (arr.dtype != dtype or arr.shape != (n,) or not arr.flags.c_contiguous
+        for arr in pid:
+            if (arr.dtype != np.float64 or arr.shape != (n,) or not arr.flags.c_contiguous
                     or not arr.flags.writeable):
                 raise ParameterError("PID state arrays must be writeable, C-ordered and "
                                      "of one length")
@@ -345,7 +353,7 @@ class NativeKernel:
     def loss(self, f: TwdFactors, columns, lam: float):
         """A function returning ``pid_sgd.compute_loss`` of f's current
         values over ``columns`` (ii, jj, kk, values) with L2 weight lam, in
-        one call, or a non-finite float where that overflows.  Each
+        one call; as there, a loss that overflows raises DomainError.  Each
         reconstruction equals the step's bit for bit; the sums run in an
         order of their own, so the loss agrees with numpy's to rounding.
         The columns are copied once, here; their indices must lie inside
@@ -356,7 +364,7 @@ class NativeKernel:
                 len(cols[3]), float(lam), operands[-1].ctypes.data]
 
         def run() -> float:
-            return self._lib.tw_loss(*args)
+            return finite_loss(self._lib.tw_loss(*args))
 
         run.buffers = (operands, cols)  # the memory args point into
         return run

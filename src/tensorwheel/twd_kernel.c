@@ -167,7 +167,7 @@ double tw_partials(const int64_t *s, double *g, double *a, double *b, double *c,
  * an updated value is not finite; the PID state is folded either way. */
 int tw_step(const int64_t *s, double *g, double *a, double *b, double *c,
             int64_t i, int64_t j, int64_t k, double value, int64_t id, const double *hp,
-            double *integral, double *prev, int64_t *visits, double *w)
+            double *integral, double *prev, double *w)
 {
     const int64_t n = block_len(s);
     double *p = w, *t = w + n;
@@ -178,7 +178,6 @@ int tw_step(const int64_t *s, double *g, double *a, double *b, double *c,
         integral[id] = sum;
         e = hp[2] * raw + hp[3] * sum + hp[4] * (raw - prev[id]);
         prev[id] = raw;
-        visits[id] += 1;
     }
     finite = isfinite(e);
     for (int64_t q = 0; q < n; q++) {
@@ -197,12 +196,12 @@ int tw_step(const int64_t *s, double *g, double *a, double *b, double *c,
 int64_t tw_epoch(const int64_t *s, double *g, double *a, double *b, double *c,
                  const int64_t *ii, const int64_t *jj, const int64_t *kk, const double *values,
                  const int64_t *order, int64_t n_order, const double *hp,
-                 double *integral, double *prev, int64_t *visits, double *w)
+                 double *integral, double *prev, double *w)
 {
     for (int64_t q = 0; q < n_order; q++) {
         const int64_t id = order[q];
         if (tw_step(s, g, a, b, c, ii[id], jj[id], kk[id], values[id], id, hp,
-                    integral, prev, visits, w))
+                    integral, prev, w))
             return id;
     }
     return -1;

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -59,6 +62,14 @@ def test_ingest_check_reports_parse_error(tmp_path, capsys):
     path.write_text("0 1 2 3.5\nbroken\n")
     assert run(["ingest-check", "--input", path]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_ingest_check_mean_whose_sum_overflows_is_finite(tmp_path, capsys):
+    path = tmp_path / "d.txt"
+    path.write_text("0 0 0 1e308\n0 0 1 1.5e308\n")
+    assert run(["ingest-check", "--input", path]) == 0
+    assert "mean 1.25e+308" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- split
@@ -273,6 +284,27 @@ def test_train_raw_domain_metrics(tmp_path):
     assert raw_rmse != pytest.approx(log_rmse, rel=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, means", [
+    ("train", {"mean_rmse": lambda rep: rep["rmse"], "mean_mae": lambda rep: rep["mae"]}),
+    ("ablate", {"mean_rmse_pid": lambda rep: rep["pid"]["rmse"],
+                "mean_rmse_plain": lambda rep: rep["plain"]["rmse"]}),
+], ids=["train", "ablate"])
+def test_means_over_repetitions_whose_sum_overflows_are_finite(tmp_path, command, means):
+    # each repetition's raw-domain rmse is finite, ~1e308, but two of them sum to inf
+    path = tmp_path / "d.txt"
+    rng = np.random.default_rng(0)
+    path.write_text("".join(f"{i} {j} {k} {rng.uniform(0.9e308, 1e308)!r}\n"
+                            for i in range(6) for j in range(6) for k in range(5)))
+    report_path = tmp_path / "r.json"
+    assert run([command, "--input", path, "--eta", "1e-300", "--raw-domain-metrics",
+                "--reps", "2", "--epochs", "2", "--report", report_path]) == 0
+    report = json.loads(report_path.read_text())
+    for key, of_rep in means.items():
+        reps = [of_rep(rep) for rep in report["repetitions"]]
+        assert report[key] == pytest.approx(sum(r / len(reps) for r in reps), rel=1e-12)
+
+
 def test_train_rejects_zero_reps(synth_file, tmp_path, capsys):
     obs, _ = synth_file
     code = run(train_args(obs, tmp_path / "r.json", **{"--reps": 0}))
@@ -355,6 +387,37 @@ def test_evaluate_rejects_declared_dims_mismatch(tmp_path, capsys):
     matching = tmp_path / "matching.txt"
     matching.write_text("# dims 9 9 9\n0 0 0 1.0\n")
     assert run(["evaluate", "--input", matching, "--checkpoint", truth]) == 0
+
+
+@pytest.mark.parametrize("header, code", [("# dims 4 4 3\n", 0), ("# dims 5 4 3\n", 1)],
+                         ids=["header-matches", "header-differs"])
+def test_evaluate_reads_a_named_pipe_once(tmp_path, header, code):
+    # a second open of the pipe would wait for a writer that never comes,
+    # so the command runs in a process of its own, under a timeout
+    truth = tmp_path / "truth.txt"
+    assert run(["synth", "--dims", "4,4,3", "--density", "0.5",
+                "--output", tmp_path / "obs.txt", "--truth", truth]) == 0
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    text = header + "0 0 0 1.0\n3 3 2 0.5\n"
+    writer = threading.Thread(target=lambda: pipe.write_text(text), daemon=True)
+    writer.start()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tensorwheel.cli", "evaluate",
+                               "--input", str(pipe), "--checkpoint", str(truth)],
+                              env=env, capture_output=True, text=True, timeout=60)
+    finally:
+        # a reader that does not block frees a writer the command left waiting
+        os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=30)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "(5, 4, 3)" in lines[0] and "(4, 4, 3)" in lines[0]
+    else:
+        assert proc.stdout.startswith("rmse ") and "over 2 entries" in proc.stdout
 
 
 @pytest.mark.parametrize("command", ["ingest-check", "train"])

@@ -3,6 +3,7 @@ the native kernel beside the numpy one."""
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from tensorwheel import (
     BoundsError,
     DivergenceError,
+    DomainError,
     Entry,
     HyperParams,
     PidState,
@@ -237,6 +239,18 @@ def test_native_loss_of_one_entry_without_l2_is_its_squared_residual():
         assert native().loss(factors, columns(obs), 0.0)() == want
 
 
+def test_native_loss_that_overflows_raises_as_compute_loss_does():
+    f = init_factors((3, 4, 2), Ranks(r=(2, 3, 1), h=(3, 1, 2)), seed=5, scale=0.7)
+    huge = TwdFactors(f.g * 1e200, f.a * 1e200, f.b, f.c, f.dims, f.ranks)
+    obs = SparseTensor(f.dims, [Entry(1, 3, 1, 0.25), Entry(0, 0, 0, 1.0)])
+    for lam in (0.0, 0.01):
+        with pytest.raises(DomainError) as ours:
+            native().loss(huge, columns(obs), lam)()
+        with pytest.raises(DomainError) as want:
+            compute_loss(huge, obs, lam)
+        assert str(ours.value) == str(want.value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(f=factor_sets(rank=st.integers(1, 5)), n=st.integers(1, 30),
        lam=st.sampled_from([0.0, 0.01, 0.7]), seed=st.integers(0, 2**32 - 1))
@@ -394,6 +408,17 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     subprocess.run([twd_core.CC, *twd_core.CC_FLAGS, "-Wall", "-Wextra", "-Werror",
                     "-o", str(tmp_path / "kernel.so"), str(twd_core.KERNEL_SOURCE)],
                    check=True, capture_output=True)
+
+
+def test_every_exported_kernel_function_has_one_argtype_per_parameter():
+    # ctypes passes what argtypes lists: one type too few or too many and
+    # every later argument lands in the wrong parameter
+    lib = native()._lib
+    source = twd_core.KERNEL_SOURCE.read_text()
+    exported = re.findall(r"^\w[\w ]*\b(tw_\w+)\(([^)]*)\)\s*\{", source, flags=re.M)
+    assert exported
+    for name, params in exported:
+        assert len(params.split(",")) == len(getattr(lib, name).argtypes or ()), name
 
 
 def test_commands_that_do_not_train_never_load_the_kernel(tmp_path):

@@ -32,7 +32,7 @@ from tensorwheel import (
     write_coo,
 )
 from tensorwheel import tensor_store
-from tensorwheel.tensor_store import largest_remainder_sizes, read_dims_header
+from tensorwheel.tensor_store import largest_remainder_sizes, read_coo
 
 
 def write_file(tmp_path, text, name="data.txt"):
@@ -354,14 +354,18 @@ def test_ingest_non_utf8_deep_in_large_file(tmp_path):
     assert err.value.line_no == 3211
 
 
+def header_dims(path):
+    return read_coo(path)[1]
+
+
 def test_read_dims_header(tmp_path):
-    assert read_dims_header(write_file(tmp_path, "0 0 0 1.0\n")) is None
-    assert read_dims_header(write_file(tmp_path, "# note\n# dims 4 4 3\n0 0 0 1.0\n")) == (4, 4, 3)
+    assert header_dims(write_file(tmp_path, "0 0 0 1.0\n")) is None
+    assert header_dims(write_file(tmp_path, "# note\n# dims 4 4 3\n0 0 0 1.0\n")) == (4, 4, 3)
     # the first header wins, wherever it is
     later = write_file(tmp_path, "0 0 0 1.0\n# dims 2 3 4\n# dims 9 9 9\n")
-    assert read_dims_header(later) == (2, 3, 4)
+    assert header_dims(later) == (2, 3, 4)
     with pytest.raises(ParseError):
-        read_dims_header(write_file(tmp_path, "# dims 4 x 3\n"))
+        header_dims(write_file(tmp_path, "# dims 4 x 3\n"))
 
 
 # ------------------------------------------------- array store and validation
@@ -623,17 +627,17 @@ def test_largest_remainder_sizes_property(n, ratios):
 # ------------------------------------------- one-pass parse against the line loop
 
 def ingest_outcome(read, path, dims, keep_last):
-    """The dims and the arrays' bytes that reading ``path`` gives, or its
-    error's class, message and line number."""
+    """The header's dims, the dims and the arrays' bytes that reading
+    ``path`` gives, or its error's class, message and line number."""
     try:
-        t = read(path, dims=dims, keep_last=keep_last)
+        t, header_dims = read(path, dims=dims, keep_last=keep_last)
     except Exception as exc:  # the error itself is the outcome
         return type(exc), str(exc), getattr(exc, "line_no", None)
-    return t.dims, *((a.dtype, a.tobytes()) for a in (t.ii, t.jj, t.kk, t.values))
+    return header_dims, t.dims, *((a.dtype, a.tobytes()) for a in (t.ii, t.jj, t.kk, t.values))
 
 
 def line_loop(path, dims, keep_last):
-    """``ingest`` by the line loop alone."""
+    """``read_coo`` by the line loop alone."""
     return tensor_store._ingest_lines(path.read_bytes(), dims, keep_last)
 
 
@@ -697,7 +701,7 @@ def coo_texts(draw):
 def test_ingest_equals_the_line_loop(tmp_path_factory, text, dims, keep_last):
     path = tmp_path_factory.mktemp("coo") / "d.txt"
     path.write_bytes(text.encode("utf-8"))
-    assert (ingest_outcome(ingest, path, dims, keep_last)
+    assert (ingest_outcome(read_coo, path, dims, keep_last)
             == ingest_outcome(line_loop, path, dims, keep_last))
 
 
@@ -724,7 +728,7 @@ def test_valid_comments_and_repeats_are_parsed_without_the_line_loop(
     expected = ingest_outcome(line_loop, path, "infer", keep_last)
     monkeypatch.setattr(tensor_store, "_ingest_lines",
                         lambda *args: pytest.fail("the line loop read a valid file"))
-    assert ingest_outcome(ingest, path, "infer", keep_last) == expected
+    assert ingest_outcome(read_coo, path, "infer", keep_last) == expected
 
 
 def read_through_a_pipe(tmp_path, text, **kwargs):
