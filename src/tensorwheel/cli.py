@@ -34,6 +34,8 @@ from .tensor_store import (SparseTensor, SplitSpec, ingest, normalize, open_repl
 from .twd_core import (Ranks, checkpoint_text, init_factors, kernel_name, load_checkpoint,
                        save_checkpoint)
 
+DEFAULT_SPLIT = ":".join(map(str, SplitSpec.ratios))  # --split as _parse_split reads it
+
 
 def _parse_ints(text: str, n: int, what: str) -> tuple:
     parts = text.split(",")
@@ -108,6 +110,12 @@ def _mean(values) -> float:
         m = float(np.max(np.abs(x)))
         mean = m * float(np.mean(x / m))
     return mean
+
+
+def _decimal(x: float) -> str:
+    """x as the stdout summaries print it: with six decimals, or, past
+    the 16 integer digits a float64 holds, with six in exponent form."""
+    return f"{x:.6f}" if abs(x) < 1e16 else f"{x:.6e}"
 
 
 def _write_report(report: dict, path, summary: str) -> int:
@@ -221,8 +229,8 @@ def run_train(args) -> dict:
 def cmd_train(args) -> int:
     report = run_train(args)
     return _write_report(report, args.report,
-                         f"mean rmse {report['mean_rmse']:.6f}, mean mae "
-                         f"{report['mean_mae']:.6f} over {args.reps} repetition(s)")
+                         f"mean rmse {_decimal(report['mean_rmse'])}, mean mae "
+                         f"{_decimal(report['mean_mae'])} over {args.reps} repetition(s)")
 
 
 def cmd_evaluate(args) -> int:
@@ -236,7 +244,8 @@ def cmd_evaluate(args) -> int:
     if args.normalize:
         tensor = normalize(tensor)
     scores = evaluate(factors, tensor, raw_domain=args.raw_domain_metrics)
-    print(f"rmse {scores.rmse:.6f}, mae {scores.mae:.6f} over {scores.count} entries")
+    print(f"rmse {_decimal(scores.rmse)}, mae {_decimal(scores.mae)} "
+          f"over {scores.count} entries")
     return 0
 
 
@@ -325,7 +334,7 @@ def cmd_grid(args) -> int:
     w = report["winner"]
     return _write_report(report, args.report,
                          f"winner: eta {w['eta']:g}, lambda {w['lambda']:g} "
-                         f"(valid rmse {w['valid_rmse']:.6f})")
+                         f"(valid rmse {_decimal(w['valid_rmse'])})")
 
 
 def _add_data_flags(p):
@@ -357,7 +366,7 @@ def _add_training_flags(p):
                    help="factor initialization scale")
     p.add_argument("--no-early-stop", action="store_true",
                    help="always run the full epoch budget")
-    p.add_argument("--split", default="1:2:7", help="train:valid:test ratio")
+    p.add_argument("--split", default=DEFAULT_SPLIT, help="train:valid:test ratio")
     p.add_argument("--seed", type=int, default=HyperParams.seed,
                    help="split and trainer seed; repetition r adds r")
     p.add_argument("--report", required=True, help="JSON report path")
@@ -389,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="write train/valid/test COO files")
     _add_data_flags(p)
-    p.add_argument("--split", default="1:2:7", help="train:valid:test ratio")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--split", default=DEFAULT_SPLIT, help="train:valid:test ratio")
+    p.add_argument("--seed", type=int, default=SplitSpec.seed)
     p.add_argument("--output-prefix", required=True)
     p.set_defaults(func=cmd_split)
 

@@ -22,7 +22,7 @@ from .metrics import evaluate
 from .tensor_store import Entry, SparseTensor
 from .twd_core import (Ranks, TwdFactors, block_partials, check_index, entry_blocks,
                        finite_loss, init_factors, native_kernel, reconstruct_entries,
-                       scatter_blocks)
+                       scatter_blocks, training_kernel)
 
 
 @dataclass(frozen=True)
@@ -198,10 +198,11 @@ def epoch_visit_order(rng: np.random.Generator, n_entries: int) -> np.ndarray:
 def _epoch_runner(f: TwdFactors, train_set: SparseTensor, state: PidState | None,
                   hp: HyperParams):
     """The function that runs one epoch's steps over a visit order: one
-    call into the native kernel when it is loaded, else a loop of numpy
-    steps.  It raises DivergenceError at the first step that diverges."""
+    call into the native kernel built for f's ranks when it is loaded, else
+    a loop of numpy steps.  It raises DivergenceError at the first step
+    that diverges."""
     columns = (train_set.ii, train_set.jj, train_set.kk, train_set.values)
-    kernel = native_kernel()
+    kernel = training_kernel(f.ranks)
     if kernel is not None:
         return kernel.epoch(f, columns, _pid_arrays(state), _gains(hp))
     ii, jj, kk, values = (col.tolist() for col in columns)
@@ -214,9 +215,9 @@ def _epoch_runner(f: TwdFactors, train_set: SparseTensor, state: PidState | None
 
 def _loss_runner(f: TwdFactors, train_set: SparseTensor, lam: float):
     """The function that returns the epoch's training loss: one call into
-    the native kernel when it is loaded, else ``compute_loss``.  Either
-    raises DomainError where the loss overflows."""
-    kernel = native_kernel()
+    the native kernel built for f's ranks when it is loaded, else
+    ``compute_loss``.  Either raises DomainError where the loss overflows."""
+    kernel = training_kernel(f.ranks)
     if kernel is not None:
         return kernel.loss(f, (train_set.ii, train_set.jj, train_set.kk, train_set.values), lam)
     return lambda: compute_loss(f, train_set, lam)
@@ -237,9 +238,10 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     factor, loss or validation RMSE raises DivergenceError with the
     epoch, hp.eta and the norms of the last finite factors.  Each
     epoch's steps, and its loss, run in one call each into the native
-    kernel when it is loaded (``twd_core.native_kernel``), else as numpy
-    steps and ``compute_loss``; the validation RMSE is numpy's
-    ``evaluate`` on either.
+    kernel built for ``ranks`` when it is loaded
+    (``twd_core.training_kernel``), else as numpy steps and
+    ``compute_loss``; the validation RMSE is numpy's ``evaluate`` on
+    either.
 
     Args:
         train_set: observed entries to fit; must be non-empty, with

@@ -44,8 +44,8 @@ class Entry:
 class SplitSpec:
     """Train:validation:test ratio and the shuffle seed."""
 
-    ratios: tuple[int, int, int]
-    seed: int
+    ratios: tuple[int, int, int] = (1, 2, 7)
+    seed: int = 0
 
     def __post_init__(self):
         if len(self.ratios) != 3 or any(int(x) != x or x < 0 for x in self.ratios):

@@ -25,10 +25,13 @@ training loss around them; every contraction there sums a few outputs
 per pass, each in the order of a plain loop, so blocking changes no
 bit.  It is built with the system C compiler on first use and loaded
 with ctypes (``native_kernel``), and numpy's ``block_partials`` runs
-wherever it cannot be.  ``entry_partials``, ``reconstruct_entry`` and
-the trainer's step all run whichever kernel is loaded, never a mix, so
-``reconstruct_entry`` equals the trainer's x_hat bit for bit, as does
-each reconstruction of the native training loss.
+wherever it cannot be; the trainer's epochs and losses run a build of
+the same source for their ranks (``training_kernel``), whose loops have
+constant trip counts and whose results are the same bit for bit.
+``entry_partials``, ``reconstruct_entry`` and the trainer's step all
+run whichever kernel is loaded, never a mix, so ``reconstruct_entry``
+equals the trainer's x_hat bit for bit, as does each reconstruction of
+the native training loss.
 ``reconstruct_entries`` and ``reconstruct_full`` run the same stages,
 summing over the same indices in the same order, as batched products
 over gathered slices, BATCH_CHUNK positions at a time; the products are
@@ -63,6 +66,9 @@ KERNEL_SOURCE = Path(__file__).with_name("twd_kernel.c")
 CC = "cc"
 # no FMA contraction: the kernel's update and PID fold round as numpy's do
 CC_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# a build for one rank tuple: -O3 unrolls and vectorises its constant-count
+# loops; it is no faster on the generic build, whose counts are read at run time
+RANK_CC_FLAGS = ("-O3", *CC_FLAGS[1:])
 
 
 @dataclass(frozen=True)
@@ -244,7 +250,7 @@ class NativeKernel:
     here.
     """
 
-    def __init__(self, lib: ctypes.CDLL):
+    def __init__(self, lib: ctypes.CDLL, ranks: Ranks | None = None):
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
         lib.tw_partials.argtypes = [ptr] * 5 + [i64] * 3 + [ptr]
         lib.tw_partials.restype = f64
@@ -255,13 +261,17 @@ class NativeKernel:
         lib.tw_loss.argtypes = [ptr] * 9 + [i64, f64, ptr]
         lib.tw_loss.restype = f64
         self._lib = lib
+        self.ranks = ranks  # those of a build for one rank tuple; None: any
 
-    @staticmethod
-    def _operands(f: TwdFactors, in_place: bool, extra: int = 0) -> list:
+    def _operands(self, f: TwdFactors, in_place: bool, extra: int = 0) -> list:
         """The kernel's shape vector, f's four arrays and a fresh workspace,
         ``extra`` doubles longer than a step's.  In place, the arrays are
         f's own, which the kernel writes or a runner reads across calls,
-        so they must be writeable; else they may be contiguous copies."""
+        so they must be writeable; else they may be contiguous copies.  A
+        build for one rank tuple takes factors of those ranks only."""
+        if self.ranks is not None and f.ranks != self.ranks:
+            raise ParameterError(f"kernel built for ranks r={self.ranks.r} h={self.ranks.h} "
+                                 f"given factors of ranks r={f.ranks.r} h={f.ranks.h}")
         arrays = []
         for name, shape in zip("gabc", factor_shapes(f.dims, f.ranks)):
             arr = getattr(f, name)
@@ -372,22 +382,34 @@ class NativeKernel:
 
 _UNLOADED = object()
 _native = _UNLOADED  # the NativeKernel once loaded, None where it cannot be
+_for_ranks: dict = {}  # Ranks -> the kernel training_kernel returns for them
 
 
-def _build_kernel() -> Path:
-    """The kernel's shared library, compiled into the cache
-    ($XDG_CACHE_HOME/tensorwheel, by default ~/.cache/tensorwheel) unless
-    a build of the same source and flags is there; the build goes to a
-    temp file that replaces the target only once it is whole."""
+def kernel_flags(ranks: Ranks | None = None) -> list:
+    """The compiler flags of the generic build of ``twd_kernel.c``, or of
+    its build for ranks, which takes the six as constants."""
+    if ranks is None:
+        return list(CC_FLAGS)
+    return [*RANK_CC_FLAGS,
+            *(f"-DTW_RANK{q}={n}" for q, n in enumerate((*ranks.r, *ranks.h), start=3))]
+
+
+def _build_kernel(ranks: Ranks | None = None) -> Path:
+    """The kernel's shared library, generic or built for ranks, compiled
+    into the cache ($XDG_CACHE_HOME/tensorwheel, by default
+    ~/.cache/tensorwheel) unless a build of the same source and flags is
+    there; the build goes to a temp file that replaces the target only
+    once it is whole."""
+    flags = kernel_flags(ranks)
     source = KERNEL_SOURCE.read_bytes()
-    key = hashlib.sha256(source + " ".join(CC_FLAGS).encode()).hexdigest()
+    key = hashlib.sha256(source + " ".join(flags).encode()).hexdigest()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache", "tensorwheel")
     path = cache / f"{key}.so"
     if not path.exists():
         cache.mkdir(parents=True, exist_ok=True)
         tmp = cache / f"{key}.{os.urandom(6).hex()}.tmp"
         try:
-            subprocess.run([CC, *CC_FLAGS, "-o", str(tmp), "-x", "c", "-"], input=source,
+            subprocess.run([CC, *flags, "-o", str(tmp), "-x", "c", "-"], input=source,
                            capture_output=True, check=True, timeout=300)
             os.replace(tmp, path)
         finally:
@@ -406,6 +428,23 @@ def native_kernel() -> NativeKernel | None:
         except (OSError, subprocess.SubprocessError):
             _native = None
     return _native
+
+
+def training_kernel(ranks: Ranks) -> NativeKernel | None:
+    """The kernel ``pid_sgd.train`` runs its epochs and losses on: the
+    build for ranks, compiled and loaded on the first call for them; the
+    generic kernel where that build or load fails; None, as
+    ``native_kernel``, where the generic kernel is not loaded.  Both
+    builds give the same results bit for bit."""
+    generic = native_kernel()
+    if generic is None:
+        return None
+    if ranks not in _for_ranks:
+        try:
+            _for_ranks[ranks] = NativeKernel(ctypes.CDLL(str(_build_kernel(ranks))), ranks)
+        except (OSError, subprocess.SubprocessError):
+            _for_ranks[ranks] = generic
+    return _for_ranks[ranks]
 
 
 def kernel_name() -> str:

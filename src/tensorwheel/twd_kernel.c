@@ -10,22 +10,37 @@
  * share that layout.  The workspace w holds p, t and the three stage
  * products, and for tw_loss the slice norms before them; twd_core sizes
  * it.  Every index is checked by the caller.
+ *
+ * The ranks are read through RANK(q), q in 3..8: s[q] in the generic
+ * build.  A build for one rank tuple defines TW_RANK3 .. TW_RANK8 as its
+ * six ranks (-DTW_RANK3=2 ...), so every loop over them has a constant
+ * trip count and every stride folds; the arithmetic, and its order, are
+ * the same in both.  Such a build ignores s[3..8]: its caller hands it
+ * factors of its ranks only.
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
+#ifdef TW_RANK3
+#define RANK(q) ((void)s, (int64_t)TW_RANK##q)
+#else
+#define RANK(q) s[q]
+#endif
+
 /* Length of p: the sizes of the four blocks. */
 static int64_t block_len(const int64_t *s)
 {
-    return s[6] * s[7] * s[8] + s[5] * s[3] * s[6] + s[3] * s[4] * s[7] + s[4] * s[5] * s[8];
+    return RANK(6) * RANK(7) * RANK(8) + RANK(5) * RANK(3) * RANK(6)
+           + RANK(3) * RANK(4) * RANK(7) + RANK(4) * RANK(5) * RANK(8);
 }
 
 /* Copy the blocks position (i, j, k) touches into p, or back from p. */
 static void move_blocks(const int64_t *s, double *g, double *a, double *b, double *c,
                         int64_t i, int64_t j, int64_t k, double *p, int gather)
 {
-    const int64_t R1 = s[3], R2 = s[4], R3 = s[5], H1 = s[6], H2 = s[7], H3 = s[8];
+    const int64_t R1 = RANK(3), R2 = RANK(4), R3 = RANK(5);
+    const int64_t H1 = RANK(6), H2 = RANK(7), H3 = RANK(8);
     double *base[4] = {g, a + i * R1 * H1, b + j * R2 * H2, c + k * R3 * H3};
     const int64_t runs[4] = {1, R3, R1, R2};
     const int64_t len[4] = {H1 * H2 * H3, R1 * H1, R2 * H2, R3 * H3};
@@ -89,7 +104,8 @@ static inline __attribute__((always_inline)) void dots(int64_t n, double *out, i
  * stage 3, returned, the sum over (h1, h2, h3) of t_g g, in that order. */
 static double reconstruct(const int64_t *s, const double *p, double *ab, double *tg)
 {
-    const int64_t R1 = s[3], R2 = s[4], R3 = s[5], H1 = s[6], H2 = s[7], H3 = s[8];
+    const int64_t R1 = RANK(3), R2 = RANK(4), R3 = RANK(5);
+    const int64_t H1 = RANK(6), H2 = RANK(7), H3 = RANK(8);
     const double *g = p, *ai = g + H1 * H2 * H3, *bj = ai + R3 * R1 * H1,
                  *ck = bj + R1 * R2 * H2;
     double x = 0.0;
@@ -113,7 +129,8 @@ static double reconstruct(const int64_t *s, const double *p, double *ab, double 
  * core, with the a, b and c partials from stage 1's product. */
 static double partials(const int64_t *s, const double *p, double *t, double *w)
 {
-    const int64_t R1 = s[3], R2 = s[4], R3 = s[5], H1 = s[6], H2 = s[7], H3 = s[8];
+    const int64_t R1 = RANK(3), R2 = RANK(4), R3 = RANK(5);
+    const int64_t H1 = RANK(6), H2 = RANK(7), H3 = RANK(8);
     const double *g = p, *ai = g + H1 * H2 * H3, *bj = ai + R3 * R1 * H1,
                  *ck = bj + R1 * R2 * H2;
     double *tg = t, *ta = tg + H1 * H2 * H3, *tb = ta + R3 * R1 * H1, *tc = tb + R1 * R2 * H2;
@@ -229,7 +246,8 @@ double tw_loss(const int64_t *s, double *g, double *a, double *b, double *c,
                const int64_t *ii, const int64_t *jj, const int64_t *kk, const double *values,
                int64_t n, double lam, double *w)
 {
-    const int64_t R1 = s[3], R2 = s[4], R3 = s[5], H1 = s[6], H2 = s[7], H3 = s[8];
+    const int64_t R1 = RANK(3), R2 = RANK(4), R3 = RANK(5);
+    const int64_t H1 = RANK(6), H2 = RANK(7), H3 = RANK(8);
     double *an = w, *bn = an + s[0], *cn = bn + s[1], *p = cn + s[2];
     const int64_t len = block_len(s);
     double squares = 0.0, g_norm = 0.0, sa = 0.0, sb = 0.0, sc = 0.0;

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +8,8 @@ import threading
 import numpy as np
 import pytest
 
-from tensorwheel import ingest, load_checkpoint, oracle_entry
-from tensorwheel.cli import main
+from tensorwheel import SplitSpec, ingest, load_checkpoint, oracle_entry
+from tensorwheel.cli import _decimal, _parse_split, build_parser, main
 
 
 def run(argv):
@@ -303,6 +304,42 @@ def test_means_over_repetitions_whose_sum_overflows_are_finite(tmp_path, command
     for key, of_rep in means.items():
         reps = [of_rep(rep) for rep in report["repetitions"]]
         assert report[key] == pytest.approx(sum(r / len(reps) for r in reps), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_summary_near_the_float_limit_prints_in_exponent_form(tmp_path, capsys):
+    # each repetition's raw-domain rmse is ~1e308: 309 digits before the point
+    path = tmp_path / "d.txt"
+    rng = np.random.default_rng(0)
+    path.write_text("".join(f"{i} {j} {k} {rng.uniform(0.9e308, 1e308)!r}\n"
+                            for i in range(6) for j in range(6) for k in range(5)))
+    report_path = tmp_path / "r.json"
+    assert run(["train", "--input", path, "--eta", "1e-300", "--raw-domain-metrics",
+                "--reps", "2", "--epochs", "2", "--report", report_path]) == 0
+    report = json.loads(report_path.read_text())
+    assert capsys.readouterr().out == (
+        f"mean rmse {report['mean_rmse']:.6e}, mean mae {report['mean_mae']:.6e} "
+        f"over 2 repetition(s) -> {report_path}\n")
+    assert report["mean_rmse"] > 1e307
+
+
+def test_summary_numbers_keep_six_decimals_below_1e16():
+    for x in (0.0, 0.1234565, -3.5, 123456.789, 9.999e15, -9.999e15, math.inf, math.nan):
+        assert _decimal(x) == f"{x:.6f}"
+    for x in (1e16, -1e16, 1.7e308, -math.inf):
+        assert _decimal(x) == f"{x:.6e}"
+
+
+def test_split_flags_default_to_split_spec():
+    parser = build_parser()
+    assert SplitSpec() == SplitSpec(ratios=(1, 2, 7), seed=0)
+    for argv in (["split", "--input", "d", "--output-prefix", "p"],
+                 ["train", "--input", "d", "--report", "r"],
+                 ["ablate", "--input", "d", "--report", "r"],
+                 ["grid", "--input", "d", "--report", "r"]):
+        args = parser.parse_args(argv)
+        assert _parse_split(args.split) == SplitSpec.ratios
+    assert parser.parse_args(["split", "--input", "d", "--output-prefix", "p"]).seed == 0
 
 
 def test_train_rejects_zero_reps(synth_file, tmp_path, capsys):

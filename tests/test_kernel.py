@@ -19,6 +19,7 @@ from tensorwheel import (
     DomainError,
     Entry,
     HyperParams,
+    ParameterError,
     PidState,
     Ranks,
     SparseTensor,
@@ -375,6 +376,7 @@ def fresh_loader(tmp_path, monkeypatch):
     """An empty kernel cache, and a loader that has not loaded yet."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(twd_core, "_native", twd_core._UNLOADED)
+    monkeypatch.setattr(twd_core, "_for_ranks", {})
     return tmp_path / "tensorwheel"
 
 
@@ -402,12 +404,116 @@ def test_a_failing_compiler_falls_back_to_numpy(fresh_loader, monkeypatch, tmp_p
     assert json.loads(report.read_text())["config"]["kernel"] == "numpy"
 
 
+# the rank tuples of the tests below; the suite's trainings run the last three
+RANK_TUPLES = [(1, 1, 1, 1, 1, 1), (2, 2, 2, 2, 2, 2), (5, 5, 5, 2, 2, 2), (3, 2, 2, 2, 3, 1)]
+
+
+def rank_build(ranks):
+    """The kernel built for ranks; skips the test where it cannot be."""
+    native()
+    kernel = twd_core.training_kernel(ranks)
+    if kernel.ranks != ranks:
+        pytest.skip("the kernel cannot be built for one rank tuple here")
+    return kernel
+
+
+def test_each_rank_tuple_is_built_once_into_a_library_of_its_own(fresh_loader, monkeypatch):
+    if shutil.which(twd_core.CC) is None:
+        pytest.skip("no C compiler")
+    compiles = []
+    compile_with = subprocess.run
+
+    def counted(argv, **kwargs):
+        compiles.append(argv)
+        return compile_with(argv, **kwargs)
+
+    monkeypatch.setattr(twd_core.subprocess, "run", counted)
+    one, other = Ranks(r=(1, 1, 1), h=(1, 1, 1)), Ranks(r=(2, 2, 2), h=(2, 2, 2))
+    kernels = [twd_core.training_kernel(ranks) for ranks in (one, other, one)]
+    assert [kernel.ranks for kernel in kernels] == [one, other, one]
+    assert kernels[2] is kernels[0]
+    assert len(compiles) == 3  # the generic build, then one per rank tuple
+    built = sorted(fresh_loader.iterdir())
+    assert [path.suffix for path in built] == [".so"] * 3
+    # a new process finds both in the cache
+    monkeypatch.setattr(twd_core, "_native", twd_core._UNLOADED)
+    monkeypatch.setattr(twd_core, "_for_ranks", {})
+    assert [twd_core.training_kernel(ranks).ranks for ranks in (one, other)] == [one, other]
+    assert len(compiles) == 3
+    assert sorted(fresh_loader.iterdir()) == built
+
+
+def test_a_failing_rank_build_leaves_train_on_the_generic_kernel(fresh_loader, monkeypatch,
+                                                                 tmp_path):
+    compiler = shutil.which(twd_core.CC)
+    if compiler is None:
+        pytest.skip("no C compiler")
+    observed, _, _ = planted_split()
+    write_coo(observed, tmp_path / "obs.txt")
+    argv = ["train", "--input", str(tmp_path / "obs.txt"), "--ranks", "2,2,2,2,2,2",
+            "--epochs", "5", "--ci", "0.01", "--reps", "2", "--report"]
+    ranks = Ranks(r=(2, 2, 2), h=(2, 2, 2))
+    # a compiler that fails for a rank build only
+    cc = tmp_path / "cc"
+    cc.write_text(f'#!/bin/sh\ncase "$*" in *-DTW_RANK*) exit 1;; esac\n'
+                  f'exec {compiler} "$@"\n')
+    cc.chmod(0o755)
+    monkeypatch.setattr(twd_core, "CC", str(cc))
+    assert main(argv + [str(tmp_path / "generic.json")]) == 0
+    assert twd_core._for_ranks == {ranks: twd_core.native_kernel()}  # train ran the generic
+    assert [path.suffix for path in fresh_loader.iterdir()] == [".so"]  # no temp file left
+    monkeypatch.setattr(twd_core, "CC", compiler)
+    monkeypatch.setattr(twd_core, "_for_ranks", {})
+    assert main(argv + [str(tmp_path / "ranks.json")]) == 0
+    assert twd_core._for_ranks[ranks].ranks == ranks  # train ran the rank build
+    assert (tmp_path / "generic.json").read_bytes() == (tmp_path / "ranks.json").read_bytes()
+
+
+@pytest.mark.parametrize("ranks", [Ranks(r=t[:3], h=t[3:]) for t in RANK_TUPLES],
+                         ids=["-".join(map(str, t)) for t in RANK_TUPLES])
+def test_a_rank_build_equals_the_generic_build_bitwise(ranks):
+    observed, _ = generate(SynthSpec(dims=(7, 6, 5), ranks=ranks, density=0.5,
+                                     noise_sigma=0.01, seed=3))
+    cols, gains = columns(observed), (0.05, 0.01, 1.0, 0.01, 0.001)
+    runs = []
+    for kernel in (rank_build(ranks), native()):
+        f, state = init_factors(observed.dims, ranks, 1, 0.3), PidState(len(observed))
+        epoch = kernel.epoch(f, cols, (state.integral, state.prev_error), gains)
+        loss = kernel.loss(f, cols, 0.01)
+        rng, losses = np.random.default_rng(0), []
+        for _ in range(50):
+            epoch(epoch_visit_order(rng, len(observed)))
+            losses.append(loss())
+        runs.append(([getattr(f, name).tobytes() for name in "gabc"], losses,
+                     state.integral.tobytes(), state.prev_error.tobytes()))
+    assert runs[0] == runs[1]
+
+
+def test_a_rank_build_refuses_factors_of_other_ranks():
+    ranks = Ranks(r=(2, 2, 2), h=(2, 2, 2))
+    kernel = rank_build(ranks)
+    cols = (np.zeros(1, np.int64),) * 3 + (np.ones(1),)
+    for other in (Ranks(r=(2, 2, 2), h=(2, 2, 3)), Ranks(r=(1, 2, 2), h=(2, 2, 2))):
+        f = init_factors((3, 3, 3), other, seed=0, scale=0.3)
+        before = [getattr(f, name).copy() for name in "gabc"]
+        for call in (lambda: kernel.epoch(f, cols, None, (0.1, 0.0, 1.0, 0.0, 0.0)),
+                     lambda: kernel.loss(f, cols, 0.01),
+                     lambda: kernel.partials(f, 0, 0, 0),
+                     lambda: kernel.step(f, 0, 0, 0, 1.0, 0, None, (0.1, 0.0, 1.0, 0.0, 0.0))):
+            with pytest.raises(ParameterError, match="built for ranks"):
+                call()
+        assert all(np.array_equal(getattr(f, name), was) for name, was in zip("gabc", before))
+    f = init_factors((3, 3, 3), ranks, seed=0, scale=0.3)
+    assert kernel.partials(f, 0, 0, 0)[0] == native().partials(f, 0, 0, 0)[0]
+
+
 def test_kernel_source_compiles_without_warnings(tmp_path):
     if shutil.which(twd_core.CC) is None:
         pytest.skip("no C compiler")
-    subprocess.run([twd_core.CC, *twd_core.CC_FLAGS, "-Wall", "-Wextra", "-Werror",
-                    "-o", str(tmp_path / "kernel.so"), str(twd_core.KERNEL_SOURCE)],
-                   check=True, capture_output=True)
+    for ranks in (None, Ranks(r=(3, 2, 4), h=(2, 3, 1))):  # the generic and a rank build
+        subprocess.run([twd_core.CC, *twd_core.kernel_flags(ranks), "-Wall", "-Wextra",
+                        "-Werror", "-o", str(tmp_path / "kernel.so"),
+                        str(twd_core.KERNEL_SOURCE)], check=True, capture_output=True)
 
 
 def test_every_exported_kernel_function_has_one_argtype_per_parameter():
