@@ -456,6 +456,9 @@ def main(argv=None) -> int:
     except (TensorWheelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the array: size, shape and dtype
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

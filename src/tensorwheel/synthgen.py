@@ -68,7 +68,7 @@ def generate(spec: SynthSpec) -> tuple[SparseTensor, TwdFactors]:
     linear = np.sort(rng.permutation(total)[:n_obs])
     ii, jj, kk = np.unravel_index(linear, spec.dims)
     # positions in row-major order: at full density this is the index grid
-    # that reconstruct_full contracts, so the output equals it bit for bit
+    # reconstruct_full hands reconstruct_entries, so the two agree bit for bit
     values = reconstruct_entries(truth, ii, jj, kk)
     if spec.noise_sigma > 0:
         values = values + rng.normal(0.0, spec.noise_sigma, n_obs)

@@ -26,20 +26,19 @@ per pass, each in the order of a plain loop, so blocking changes no
 bit.  It is built with the system C compiler on first use and loaded
 with ctypes (``native_kernel``), and numpy's ``block_partials`` runs
 wherever it cannot be; the trainer's epochs and losses run a build of
-the same source for their ranks (``training_kernel``), whose loops have
-constant trip counts and whose results are the same bit for bit.
+the same source, with the same flags, for their ranks
+(``training_kernel``), whose loops have constant trip counts and whose
+results are the same bit for bit.
 ``entry_partials``, ``reconstruct_entry`` and the trainer's step all
 run whichever kernel is loaded, never a mix, so ``reconstruct_entry``
 equals the trainer's x_hat bit for bit, as does each reconstruction of
 the native training loss.
-``reconstruct_entries`` and ``reconstruct_full`` run the same stages,
-summing over the same indices in the same order, as batched products
-over gathered slices, BATCH_CHUNK positions at a time; the products are
-grouped differently there, so they agree with ``reconstruct_entry`` to
-rounding, not bit for bit.  ``reconstruct_full`` contracts the row-major
-index grid in ``reconstruct_entries``'s chunks, stage 1 once per (i, j)
-pair of a chunk, so the two agree bit for bit there.  ``oracle_entry``
-is the independent six-loop reference.
+``reconstruct_entries`` runs the same stages, summing over the same
+indices in the same order, as batched products over gathered slices,
+BATCH_CHUNK positions at a time; the products are grouped differently
+there, so it agrees with ``reconstruct_entry`` to rounding, not bit for
+bit.  ``reconstruct_full`` is ``reconstruct_entries`` over the row-major
+index grid.  ``oracle_entry`` is the independent six-loop reference.
 """
 
 from __future__ import annotations
@@ -64,11 +63,10 @@ CHECKPOINT_MAGIC = "TWD v1"
 
 KERNEL_SOURCE = Path(__file__).with_name("twd_kernel.c")
 CC = "cc"
-# no FMA contraction: the kernel's update and PID fold round as numpy's do
-CC_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-# a build for one rank tuple: -O3 unrolls and vectorises its constant-count
-# loops; it is no faster on the generic build, whose counts are read at run time
-RANK_CC_FLAGS = ("-O3", *CC_FLAGS[1:])
+# no FMA contraction: the kernel's update and PID fold round as numpy's do;
+# -O3 unrolls and vectorises the constant-count loops of a build for one
+# rank tuple
+CC_FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 @dataclass(frozen=True)
@@ -386,12 +384,11 @@ _for_ranks: dict = {}  # Ranks -> the kernel training_kernel returns for them
 
 
 def kernel_flags(ranks: Ranks | None = None) -> list:
-    """The compiler flags of the generic build of ``twd_kernel.c``, or of
-    its build for ranks, which takes the six as constants."""
-    if ranks is None:
-        return list(CC_FLAGS)
-    return [*RANK_CC_FLAGS,
-            *(f"-DTW_RANK{q}={n}" for q, n in enumerate((*ranks.r, *ranks.h), start=3))]
+    """The compiler flags of ``twd_kernel.c``: CC_FLAGS for the generic
+    build, and for the build for ranks CC_FLAGS and the six ranks defined
+    as constants."""
+    defines = () if ranks is None else enumerate((*ranks.r, *ranks.h), start=3)
+    return [*CC_FLAGS, *(f"-DTW_RANK{q}={n}" for q, n in defines)]
 
 
 def _build_kernel(ranks: Ranks | None = None) -> Path:
@@ -504,28 +501,11 @@ def _slice_major(f: TwdFactors):
             np.ascontiguousarray(f.c.transpose(1, 2, 0, 3)).reshape(nk, 1, r3 * r2, h3))
 
 
-def _stage1(f: TwdFactors, slices, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Stage 1 for a batch of (i, j) pairs, as one batched matmul over
-    slices gathered from ``_slice_major(f)``: per pair and h1, an
-    (R3*R2, H2) block, so that stage 2 multiplies its transpose without a
-    copy."""
-    _, r2, r3 = f.ranks.r
-    h1, h2, _ = f.ranks.h
-    a_s, b_s, _ = slices
-    return (a_s[ii] @ b_s[jj]).reshape(len(ii), h1, r3 * r2, h2)
-
-
-def _stages23(f: TwdFactors, ab: np.ndarray, c_k: np.ndarray) -> np.ndarray:
-    """Stages 2 and 3 for a batch of positions, from their stage-1 blocks
-    and their gathered c slices, per position and h1."""
-    h1, h2, h3 = f.ranks.h
-    t_g = ab.transpose(0, 1, 3, 2) @ c_k  # (n, H1, H2, H3)
-    return t_g.reshape(len(ab), h1 * h2 * h3) @ f.g.ravel()
-
-
 def reconstruct_entries(f: TwdFactors, ii: np.ndarray, jj: np.ndarray,
                         kk: np.ndarray) -> np.ndarray:
-    """Reconstruct many elements at once, BATCH_CHUNK positions at a time."""
+    """Reconstruct many elements at once, BATCH_CHUNK positions at a time,
+    each chunk as batched matmuls over slices gathered from
+    ``_slice_major(f)``."""
     ni, nj, nk = f.dims
     n = len(ii)
     if n == 0:
@@ -533,37 +513,31 @@ def reconstruct_entries(f: TwdFactors, ii: np.ndarray, jj: np.ndarray,
     if (ii.min() < 0 or ii.max() >= ni or jj.min() < 0 or jj.max() >= nj
             or kk.min() < 0 or kk.max() >= nk):
         raise BoundsError(f"batch indices outside dims {f.dims}")
-    slices = _slice_major(f)
+    (_, r2, r3), (h1, h2, h3) = f.ranks.r, f.ranks.h
+    a_s, b_s, c_s = _slice_major(f)
+    g = f.g.ravel()
     out = np.empty(n)
     for start in range(0, n, BATCH_CHUNK):
         stop = start + BATCH_CHUNK
-        ab = _stage1(f, slices, ii[start:stop], jj[start:stop])
-        out[start:stop] = _stages23(f, ab, slices[2][kk[start:stop]])
+        # stage 1 per position and h1: an (R3*R2, H2) block, so that stage 2
+        # multiplies its transpose without a copy
+        ab = (a_s[ii[start:stop]] @ b_s[jj[start:stop]]).reshape(-1, h1, r3 * r2, h2)
+        t_g = ab.transpose(0, 1, 3, 2) @ c_s[kk[start:stop]]  # (n, H1, H2, H3)
+        out[start:stop] = t_g.reshape(len(ab), h1 * h2 * h3) @ g
     return out
 
 
 def reconstruct_full(f: TwdFactors, cap: int = DENSE_CAP) -> np.ndarray:
-    """Materialize the full dense reconstruction of shape ``f.dims``.
-
-    Runs the batched kernel over the row-major index grid, in the chunks
-    ``reconstruct_entries`` would, so it equals ``reconstruct_entries`` on
-    that grid bit for bit; stage 1 runs once per (i, j) pair a chunk
-    covers, not once per position.  Raises SizeCapError when the element
-    count exceeds ``cap``.
+    """Materialize the full dense reconstruction of shape ``f.dims``:
+    ``reconstruct_entries`` over the row-major index grid, which it holds
+    as 24 bytes per element.  Raises SizeCapError when the element count
+    exceeds ``cap``.
     """
     ni, nj, nk = f.dims
     total = ni * nj * nk
     if total > cap:
         raise SizeCapError(f"dense reconstruction of {total} elements exceeds cap {cap}")
-    slices = _slice_major(f)
-    out = np.empty(total)
-    for start in range(0, total, BATCH_CHUNK):
-        stop = min(start + BATCH_CHUNK, total)
-        pair, kk = np.divmod(np.arange(start, stop), nk)
-        first = start // nk
-        ab = _stage1(f, slices, *np.divmod(np.arange(first, pair[-1] + 1), nj))
-        out[start:stop] = _stages23(f, ab[pair - first], slices[2][kk])
-    return out.reshape(f.dims)
+    return reconstruct_entries(f, *np.indices(f.dims).reshape(3, -1)).reshape(f.dims)
 
 
 def checkpoint_text(f: TwdFactors) -> str:

@@ -8,7 +8,8 @@ import threading
 import numpy as np
 import pytest
 
-from tensorwheel import SplitSpec, ingest, load_checkpoint, oracle_entry
+from tensorwheel import (Ranks, SplitSpec, ingest, init_factors, load_checkpoint,
+                         oracle_entry, save_checkpoint)
 from tensorwheel.cli import _decimal, _parse_split, build_parser, main
 
 
@@ -557,3 +558,44 @@ def test_cli_failure_is_one_error_line(synth_file, tmp_path, capsys, monkeypatch
     assert run(argv) == 1
     assert_one_error_line(capsys)
     assert not report_path.exists()
+
+
+# ranks whose stage-1 block, R3*H1*R2*H2 doubles, takes 60 GiB at one
+# position, while each factor holds at most 180k values
+HUGE_RANKS = "1,300,300,300,300,1"
+# a child process whose address space is capped, so that the allocation
+# fails on any host, whatever its overcommit policy; argv[1] "numpy" runs
+# it without the native kernel
+CAPPED_CLI = (
+    "import resource, sys\n"
+    "from tensorwheel import cli, twd_core\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+    "if sys.argv[1] == 'numpy':\n"
+    "    twd_core._native = None\n"
+    "sys.exit(cli.main(sys.argv[2:]))\n")
+
+
+@pytest.mark.parametrize("command, kernel", [("synth", "native"), ("evaluate", "native"),
+                                             ("train", "native"), ("train", "numpy")])
+def test_ranks_too_large_for_memory_are_one_error_line(tmp_path, command, kernel):
+    obs = tmp_path / "obs.txt"
+    assert run(["synth", "--dims", "2,2,2", "--density", "1", "--output", obs,
+                "--truth", tmp_path / "truth.txt"]) == 0
+    if command == "synth":
+        argv = ["synth", "--dims", "2,2,2", "--density", "1", "--ranks", HUGE_RANKS,
+                "--output", tmp_path / "o.txt", "--truth", tmp_path / "t.txt"]
+    elif command == "evaluate":
+        checkpoint, ranks = tmp_path / "huge.txt", [int(r) for r in HUGE_RANKS.split(",")]
+        save_checkpoint(init_factors((2, 2, 2), Ranks(ranks[:3], ranks[3:]), 0, 0.1),
+                        checkpoint)
+        argv = ["evaluate", "--input", obs, "--checkpoint", checkpoint]
+    else:
+        argv = ["train", "--input", obs, "--ranks", HUGE_RANKS, "--epochs", 1, "--reps", 1,
+                "--report", tmp_path / "r.json"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, kernel, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), proc.stderr
+    assert "Traceback" not in proc.stderr
