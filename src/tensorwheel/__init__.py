@@ -25,7 +25,6 @@ from .pid_sgd import (
 )
 from .synthgen import SynthSpec, generate, holdout_set
 from .tensor_store import (
-    Entry,
     SparseTensor,
     SplitSpec,
     denormalize,

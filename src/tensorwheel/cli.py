@@ -23,10 +23,8 @@ import sys
 from dataclasses import asdict, replace
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ParameterError, StateError, TensorWheelError
-from .metrics import evaluate
+from .metrics import evaluate, mean
 from .pid_sgd import DivergenceError, HyperParams, train
 from .synthgen import SynthSpec, generate
 from .tensor_store import (SparseTensor, SplitSpec, ingest, normalize, open_replacing,
@@ -100,18 +98,6 @@ def _config(args, tensor, ranks: Ranks, ratios, **fields) -> dict:
             "kernel": kernel_name(), **fields}
 
 
-def _mean(values) -> float:
-    """The mean of values; a sum that overflows is taken again scaled by
-    m = max|x|, as m * mean(x / m), the way ``metrics.evaluate`` does."""
-    x = np.asarray(values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(x))
-    if not np.isfinite(mean):
-        m = float(np.max(np.abs(x)))
-        mean = m * float(np.mean(x / m))
-    return mean
-
-
 def _decimal(x: float) -> str:
     """x as the stdout summaries print it: with six decimals, or, past
     the 16 integer digits a float64 holds, with six in exponent form."""
@@ -132,7 +118,7 @@ def cmd_ingest_check(args) -> int:
     values = tensor.values
     print(f"ok: {len(tensor)} entries, dims {tensor.dims}")
     if len(tensor):
-        print(f"values: min {values.min():g} max {values.max():g} mean {_mean(values):g}")
+        print(f"values: min {values.min():g} max {values.max():g} mean {mean(values):g}")
     return 0
 
 
@@ -222,8 +208,8 @@ def run_train(args) -> dict:
 
     result = _repeat(args, "train", one)
     reps = result["repetitions"]
-    return {**result, "mean_rmse": _mean([r["rmse"] for r in reps]),
-            "mean_mae": _mean([r["mae"] for r in reps])}
+    return {**result, "mean_rmse": mean([r["rmse"] for r in reps]),
+            "mean_mae": mean([r["mae"] for r in reps])}
 
 
 def cmd_train(args) -> int:
@@ -267,10 +253,10 @@ def run_ablate(args) -> dict:
     result = _repeat(args, "ablate", one)
     reps = result["repetitions"]
     return {**result,
-            "mean_converged_at_pid": _mean([r["pid"]["converged_at"] for r in reps]),
-            "mean_converged_at_plain": _mean([r["plain"]["converged_at"] for r in reps]),
-            "mean_rmse_pid": _mean([r["pid"]["rmse"] for r in reps]),
-            "mean_rmse_plain": _mean([r["plain"]["rmse"] for r in reps])}
+            "mean_converged_at_pid": mean([r["pid"]["converged_at"] for r in reps]),
+            "mean_converged_at_plain": mean([r["plain"]["converged_at"] for r in reps]),
+            "mean_rmse_pid": mean([r["pid"]["rmse"] for r in reps]),
+            "mean_rmse_plain": mean([r["plain"]["rmse"] for r in reps])}
 
 
 def cmd_ablate(args) -> int:

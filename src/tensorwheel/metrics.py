@@ -19,19 +19,32 @@ class EvalReport:
     count: int
 
 
+def mean(values) -> float:
+    """The mean of values, bit for bit ``np.mean``'s: their float64 sum
+    over their count.  A sum that overflows is taken again scaled by
+    m = max|x|, as m * mean(x / m)."""
+    x = np.asarray(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = float(np.sum(x, dtype=np.float64) / x.size)
+        if not math.isfinite(result):
+            m = float(np.max(np.abs(x)))
+            result = m * float(np.sum(x / m) / x.size)
+    return result
+
+
 def evaluate(f: TwdFactors, test_set: SparseTensor, raw_domain: bool = False) -> EvalReport:
     """RMSE and MAE of the model's reconstructions over a held-out set.
 
-    rmse = sqrt(sum((y - y_hat)^2) / n), mae = sum(|y - y_hat|) / n.
+    rmse = sqrt(sum((y - y_hat)^2) / n), mae = mean(|y - y_hat|).
     With raw_domain=True both observations and predictions are mapped
     back through exp(v) - 1 before the residuals are taken, so the
     metrics are reported in the original weight domain; the test set
     must be normalized in that case.
 
-    A sum that overflows while the residuals are finite is taken again
-    scaled by m = max|y - y_hat|, as m * sqrt(mean(((y - y_hat) / m)^2))
-    and m * mean(|y - y_hat| / m).  A metric that is still not finite
-    raises DomainError.
+    A sum of squares that overflows while the residuals are finite is
+    taken again scaled by m = max|y - y_hat|, as
+    m * sqrt(mean(((y - y_hat) / m)^2)); the MAE is ``mean``'s.  A metric
+    that is still not finite raises DomainError.
     """
     n = len(test_set)
     if n == 0:
@@ -46,13 +59,10 @@ def evaluate(f: TwdFactors, test_set: SparseTensor, raw_domain: bool = False) ->
             preds = np.expm1(preds)
         residuals = y - preds
         rmse = float(np.sqrt(np.sum(residuals ** 2) / n))
-        mae = float(np.sum(np.abs(residuals)) / n)
-    if not (math.isfinite(rmse) and math.isfinite(mae)) and np.isfinite(residuals).all():
+    if not math.isfinite(rmse) and np.isfinite(residuals).all():
         m = float(np.max(np.abs(residuals)))
-        if not math.isfinite(rmse):
-            rmse = m * float(np.sqrt(np.mean((residuals / m) ** 2)))
-        if not math.isfinite(mae):
-            mae = m * float(np.mean(np.abs(residuals / m)))
+        rmse = m * float(np.sqrt(np.mean((residuals / m) ** 2)))
+    mae = mean(np.abs(residuals))
     for name, value in (("rmse", rmse), ("mae", mae)):
         if not math.isfinite(value):
             raise DomainError(f"{name} is not finite: a residual overflows float64")

@@ -8,6 +8,10 @@ by a weighted mix of the current residual (proportional), the running sum
 of that entry's residuals across its visits (integral), and the change
 since its previous visit (derivative).  Proportional-only settings
 (cp=1, ci=0, cd=0) reduce exactly to plain SGD.
+
+A step names its observation by the set and an entry id, the
+observation's position in the set's arrays, which is also its slot in
+the PID state.  On the native kernel a step is an epoch of one id.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .errors import BoundsError, DivergenceError, DomainError, ParameterError
 from .metrics import evaluate
-from .tensor_store import Entry, SparseTensor
+from .tensor_store import SparseTensor
 from .twd_core import (Ranks, TwdFactors, block_partials, check_index, entry_blocks,
                        finite_loss, init_factors, native_kernel, reconstruct_entries,
                        scatter_blocks, training_kernel)
@@ -144,27 +148,37 @@ def _gains(hp: HyperParams) -> tuple:
     return hp.eta, hp.lam, hp.cp, hp.ci, hp.cd
 
 
-def sgd_step(f: TwdFactors, entry: Entry, entry_id: int, state: PidState | None,
+def _columns(obs: SparseTensor) -> tuple:
+    return obs.ii, obs.jj, obs.kk, obs.values
+
+
+def sgd_step(f: TwdFactors, obs: SparseTensor, entry_id: int, state: PidState | None,
              hp: HyperParams) -> None:
-    """One PID-guided SGD step on a single observation (in place); with
-    ``state`` None, the plain SGD step, driven by the raw residual.
+    """One PID-guided SGD step (in place) on the observation ``entry_id``
+    of ``obs``, whose residual folds into the PID slot of the same id;
+    ``state`` holds one slot per observation of ``obs``.  With ``state``
+    None, the plain SGD step, driven by the raw residual.
 
     Every partial is taken before any write (Jacobi-style within the
     step).  The four blocks the entry touches are gathered into one
     vector p, p moves by one expression, and p is written back only if
     it and the driving error are finite: a diverging step raises
     DivergenceError and leaves f as it was, with the PID state folded.
-    Runs the native kernel when it is loaded, else ``_numpy_step``.
+    Runs the loaded native kernel's epoch over the one id, else
+    ``_numpy_step``; neither copies obs, so the cost does not grow with
+    its length.
     """
-    check_index(f, entry.i, entry.j, entry.k)
-    if state is not None and not 0 <= entry_id < len(state):
-        raise BoundsError(f"entry id {entry_id} outside state of size {len(state)}")
+    if not 0 <= entry_id < len(obs):
+        raise BoundsError(f"entry id {entry_id} outside the {len(obs)} observations")
+    if state is not None and len(state) != len(obs):
+        raise ParameterError(f"PID state of size {len(state)} for {len(obs)} observations")
+    i, j, k = (int(col[entry_id]) for col in (obs.ii, obs.jj, obs.kk))
+    check_index(f, i, j, k)
     kernel = native_kernel()
     if kernel is None:
-        _numpy_step(f, entry.i, entry.j, entry.k, entry.value, entry_id, state, hp)
+        _numpy_step(f, i, j, k, float(obs.values[entry_id]), entry_id, state, hp)
     else:
-        kernel.step(f, entry.i, entry.j, entry.k, entry.value, entry_id, _pid_arrays(state),
-                    _gains(hp))
+        kernel.epoch(f, _columns(obs), _pid_arrays(state), _gains(hp))(np.array([entry_id]))
 
 
 def _numpy_step(f: TwdFactors, i: int, j: int, k: int, value: float, entry_id: int,
@@ -183,10 +197,10 @@ def _numpy_step(f: TwdFactors, i: int, j: int, k: int, value: float, entry_id: i
     scatter_blocks(p, blocks)
 
 
-def plain_sgd_step(f: TwdFactors, entry: Entry, entry_id: int, hp: HyperParams) -> None:
+def plain_sgd_step(f: TwdFactors, obs: SparseTensor, entry_id: int, hp: HyperParams) -> None:
     """One plain SGD step: the raw residual drives the update directly,
     with no PID bookkeeping.  Reference path for the reduction check."""
-    sgd_step(f, entry, entry_id, None, hp)
+    sgd_step(f, obs, entry_id, None, hp)
 
 
 def epoch_visit_order(rng: np.random.Generator, n_entries: int) -> np.ndarray:
@@ -201,11 +215,10 @@ def _epoch_runner(f: TwdFactors, train_set: SparseTensor, state: PidState | None
     call into the native kernel built for f's ranks when it is loaded, else
     a loop of numpy steps.  It raises DivergenceError at the first step
     that diverges."""
-    columns = (train_set.ii, train_set.jj, train_set.kk, train_set.values)
     kernel = training_kernel(f.ranks)
     if kernel is not None:
-        return kernel.epoch(f, columns, _pid_arrays(state), _gains(hp))
-    ii, jj, kk, values = (col.tolist() for col in columns)
+        return kernel.epoch(f, _columns(train_set), _pid_arrays(state), _gains(hp))
+    ii, jj, kk, values = (col.tolist() for col in _columns(train_set))
 
     def run(order):
         for e in order.tolist():
@@ -219,7 +232,7 @@ def _loss_runner(f: TwdFactors, train_set: SparseTensor, lam: float):
     ``compute_loss``.  Either raises DomainError where the loss overflows."""
     kernel = training_kernel(f.ranks)
     if kernel is not None:
-        return kernel.loss(f, (train_set.ii, train_set.jj, train_set.kk, train_set.values), lam)
+        return kernel.loss(f, _columns(train_set), lam)
     return lambda: compute_loss(f, train_set, lam)
 
 

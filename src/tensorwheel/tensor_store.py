@@ -15,7 +15,6 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,16 +27,6 @@ from .errors import (
     StateError,
     TensorWheelError,
 )
-
-
-@dataclass(frozen=True)
-class Entry:
-    """One observed tensor element."""
-
-    i: int
-    j: int
-    k: int
-    value: float
 
 
 @dataclass(frozen=True)
@@ -60,27 +49,23 @@ class SplitSpec:
 class SparseTensor:
     """Immutable COO store of observed entries with dimension bounds.
 
-    Observations are held as four read-only arrays in entry order:
-    ``ii``, ``jj`` and ``kk`` (int64) and ``values`` (float64).
+    Observations are held as four read-only, C-ordered arrays in entry
+    order: ``ii``, ``jj`` and ``kk`` (int64) and ``values`` (float64),
+    copied from the given sequences; an observation is named by its
+    position in them, its entry id.  With no arrays the tensor is empty.
     ``normalized`` records whether the log transform has been applied.
     Safe for concurrent reads after construction.
     """
 
-    def __init__(self, dims, entries, normalized: bool = False):
-        keys = np.array([(e.i, e.j, e.k) for e in entries], dtype=np.int64).reshape(-1, 3)
-        self._store(dims, *keys.T, [e.value for e in entries], normalized)
-
-    @classmethod
-    def from_arrays(cls, dims, ii, jj, kk, values, normalized: bool = False) -> SparseTensor:
-        """A tensor over copies of the given index and value arrays."""
-        return cls.__new__(cls)._store(dims, ii, jj, kk, values, normalized)
+    def __init__(self, dims, ii=(), jj=(), kk=(), values=(), normalized: bool = False):
+        self._store(dims, ii, jj, kk, values, normalized)
 
     @classmethod
     def _over_valid_keys(cls, dims, ii, jj, kk, values, normalized: bool = False):
         """A tensor over keys in bounds and distinct by construction: taken
-        from a validated tensor, or from a mask of shape dims.  The index
-        arrays are kept, not copied, and only the values are checked; the
-        arrays must not be written afterwards."""
+        from a validated tensor, or from a mask of shape dims.  The arrays
+        are kept, not copied, where they are C-ordered already, and only
+        the values are checked; they must not be written afterwards."""
         return cls.__new__(cls)._store(dims, ii, jj, kk, values, normalized, keys_valid=True)
 
     def _store(self, dims, ii, jj, kk, values, normalized, keys_valid=False):
@@ -91,7 +76,7 @@ class SparseTensor:
         self.dims = tuple(int(d) for d in dims)
         if min(self.dims) < 1:
             raise ParameterError(f"dims must be >= 1, got {self.dims}")
-        keep = np.asarray if keys_valid else np.array
+        keep = np.ascontiguousarray if keys_valid else np.array
         ii, jj, kk = (keep(a, dtype=np.int64) for a in (ii, jj, kk))
         values = keep(values, dtype=np.float64)
         if values.ndim != 1 or not ii.shape == jj.shape == kk.shape == values.shape:
@@ -123,12 +108,6 @@ class SparseTensor:
 
     def __len__(self):
         return len(self.values)
-
-    @cached_property
-    def entries(self) -> list[Entry]:
-        """The observations as Entry records, in entry order; derived from the arrays."""
-        return list(map(Entry, self.ii.tolist(), self.jj.tolist(), self.kk.tolist(),
-                        self.values.tolist()))
 
 
 def _dims_header(line: str, line_no: int):
@@ -238,7 +217,7 @@ def _ingest_whole(data: bytes, dims, keep_last: bool):
         keys, values = _last_of_each_key(*keys, values)
     if dims == "infer":
         dims = header_dims or _inferred_dims(*keys)
-    return SparseTensor.from_arrays(dims, *keys, values), header_dims
+    return SparseTensor(dims, *keys, values), header_dims
 
 
 def _last_of_each_key(ii, jj, kk, values):
@@ -301,7 +280,7 @@ def _ingest_lines(data: bytes, dims, keep_last: bool):
     if dims == "infer":
         # one past the largest index seen; (1, 1, 1) for an empty file
         dims = header_dims or _inferred_dims(*keys.T)
-    return SparseTensor.from_arrays(dims, *keys.T, list(records.values())), header_dims
+    return SparseTensor(dims, *keys.T, list(records.values())), header_dims
 
 
 @contextmanager

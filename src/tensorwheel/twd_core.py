@@ -20,7 +20,7 @@ matrix products on reshaped slices:
 ``block_partials`` runs the three stages for one position, on the four
 blocks it touches, and, from stage 1's product and the same blocks, the
 partials with respect to the a, b and c slices.  ``twd_kernel.c`` runs
-the same stages in C, with the trainer's step, its epoch and its
+the same stages in C, with the trainer's epoch of steps and its
 training loss around them; every contraction there sums a few outputs
 per pass, each in the order of a plain loop, so blocking changes no
 bit.  It is built with the system C compiler on first use and loaded
@@ -29,13 +29,14 @@ wherever it cannot be; the trainer's epochs and losses run a build of
 the same source, with the same flags, for their ranks
 (``training_kernel``), whose loops have constant trip counts and whose
 results are the same bit for bit.
-``entry_partials``, ``reconstruct_entry`` and the trainer's step all
-run whichever kernel is loaded, never a mix, so ``reconstruct_entry``
-equals the trainer's x_hat bit for bit, as does each reconstruction of
-the native training loss.
+``entry_partials``, ``reconstruct_entry`` and the trainer's step (a
+one-entry epoch in C) all run whichever kernel is loaded, never a mix,
+so ``reconstruct_entry`` equals the trainer's x_hat bit for bit, as does
+each reconstruction of the native training loss.
 ``reconstruct_entries`` runs the same stages, summing over the same
 indices in the same order, as batched products over gathered slices,
-BATCH_CHUNK positions at a time; the products are grouped differently
+at most BATCH_CHUNK positions at a time and fewer where their stage-1
+block would pass BATCH_BYTES; the products are grouped differently
 there, so it agrees with ``reconstruct_entry`` to rounding, not bit for
 bit.  ``reconstruct_full`` is ``reconstruct_entries`` over the row-major
 index grid.  ``oracle_entry`` is the independent six-loop reference.
@@ -58,6 +59,7 @@ from .tensor_store import open_replacing
 
 DENSE_CAP = 10_000_000  # max elements a dense reconstruction may materialize
 BATCH_CHUNK = 256  # positions per batched-kernel call; bounds its temporaries
+BATCH_BYTES = 64 << 20  # cap on a chunk's stage-1 block, where BATCH_CHUNK positions pass it
 
 CHECKPOINT_MAGIC = "TWD v1"
 
@@ -219,6 +221,14 @@ def entry_blocks(f: TwdFactors, i: int, j: int, k: int) -> tuple:
     return f.g, f.a[:, i], f.b[:, j], f.c[:, k]
 
 
+def workspace(ranks: Ranks, extra: int = 0) -> np.ndarray:
+    """A fresh workspace of the native kernel: p and t, one block vector
+    each, then the stage products ab, gb and ca, then ``extra`` doubles."""
+    (r1, r2, r3), (h1, h2, h3) = ranks.r, ranks.h
+    n = sum(math.prod(s) for s in block_shapes(ranks))
+    return np.empty(2 * n + r3 * h1 * r2 * h2 + r1 * r2 * h1 * h3 + r2 * h3 * r1 * h1 + extra)
+
+
 def scatter_blocks(flat: np.ndarray, blocks) -> None:
     """Write a vector laid out as ``np.concatenate(blocks, axis=None)``
     back into ``blocks``, arrays or views, each in row-major order."""
@@ -242,18 +252,15 @@ class NativeKernel:
 
     Each call checks the arrays it hands over: float64 (int64 for
     indices), C order, their shapes or lengths, and writeable
-    where the kernel writes.  The indices and entry ids the kernel
-    follows are checked by the callers, the public functions of this
-    module and of ``pid_sgd``; only the epoch's visit order is checked
-    here.
+    where the kernel writes.  The indices the kernel follows are
+    checked by the callers, the public functions of this module and of
+    ``pid_sgd``; only the epoch's visit order is checked here.
     """
 
     def __init__(self, lib: ctypes.CDLL, ranks: Ranks | None = None):
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
         lib.tw_partials.argtypes = [ptr] * 5 + [i64] * 3 + [ptr]
         lib.tw_partials.restype = f64
-        lib.tw_step.argtypes = [ptr] * 5 + [i64] * 3 + [f64, i64] + [ptr] * 4
-        lib.tw_step.restype = ctypes.c_int
         lib.tw_epoch.argtypes = [ptr] * 10 + [i64] + [ptr] * 4
         lib.tw_epoch.restype = i64
         lib.tw_loss.argtypes = [ptr] * 9 + [i64, f64, ptr]
@@ -262,11 +269,11 @@ class NativeKernel:
         self.ranks = ranks  # those of a build for one rank tuple; None: any
 
     def _operands(self, f: TwdFactors, in_place: bool, extra: int = 0) -> list:
-        """The kernel's shape vector, f's four arrays and a fresh workspace,
-        ``extra`` doubles longer than a step's.  In place, the arrays are
-        f's own, which the kernel writes or a runner reads across calls,
-        so they must be writeable; else they may be contiguous copies.  A
-        build for one rank tuple takes factors of those ranks only."""
+        """The kernel's shape vector, f's four arrays and a fresh
+        ``workspace(f.ranks, extra)``.  In place, the arrays are f's own,
+        which the kernel writes or a runner reads across calls, so they
+        must be writeable; else they may be contiguous copies.  A build
+        for one rank tuple takes factors of those ranks only."""
         if self.ranks is not None and f.ranks != self.ranks:
             raise ParameterError(f"kernel built for ranks r={self.ranks.r} h={self.ranks.h} "
                                  f"given factors of ranks r={f.ranks.r} h={f.ranks.h}")
@@ -279,18 +286,15 @@ class NativeKernel:
                 raise ParameterError(f"factor {name} must be a C-ordered float64 array of "
                                      f"shape {shape}" + (", writeable" if in_place else ""))
             arrays.append(arr)
-        (r1, r2, r3), (h1, h2, h3) = f.ranks.r, f.ranks.h
-        n = sum(math.prod(s) for s in block_shapes(f.ranks))
-        # p and t, then the stage products ab, gb and ca
-        work = np.empty(2 * n + r3 * h1 * r2 * h2 + r1 * r2 * h1 * h3 + r2 * h3 * r1 * h1
-                        + extra)
-        return [np.array([*f.dims, *f.ranks.r, *f.ranks.h], dtype=np.int64), *arrays, work]
+        return [np.array([*f.dims, *f.ranks.r, *f.ranks.h], dtype=np.int64), *arrays,
+                workspace(f.ranks, extra)]
 
     @staticmethod
     def _columns(columns) -> list:
-        """Copies of the training columns (ii, jj, kk, values) as int64 and
-        float64 arrays, of one length."""
-        cols = [np.array(col, dtype=dtype)
+        """The columns (ii, jj, kk, values) as C-ordered int64 and float64
+        arrays, of one length; arrays that already are, such as a
+        SparseTensor's read-only ones, are kept, not copied."""
+        cols = [np.ascontiguousarray(col, dtype=dtype)
                 for col, dtype in zip(columns, (np.int64,) * 3 + (np.float64,))]
         if any(col.shape != cols[3].shape for col in cols) or cols[3].ndim != 1:
             raise ParameterError("the training columns differ in length")
@@ -320,23 +324,14 @@ class NativeKernel:
                                      "of one length")
         return [arr.ctypes.data for arr in pid]
 
-    def step(self, f: TwdFactors, i: int, j: int, k: int, value: float, entry_id: int,
-             pid, gains) -> None:
-        """One step in place (the plain step with ``pid`` None); gains are
-        (eta, lam, cp, ci, cd).  A diverging step raises DivergenceError
-        and writes nothing."""
-        operands = self._operands(f, in_place=True)
-        hp = np.array(gains, dtype=np.float64)
-        shape, g, a, b, c, work = (arr.ctypes.data for arr in operands)
-        if self._lib.tw_step(shape, g, a, b, c, i, j, k, value, entry_id, hp.ctypes.data,
-                             *self._pid(pid), work):
-            raise DivergenceError(entry_id)
-
     def epoch(self, f: TwdFactors, columns, pid, gains):
-        """A function running one epoch of steps over an order of entry ids
-        in one call; it raises DivergenceError at the step that diverges.
-        ``columns`` (ii, jj, kk, values) are copied once, here; their
-        indices must lie inside f's dims, and the PID state must cover them."""
+        """A function running one epoch of steps in place over an order of
+        entry ids in one call (plain steps with ``pid`` None); gains are
+        (eta, lam, cp, ci, cd).  It raises DivergenceError at the step that
+        diverges, which writes nothing back.  ``columns`` (ii, jj, kk,
+        values) are taken by ``_columns`` and must not be written while
+        the function is in use; their indices must lie inside f's dims,
+        and the PID state must cover them."""
         operands = self._operands(f, in_place=True)
         cols = self._columns(columns)
         hp = np.array(gains, dtype=np.float64)
@@ -364,8 +359,8 @@ class NativeKernel:
         one call; as there, a loss that overflows raises DomainError.  Each
         reconstruction equals the step's bit for bit; the sums run in an
         order of their own, so the loss agrees with numpy's to rounding.
-        The columns are copied once, here; their indices must lie inside
-        f's dims."""
+        The columns are taken as ``epoch`` takes them; their indices must
+        lie inside f's dims."""
         operands = self._operands(f, in_place=True, extra=sum(f.dims))
         cols = self._columns(columns)
         args = [*(arr.ctypes.data for arr in operands[:-1]), *(col.ctypes.data for col in cols),
@@ -391,23 +386,27 @@ def kernel_flags(ranks: Ranks | None = None) -> list:
     return [*CC_FLAGS, *(f"-DTW_RANK{q}={n}" for q, n in defines)]
 
 
-def _build_kernel(ranks: Ranks | None = None) -> Path:
-    """The kernel's shared library, generic or built for ranks, compiled
-    into the cache ($XDG_CACHE_HOME/tensorwheel, by default
-    ~/.cache/tensorwheel) unless a build of the same source and flags is
-    there; the build goes to a temp file that replaces the target only
-    once it is whole."""
-    flags = kernel_flags(ranks)
-    source = KERNEL_SOURCE.read_bytes()
-    key = hashlib.sha256(source + " ".join(flags).encode()).hexdigest()
+def library_path(ranks: Ranks | None = None) -> Path:
+    """Where the kernel's shared library, generic or built for ranks, is
+    cached: in $XDG_CACHE_HOME/tensorwheel (by default
+    ~/.cache/tensorwheel), named by the sha256 of the source and flags."""
+    flags = " ".join(kernel_flags(ranks)).encode()
+    key = hashlib.sha256(KERNEL_SOURCE.read_bytes() + flags).hexdigest()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache", "tensorwheel")
-    path = cache / f"{key}.so"
+    return cache / f"{key}.so"
+
+
+def _build_kernel(ranks: Ranks | None = None) -> Path:
+    """``library_path(ranks)``, compiled there unless it exists; the build
+    goes to a temp file that replaces the target only once it is whole."""
+    path = library_path(ranks)
     if not path.exists():
-        cache.mkdir(parents=True, exist_ok=True)
-        tmp = cache / f"{key}.{os.urandom(6).hex()}.tmp"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(f".{os.urandom(6).hex()}.tmp")
         try:
-            subprocess.run([CC, *flags, "-o", str(tmp), "-x", "c", "-"], input=source,
-                           capture_output=True, check=True, timeout=300)
+            subprocess.run([CC, *kernel_flags(ranks), "-o", str(tmp), "-x", "c", "-"],
+                           input=KERNEL_SOURCE.read_bytes(), capture_output=True, check=True,
+                           timeout=300)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
@@ -432,11 +431,13 @@ def training_kernel(ranks: Ranks) -> NativeKernel | None:
     build for ranks, compiled and loaded on the first call for them; the
     generic kernel where that build or load fails; None, as
     ``native_kernel``, where the generic kernel is not loaded.  Both
-    builds give the same results bit for bit."""
+    builds give the same results bit for bit.  Ranks whose workspace
+    cannot be allocated raise MemoryError before any build for them."""
     generic = native_kernel()
     if generic is None:
         return None
     if ranks not in _for_ranks:
+        workspace(ranks)  # fails here, not after compiling a build that could never run
         try:
             _for_ranks[ranks] = NativeKernel(ctypes.CDLL(str(_build_kernel(ranks))), ranks)
         except (OSError, subprocess.SubprocessError):
@@ -503,9 +504,11 @@ def _slice_major(f: TwdFactors):
 
 def reconstruct_entries(f: TwdFactors, ii: np.ndarray, jj: np.ndarray,
                         kk: np.ndarray) -> np.ndarray:
-    """Reconstruct many elements at once, BATCH_CHUNK positions at a time,
-    each chunk as batched matmuls over slices gathered from
-    ``_slice_major(f)``."""
+    """Reconstruct many elements at once, each chunk of positions as
+    batched matmuls over slices gathered from ``_slice_major(f)``.  A
+    chunk holds BATCH_CHUNK positions, or as many, at least one, as keep
+    its stage-1 block, R3*H1*R2*H2 doubles a position, within
+    BATCH_BYTES."""
     ni, nj, nk = f.dims
     n = len(ii)
     if n == 0:
@@ -517,8 +520,9 @@ def reconstruct_entries(f: TwdFactors, ii: np.ndarray, jj: np.ndarray,
     a_s, b_s, c_s = _slice_major(f)
     g = f.g.ravel()
     out = np.empty(n)
-    for start in range(0, n, BATCH_CHUNK):
-        stop = start + BATCH_CHUNK
+    chunk = max(1, min(BATCH_CHUNK, BATCH_BYTES // (8 * r3 * h1 * r2 * h2)))
+    for start in range(0, n, chunk):
+        stop = start + chunk
         # stage 1 per position and h1: an (R3*R2, H2) block, so that stage 2
         # multiplies its transpose without a copy
         ab = (a_s[ii[start:stop]] @ b_s[jj[start:stop]]).reshape(-1, h1, r3 * r2, h2)

@@ -1,4 +1,6 @@
-/* Native single-entry kernel of the tensor wheel model.
+/* Native kernel of the tensor wheel model: the reconstruction and
+ * partials at one position (tw_partials), an epoch of PID-SGD steps
+ * (tw_epoch) and the regularized training loss (tw_loss).
  *
  * Built and loaded by twd_core with the system C compiler, without
  * contraction of multiplies and adds into FMAs, so that the update and
@@ -182,9 +184,9 @@ double tw_partials(const int64_t *s, double *g, double *a, double *b, double *c,
  * cd).  With integral NULL it is the plain step, driven by the raw
  * residual.  Returns 1, writing nothing back, when the driving error or
  * an updated value is not finite; the PID state is folded either way. */
-int tw_step(const int64_t *s, double *g, double *a, double *b, double *c,
-            int64_t i, int64_t j, int64_t k, double value, int64_t id, const double *hp,
-            double *integral, double *prev, double *w)
+static int step(const int64_t *s, double *g, double *a, double *b, double *c,
+                int64_t i, int64_t j, int64_t k, double value, int64_t id, const double *hp,
+                double *integral, double *prev, double *w)
 {
     const int64_t n = block_len(s);
     double *p = w, *t = w + n;
@@ -208,7 +210,7 @@ int tw_step(const int64_t *s, double *g, double *a, double *b, double *c,
     return 0;
 }
 
-/* tw_step over the entries order[0..n_order); returns -1, or the id of
+/* step over the entries order[0..n_order); returns -1, or the id of
  * the entry whose step diverged, where the epoch stops. */
 int64_t tw_epoch(const int64_t *s, double *g, double *a, double *b, double *c,
                  const int64_t *ii, const int64_t *jj, const int64_t *kk, const double *values,
@@ -217,8 +219,8 @@ int64_t tw_epoch(const int64_t *s, double *g, double *a, double *b, double *c,
 {
     for (int64_t q = 0; q < n_order; q++) {
         const int64_t id = order[q];
-        if (tw_step(s, g, a, b, c, ii[id], jj[id], kk[id], values[id], id, hp,
-                    integral, prev, w))
+        if (step(s, g, a, b, c, ii[id], jj[id], kk[id], values[id], id, hp,
+                 integral, prev, w))
             return id;
     }
     return -1;

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from tensorwheel import (
-    Entry,
     HyperParams,
     Ranks,
     SparseTensor,
@@ -32,6 +31,8 @@ from tensorwheel import (
 )
 from tensorwheel.cli import build_parser, main, run_grid
 from tensorwheel.tensor_store import largest_remainder_sizes
+
+from records import entries
 
 PLANTED_RANKS = Ranks(r=(2, 2, 2), h=(2, 2, 2))
 GRID_ETAS = "0.1,0.03,0.01"
@@ -129,11 +130,11 @@ def test_criterion_2_gradient_check():
             arr *= 0.9
             arr += 0.1  # parameter magnitudes in [0.1, 1]
         i, j, k = (int(rng.integers(d)) for d in dims)
-        obs = SparseTensor(dims, [Entry(i, j, k, float(rng.uniform(-1, 1)))])
+        obs = SparseTensor(dims, [i], [j], [k], [float(rng.uniform(-1, 1))])
 
         before = f.copy()
         hp = HyperParams(eta=eta, lam=lam, cp=1.0, ci=0.0, cd=0.0, seed=0)
-        sgd_step(f, obs.entries[0], 0, PidState(1), hp)
+        sgd_step(f, obs, 0, PidState(1), hp)
 
         def loss_with(name, full_idx, delta):
             probe = before.copy()
@@ -222,8 +223,7 @@ def test_criterion_6_metric_identities():
         c = np.zeros((1, n, 1, 1))
         f = TwdFactors(np.ones((1, 1, 1)), np.ones((1, 1, 1, 1)),
                        np.ones((1, 1, 1, 1)), c, (1, 1, n), ranks)
-        entries = [Entry(0, 0, k, float(r)) for k, r in enumerate(residuals)]
-        return evaluate(f, SparseTensor((1, 1, n), entries))
+        return evaluate(f, SparseTensor((1, 1, n), [0] * n, [0] * n, range(n), residuals))
 
     rng = np.random.default_rng(1006)
     violations = 0
@@ -244,7 +244,7 @@ def test_criterion_6_metric_identities():
 
 
 def test_criterion_7_split_protocol():
-    t = SparseTensor((100, 1, 1), [Entry(i, 0, 0, float(i)) for i in range(100)])
+    t = SparseTensor((100, 1, 1), range(100), [0] * 100, [0] * 100, range(100))
     tr, va, te = split(t, SplitSpec(ratios=(1, 2, 7), seed=0))
     exact = (len(tr), len(va), len(te)) == (10, 20, 70)
 
@@ -252,14 +252,14 @@ def test_criterion_7_split_protocol():
     clean = True
     for trial in range(200):
         n = int(rng.integers(1, 60))
-        entries = [Entry(i, 0, 0, float(rng.uniform())) for i in range(n)]
-        tensor = SparseTensor((n, 1, 1), entries)
+        tensor = SparseTensor((n, 1, 1), range(n), [0] * n, [0] * n,
+                              [float(rng.uniform()) for _ in range(n)])
         ratios = tuple(int(x) for x in rng.integers(0, 6, 3))
         if sum(ratios) == 0:
             ratios = (1, 2, 7)
         parts = split(tensor, SplitSpec(ratios=ratios, seed=int(rng.integers(1e9))))
-        keys = [set((e.i, e.j, e.k) for e in p.entries) for p in parts]
-        covered = keys[0] | keys[1] | keys[2] == {(e.i, e.j, e.k) for e in entries}
+        keys = [set((e.i, e.j, e.k) for e in entries(p)) for p in parts]
+        covered = keys[0] | keys[1] | keys[2] == {(e.i, e.j, e.k) for e in entries(tensor)}
         disjoint = (not keys[0] & keys[1] and not keys[0] & keys[2]
                     and not keys[1] & keys[2])
         sized = tuple(len(p) for p in parts) == largest_remainder_sizes(n, ratios)

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from tensorwheel import (Ranks, SplitSpec, ingest, init_factors, load_checkpoint,
-                         oracle_entry, save_checkpoint)
+                         oracle_entry, save_checkpoint, twd_core)
 from tensorwheel.cli import _decimal, _parse_split, build_parser, main
+
+from records import entries
 
 
 def run(argv):
@@ -87,7 +89,7 @@ def test_split_command_writes_parts(tmp_path):
     assert [len(p) for p in parts] == [2, 4, 14]
     keys = set()
     for p in parts:
-        keys |= {(e.i, e.j, e.k) for e in p.entries}
+        keys |= {(e.i, e.j, e.k) for e in entries(p)}
     assert len(keys) == 20
 
 
@@ -99,7 +101,7 @@ def test_synth_outputs_are_consistent(synth_file):
     truth = load_checkpoint(truth_path)
     assert observed.dims == truth.dims == (8, 8, 6)
     assert len(observed) == int(np.ceil(0.4 * 8 * 8 * 6))
-    for e in observed.entries[:10]:
+    for e in entries(observed)[:10]:
         assert abs(e.value - oracle_entry(truth, e.i, e.j, e.k)) < 1e-12
 
 
@@ -577,7 +579,8 @@ CAPPED_CLI = (
 
 @pytest.mark.parametrize("command, kernel", [("synth", "native"), ("evaluate", "native"),
                                              ("train", "native"), ("train", "numpy")])
-def test_ranks_too_large_for_memory_are_one_error_line(tmp_path, command, kernel):
+def test_ranks_too_large_for_memory_are_one_error_line(tmp_path, monkeypatch, command, kernel):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # the children's kernel cache
     obs = tmp_path / "obs.txt"
     assert run(["synth", "--dims", "2,2,2", "--density", "1", "--output", obs,
                 "--truth", tmp_path / "truth.txt"]) == 0
@@ -599,3 +602,5 @@ def test_ranks_too_large_for_memory_are_one_error_line(tmp_path, command, kernel
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), proc.stderr
     assert "Traceback" not in proc.stderr
+    huge = [int(r) for r in HUGE_RANKS.split(",")]
+    assert not twd_core.library_path(Ranks(huge[:3], huge[3:])).exists()  # nothing was built

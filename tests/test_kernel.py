@@ -17,7 +17,6 @@ from tensorwheel import (
     BoundsError,
     DivergenceError,
     DomainError,
-    Entry,
     HyperParams,
     ParameterError,
     PidState,
@@ -200,41 +199,51 @@ def test_native_and_numpy_trajectories_agree(dims, r, h, lam, eta, cp, ci, cd, s
     native()
     hp = HyperParams(eta=eta, lam=lam, cp=cp, ci=ci, cd=cd)
     rng = np.random.default_rng(seed)
-    entries = [Entry(*(int(rng.integers(d)) for d in dims), float(rng.uniform(-1, 1)))
-               for _ in range(3)]
+    draws = [(*(int(rng.integers(d)) for d in dims), float(rng.uniform(-1, 1)))
+             for _ in range(3)]
+    # a set and a PID state of one entry per draw, as two draws may share a position
+    sets = [SparseTensor(dims, [i], [j], [k], [v]) for i, j, k, v in draws]
     # values scaled so that a reconstruction is of order one at every rank
     start = init_factors(dims, Ranks(r=r, h=h), seed, 1.0 / max(*r, *h))
     runs = {}
     for name in ("native", "numpy"):
-        f, state, diverged_at = start.copy(), PidState(len(entries)), None
+        f, states, diverged_at = start.copy(), [PidState(1) for _ in sets], None
         with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
             if name == "numpy":
                 mp.setattr(twd_core, "_native", None)
             for step in range(20):
                 try:
-                    sgd_step(f, entries[step % 3], step % 3, state, hp)
+                    sgd_step(f, sets[step % 3], 0, states[step % 3], hp)
                 except DivergenceError:
                     diverged_at = step
                     break
-        runs[name] = f, state, diverged_at
-    (ours, our_state, ours_at), (ref, ref_state, ref_at) = runs["native"], runs["numpy"]
+        runs[name] = f, np.concatenate([state.integral for state in states]), diverged_at
+    (ours, our_integral, ours_at), (ref, ref_integral, ref_at) = runs["native"], runs["numpy"]
     assert ours_at == ref_at
     for name in "gabc":
         want = getattr(ref, name)
         assert np.all(np.abs(getattr(ours, name) - want) <= 1e-12 * np.abs(want).max())
-    assert np.allclose(our_state.integral, ref_state.integral, rtol=1e-12,
-                       atol=1e-12 * np.abs(ref_state.integral).max(), equal_nan=True)
+    assert np.allclose(our_integral, ref_integral, rtol=1e-12,
+                       atol=1e-12 * np.abs(ref_integral).max(), equal_nan=True)
 
 
 def columns(obs):
     return obs.ii, obs.jj, obs.kk, obs.values
 
 
+def test_the_kernel_takes_a_tensors_arrays_without_a_copy():
+    # so that a step, an epoch of one id, costs the same on a set of any size
+    observed, _ = generate(SynthSpec(dims=(7, 6, 5), ranks=Ranks(r=(2, 2, 2), h=(2, 2, 2)),
+                                     density=0.5, seed=3))
+    cols = columns(observed)
+    assert all(kept is col for kept, col in zip(native()._columns(cols), cols))
+
+
 def test_native_loss_of_one_entry_without_l2_is_its_squared_residual():
     f = init_factors((3, 4, 2), Ranks(r=(2, 3, 1), h=(3, 1, 2)), seed=5, scale=0.7)
     # slice norms that overflow, where lam = 0 must not read them
     skewed = TwdFactors(f.g, f.a * 1e160, f.b * 1e-160, f.c, f.dims, f.ranks)
-    obs = SparseTensor(f.dims, [Entry(1, 3, 1, 0.25)])
+    obs = SparseTensor(f.dims, [1], [3], [1], [0.25])
     for factors in (f, skewed):
         want = (0.25 - reconstruct_entry(factors, 1, 3, 1)) ** 2
         assert native().loss(factors, columns(obs), 0.0)() == want
@@ -243,7 +252,7 @@ def test_native_loss_of_one_entry_without_l2_is_its_squared_residual():
 def test_native_loss_that_overflows_raises_as_compute_loss_does():
     f = init_factors((3, 4, 2), Ranks(r=(2, 3, 1), h=(3, 1, 2)), seed=5, scale=0.7)
     huge = TwdFactors(f.g * 1e200, f.a * 1e200, f.b, f.c, f.dims, f.ranks)
-    obs = SparseTensor(f.dims, [Entry(1, 3, 1, 0.25), Entry(0, 0, 0, 1.0)])
+    obs = SparseTensor(f.dims, [1, 0], [3, 0], [1, 0], [0.25, 1.0])
     for lam in (0.0, 0.01):
         with pytest.raises(DomainError) as ours:
             native().loss(huge, columns(obs), lam)()
@@ -259,7 +268,7 @@ def test_native_loss_matches_compute_loss(f, n, lam, seed):
     rng = np.random.default_rng(seed)
     ii, jj, kk = (rng.integers(0, d, n) for d in f.dims)
     keys = np.unique(np.stack([ii, jj, kk]), axis=1)  # distinct positions
-    obs = SparseTensor.from_arrays(f.dims, *keys, rng.uniform(-1, 1, keys.shape[1]))
+    obs = SparseTensor(f.dims, *keys, rng.uniform(-1, 1, keys.shape[1]))
     ours, want = native().loss(f, columns(obs), lam)(), compute_loss(f, obs, lam)
     # relative to the loss, or to the residuals' scale where a reconstruction
     # cancels its observation
@@ -293,10 +302,9 @@ def test_train_equals_its_sgd_step_replay_on_both_kernels(kernel):
     trained, _ = train(tr, empty, observed.dims, ranks, hp)
     replay = init_factors(observed.dims, ranks, hp.seed, hp.init_scale)
     state, rng = PidState(len(tr)), np.random.default_rng(hp.seed)
-    entries = tr.entries
     for _ in range(hp.max_epochs):
         for eid in epoch_visit_order(rng, len(tr)):
-            sgd_step(replay, entries[eid], int(eid), state, hp)
+            sgd_step(replay, tr, int(eid), state, hp)
     for name in "gabc":
         assert getattr(trained, name).tobytes() == getattr(replay, name).tobytes()
 
@@ -312,7 +320,7 @@ def test_train_loss_history_is_a_compute_loss_replay_on_both_kernels(kernel):
     losses = []
     for _ in range(report.epochs_run):
         for eid in epoch_visit_order(rng, len(tr)):
-            sgd_step(replay, tr.entries[eid], int(eid), state, hp)
+            sgd_step(replay, tr, int(eid), state, hp)
         losses.append(compute_loss(replay, tr, hp.lam))
     if kernel == "numpy":
         assert report.loss_history == losses
@@ -354,13 +362,17 @@ def test_sgd_step_rejects_what_lies_outside_the_factors(kernel):
     f = init_factors((3, 4, 2), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=0, scale=0.3)
     before = f.copy()
     hp = HyperParams(eta=0.1)
-    for entry in (Entry(3, 0, 0, 1.0), Entry(0, 4, 0, 1.0), Entry(0, 0, 2, 1.0),
-                  Entry(-1, 0, 0, 1.0)):
+    # dims larger than f's, so that the set holds what lies outside f
+    outside = SparseTensor((4, 5, 3), [3, 0, 0], [0, 4, 0], [0, 0, 2], [1.0, 1.0, 1.0])
+    for entry_id in range(len(outside)):
         with pytest.raises(BoundsError):
-            sgd_step(f, entry, 0, PidState(1), hp)
+            sgd_step(f, outside, entry_id, PidState(len(outside)), hp)
+    one = SparseTensor(f.dims, [0], [0], [0], [1.0])
     for entry_id in (-1, 1):
         with pytest.raises(BoundsError):
-            sgd_step(f, Entry(0, 0, 0, 1.0), entry_id, PidState(1), hp)
+            sgd_step(f, one, entry_id, PidState(1), hp)
+    with pytest.raises(ParameterError, match="PID state of size 2 for 1 observations"):
+        sgd_step(f, one, 0, PidState(2), hp)
     for name in "gabc":
         assert getattr(f, name).tobytes() == getattr(before, name).tobytes()
 
@@ -498,8 +510,7 @@ def test_a_rank_build_refuses_factors_of_other_ranks():
         before = [getattr(f, name).copy() for name in "gabc"]
         for call in (lambda: kernel.epoch(f, cols, None, (0.1, 0.0, 1.0, 0.0, 0.0)),
                      lambda: kernel.loss(f, cols, 0.01),
-                     lambda: kernel.partials(f, 0, 0, 0),
-                     lambda: kernel.step(f, 0, 0, 0, 1.0, 0, None, (0.1, 0.0, 1.0, 0.0, 0.0))):
+                     lambda: kernel.partials(f, 0, 0, 0)):
             with pytest.raises(ParameterError, match="built for ranks"):
                 call()
         assert all(np.array_equal(getattr(f, name), was) for name, was in zip("gabc", before))

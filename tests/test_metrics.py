@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +12,6 @@ from hypothesis import strategies as st
 
 from tensorwheel import (
     DomainError,
-    Entry,
     ParameterError,
     Ranks,
     SparseTensor,
@@ -18,6 +21,7 @@ from tensorwheel import (
     evaluate,
     normalize,
 )
+from tensorwheel.metrics import mean
 
 
 def model_predicting(values, dims):
@@ -33,14 +37,14 @@ def eval_residuals(residuals):
     """Score a test set engineered to produce exactly these residuals."""
     preds = np.zeros(len(residuals))
     f = model_predicting(preds, (1, 1))
-    entries = [Entry(0, 0, k, float(r)) for k, r in enumerate(residuals)]
-    return evaluate(f, SparseTensor((1, 1, len(residuals)), entries))
+    n = len(residuals)
+    return evaluate(f, SparseTensor((1, 1, n), [0] * n, [0] * n, range(n), residuals))
 
 
 def test_perfect_predictions():
     f = model_predicting([0.5, 1.5, -2.0], (1, 1))
-    entries = [Entry(0, 0, 0, 0.5), Entry(0, 0, 1, 1.5), Entry(0, 0, 2, -2.0)]
-    report = evaluate(f, SparseTensor((1, 1, 3), entries))
+    report = evaluate(f, SparseTensor((1, 1, 3), [0, 0, 0], [0, 0, 0], [0, 1, 2],
+                                      [0.5, 1.5, -2.0]))
     assert report.rmse == 0.0
     assert report.mae == 0.0
     assert report.count == 3
@@ -103,7 +107,7 @@ def test_raw_domain_metrics():
     raw_values = [0.5, 2.0, 4.0]
     preds_log = [0.3, 0.9, 1.2]
     f = model_predicting(preds_log, (1, 1))
-    raw = SparseTensor((1, 1, 3), [Entry(0, 0, k, v) for k, v in enumerate(raw_values)])
+    raw = SparseTensor((1, 1, 3), [0, 0, 0], [0, 0, 0], [0, 1, 2], raw_values)
     logged = normalize(raw)
 
     report = evaluate(f, logged, raw_domain=True)
@@ -116,7 +120,7 @@ def test_raw_domain_metrics():
 
 def test_raw_domain_requires_normalized_input():
     f = model_predicting([1.0], (1, 1))
-    t = SparseTensor((1, 1, 1), [Entry(0, 0, 0, 1.0)])
+    t = SparseTensor((1, 1, 1), [0], [0], [0], [1.0])
     with pytest.raises(StateError):
         evaluate(f, t, raw_domain=True)
 
@@ -133,7 +137,7 @@ def test_overflowing_sums_are_taken_again_scaled():
 def test_an_overflowing_residual_is_a_domain_error():
     f = model_predicting([-1e308], (1, 1))
     with pytest.raises(DomainError, match="rmse"):
-        evaluate(f, SparseTensor((1, 1, 1), [Entry(0, 0, 0, 1e308)]))
+        evaluate(f, SparseTensor((1, 1, 1), [0], [0], [0], [1e308]))
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -144,8 +148,8 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def test_finite_inputs_give_finite_metrics_or_one_error(pairs, raw):
     preds, values = zip(*pairs)
     f = model_predicting(preds, (1, 1))
-    test_set = SparseTensor((1, 1, len(values)),
-                            [Entry(0, 0, k, v) for k, v in enumerate(values)], normalized=raw)
+    n = len(values)
+    test_set = SparseTensor((1, 1, n), [0] * n, [0] * n, range(n), values, normalized=raw)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -153,3 +157,42 @@ def test_finite_inputs_give_finite_metrics_or_one_error(pairs, raw):
         except TensorWheelError:
             return
     assert math.isfinite(report.rmse) and math.isfinite(report.mae)
+
+
+def test_mean_is_numpys_and_rescales_an_overflowing_sum():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 7, 100, 1000):
+        x = rng.normal(0, 1, n)
+        assert mean(x) == float(np.mean(x))
+    assert mean([1.5e308, 1.5e308, -1e308]) == pytest.approx(1e308 / 1.5, rel=1e-15)
+    assert mean([1, 2, 4]) == 7 / 3
+
+
+# ranks whose stage-1 block, R3*H1*R2*H2 doubles, takes 20 MB a position:
+# 256 positions of it would pass the 3 GiB cap, one needs a little of it
+CAPPED_EVALUATE = """
+import json, resource
+import numpy as np
+from tensorwheel import Ranks, SparseTensor, evaluate, init_factors, reconstruct_entry, twd_core
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+twd_core._native = None
+f = init_factors((8, 8, 6), Ranks(r=(1, 40, 40), h=(40, 40, 1)), 0, 0.1)
+ii, jj, kk = np.unravel_index(np.arange(0, 384, 2), f.dims)
+single = [reconstruct_entry(f, i, j, k) for i, j, k in zip(ii.tolist(), jj.tolist(), kk.tolist())]
+report = evaluate(f, SparseTensor(f.dims, ii, jj, kk, single))
+print(json.dumps([report.rmse, report.mae, float(np.sqrt(np.mean(np.square(single)))),
+                  float(np.mean(single))]))
+"""
+
+
+def test_evaluate_at_ranks_whose_full_chunk_cannot_be_allocated():
+    # a child process whose address space is capped, so that an allocation
+    # of the full chunk fails on any host, whatever its overcommit policy
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", CAPPED_EVALUATE], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rmse, mae, rms, average = json.loads(proc.stdout)
+    # the factors are non-negative, so each reconstruction is the sum of its
+    # terms' magnitudes, the scale of the batched kernel's 1e-12 tolerance
+    assert rmse <= 1e-12 * rms and mae <= 1e-12 * average

@@ -1,5 +1,4 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from tensorwheel import (
     BoundsError,
     DivergenceError,
     DomainError,
-    Entry,
     HyperParams,
     ParameterError,
     PidState,
@@ -34,6 +32,8 @@ from tensorwheel import (
 from tensorwheel import pid_sgd
 from tensorwheel.pid_sgd import epoch_visit_order
 from tensorwheel.twd_core import entry_partials
+
+from records import entries
 
 
 def scalar_factors(g, a, b, c):
@@ -102,7 +102,7 @@ def test_compute_loss_hand_example():
     # one observation, all ranks 1, x=2 against x_hat=1, lambda=0.1:
     # (2-1)^2 + 0.1 * (1 + 1 + 1 + 1) = 1.4
     f = scalar_factors(1.0, 1.0, 1.0, 1.0)
-    obs = SparseTensor((1, 1, 1), [Entry(0, 0, 0, 2.0)])
+    obs = SparseTensor((1, 1, 1), [0], [0], [0], [2.0])
     assert compute_loss(f, obs, 0.1) == pytest.approx(1.4, abs=1e-15)
 
 
@@ -111,14 +111,14 @@ def test_compute_loss_counts_core_per_observation():
     ranks = Ranks(r=(1, 1, 1), h=(1, 1, 1))
     f = TwdFactors(np.full((1, 1, 1), 2.0), np.ones((1, 2, 1, 1)),
                    np.ones((1, 2, 1, 1)), np.ones((1, 2, 1, 1)), (2, 2, 2), ranks)
-    obs = SparseTensor((2, 2, 2), [Entry(0, 0, 0, 2.0), Entry(1, 1, 1, 2.0)])
+    obs = SparseTensor((2, 2, 2), [0, 1], [0, 1], [0, 1], [2.0, 2.0])
     # per obs: residual 0, reg = g^2 + 1 + 1 + 1 = 7 -> total 2 * 0.1 * 7
     assert compute_loss(f, obs, 0.1) == pytest.approx(1.4, abs=1e-14)
 
 
 def test_compute_loss_bounds():
     f = scalar_factors(1.0, 1.0, 1.0, 1.0)
-    obs = SparseTensor((2, 2, 2), [Entry(1, 1, 1, 1.0)])
+    obs = SparseTensor((2, 2, 2), [1], [1], [1], [1.0])
     with pytest.raises(BoundsError):
         compute_loss(f, obs, 0.0)
 
@@ -128,7 +128,7 @@ def test_compute_loss_overflow_raises_domain_error():
     # warning (pytest turns warnings into failures)
     f = init_factors((3, 3, 3), Ranks(r=(2, 2, 2), h=(2, 2, 2)), 0, 1.0)
     big = TwdFactors(*(getattr(f, name) * 1e80 for name in "gabc"), f.dims, f.ranks)
-    obs = SparseTensor((3, 3, 3), [Entry(0, 1, 2, 1.0), Entry(2, 0, 1, -1.0)])
+    obs = SparseTensor((3, 3, 3), [0, 2], [1, 0], [2, 1], [1.0, -1.0])
     with pytest.raises(DomainError, match="loss is not finite"):
         compute_loss(big, obs, 0.01)
 
@@ -190,7 +190,7 @@ def test_sgd_step_null_update():
     # zero residual with lambda 0 leaves every parameter bitwise unchanged
     f = scalar_factors(1.0, 1.0, 1.0, 1.0)
     before = f.copy()
-    sgd_step(f, Entry(0, 0, 0, 1.0), 0, PidState(1), proportional_hp())
+    sgd_step(f, SparseTensor((1, 1, 1), [0], [0], [0], [1.0]), 0, PidState(1), proportional_hp())
     for name in "gabc":
         assert np.array_equal(getattr(f, name), getattr(before, name))
 
@@ -199,7 +199,7 @@ def test_sgd_step_scalar_hand_example():
     # all-ranks-1, g=a=b=c=1, x=2 -> e=1, eta=0.1, lambda=0:
     # every parameter moves to 1 + 0.1 * 1 = 1.1
     f = scalar_factors(1.0, 1.0, 1.0, 1.0)
-    sgd_step(f, Entry(0, 0, 0, 2.0), 0, PidState(1), proportional_hp())
+    sgd_step(f, SparseTensor((1, 1, 1), [0], [0], [0], [2.0]), 0, PidState(1), proportional_hp())
     for name in "gabc":
         assert getattr(f, name).item() == pytest.approx(1.1, abs=1e-15)
 
@@ -208,7 +208,7 @@ def test_sgd_step_only_touched_slices_change():
     ranks = Ranks(r=(2, 2, 2), h=(2, 2, 2))
     f = init_factors((4, 4, 4), ranks, seed=5, scale=1.0)
     before = f.copy()
-    sgd_step(f, Entry(1, 2, 3, 0.7), 0, PidState(1),
+    sgd_step(f, SparseTensor((4, 4, 4), [1], [2], [3], [0.7]), 0, PidState(1),
              proportional_hp(lam=0.05))
     assert not np.array_equal(f.g, before.g)
     for name, touched in (("a", 1), ("b", 2), ("c", 3)):
@@ -235,10 +235,10 @@ def test_sgd_step_matches_finite_differences():
             arr *= 0.9
             arr += 0.1  # magnitudes in [0.1, 1]
         i, j, k = (int(rng.integers(d)) for d in dims)
-        obs = SparseTensor(dims, [Entry(i, j, k, float(rng.uniform(-1, 1)))])
+        obs = SparseTensor(dims, [i], [j], [k], [float(rng.uniform(-1, 1))])
 
         before = f.copy()
-        sgd_step(f, obs.entries[0], 0, PidState(1),
+        sgd_step(f, obs, 0, PidState(1),
                  proportional_hp(eta=eta, lam=lam))
 
         def loss_with(name, full_idx, delta):
@@ -264,20 +264,20 @@ def test_plain_step_equals_pid_step_at_reduction_gains():
     hp = proportional_hp(lam=0.01)
     f1 = init_factors((3, 3, 3), ranks, seed=7, scale=0.3)
     f2 = f1.copy()
-    entry = Entry(1, 0, 2, 0.9)
-    sgd_step(f1, entry, 0, PidState(1), hp)
-    plain_sgd_step(f2, entry, 0, hp)
+    obs = SparseTensor((3, 3, 3), [1], [0], [2], [0.9])
+    sgd_step(f1, obs, 0, PidState(1), hp)
+    plain_sgd_step(f2, obs, 0, hp)
     for name in "gabc":
         assert np.array_equal(getattr(f1, name), getattr(f2, name))
 
 
-def per_block_step(f, entry, entry_id, state, hp):
+def per_block_step(f, obs, entry_id, state, hp):
     """The update as four per-block expressions, each block updated in
     place and checked after all four moved: the reference the fused step
     must match bit for bit.  ``state`` None is the plain step."""
-    i, j, k = entry.i, entry.j, entry.k
+    i, j, k, value = entries(obs)[entry_id]
     x_hat, t_g, t_a, t_b, t_c = entry_partials(f, i, j, k)
-    e_t = entry.value - x_hat
+    e_t = value - x_hat
     if state is not None:
         e_t = pid_error(state, entry_id, e_t, hp)
     blocks = ((f.g, t_g), (f.a[:, i], t_a), (f.b[:, j], t_b), (f.c[:, k], t_c))
@@ -307,32 +307,36 @@ def test_fused_step_equals_the_per_block_update(dims, r, h, lam, eta, cp, ci, cd
     ranks = Ranks(r=r, h=h)
     hp = HyperParams(eta=eta, lam=lam, cp=cp, ci=ci, cd=cd)
     rng = np.random.default_rng(seed)
-    entries = [Entry(*(int(rng.integers(d)) for d in dims), float(rng.uniform(-1, 1)))
-               for _ in range(3)]
+    draws = [(*(int(rng.integers(d)) for d in dims), float(rng.uniform(-1, 1)))
+             for _ in range(3)]
+    # a set and a PID state of one entry per draw, as two draws may share a position
+    sets = [SparseTensor(dims, [i], [j], [k], [v]) for i, j, k, v in draws]
     start = init_factors(dims, ranks, seed, 0.3)
-    fused_state, ref_state = PidState(len(entries)), PidState(len(entries))
-    arms = ((partial(sgd_step, state=fused_state, hp=hp),
-             partial(per_block_step, state=ref_state, hp=hp)),
-            (partial(plain_sgd_step, hp=hp), partial(per_block_step, state=None, hp=hp)))
+    fused_states, ref_states = [PidState(1) for _ in sets], [PidState(1) for _ in sets]
+    arms = ((lambda f, d: sgd_step(f, sets[d], 0, fused_states[d], hp),
+             lambda f, d: per_block_step(f, sets[d], 0, ref_states[d], hp)),
+            (lambda f, d: plain_sgd_step(f, sets[d], 0, hp),
+             lambda f, d: per_block_step(f, sets[d], 0, None, hp)))
     for fused_step, ref_step in arms:
         fused, ref = start.copy(), start.copy()
         for step in range(8):  # entries repeat, so the PID state carries over
-            entry_id = step % len(entries)
-            diverged = [diverges(step_fn, f, entries[entry_id], entry_id)
+            d = step % len(sets)
+            diverged = [diverges(step_fn, f, d)
                         for step_fn, f in ((fused_step, fused), (ref_step, ref))]
             assert diverged[0] == diverged[1]
             if diverged[0]:
                 break  # the reference wrote the diverged blocks; the fused step did not
             for name in "gabc":
                 assert getattr(fused, name).tobytes() == getattr(ref, name).tobytes()
-    assert fused_state.integral.tobytes() == ref_state.integral.tobytes()
+    assert ([s.integral.tobytes() for s in fused_states]
+            == [s.integral.tobytes() for s in ref_states])
 
 
-def diverges(step_fn, f, entry, entry_id):
-    """Run one step; whether it raised DivergenceError."""
+def diverges(step_fn, f, d):
+    """Run one step on draw d; whether it raised DivergenceError."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            step_fn(f, entry, entry_id)
+            step_fn(f, d)
     except DivergenceError:
         return True
     return False
@@ -344,7 +348,8 @@ def test_diverging_step_leaves_the_factors_unchanged():
     before = f.copy()
     state = PidState(1)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
-        sgd_step(f, Entry(1, 2, 0, 1e300), 0, state, proportional_hp(eta=1e10))
+        sgd_step(f, SparseTensor((3, 3, 3), [1], [2], [0], [1e300]), 0, state,
+                 proportional_hp(eta=1e10))
     assert err.value.entry_id == 0
     for name in "gabc":
         assert getattr(f, name).tobytes() == getattr(before, name).tobytes()
@@ -420,11 +425,11 @@ def test_train_divergence_carries_eta_and_the_last_finite_norms():
             for eid in epoch_visit_order(rng, len(tr)):
                 if (epoch, eid) == (failed.epoch, failed.entry_id):
                     break
-                sgd_step(factors, tr.entries[eid], int(eid), state, hp)
+                sgd_step(factors, tr, int(eid), state, hp)
         assert factors.norms() == failed.norms
         before = factors.copy()
         with pytest.raises(DivergenceError):
-            sgd_step(factors, tr.entries[failed.entry_id], failed.entry_id, state, hp)
+            sgd_step(factors, tr, failed.entry_id, state, hp)
     for name in "gabc":
         assert getattr(factors, name).tobytes() == getattr(before, name).tobytes()
 
@@ -533,17 +538,18 @@ def test_integral_replay():
     rng = np.random.default_rng(hp.seed)
     for _ in range(epochs):
         for eid in epoch_visit_order(rng, n):
-            sgd_step(factors, tr.entries[eid], int(eid), state, hp)
+            sgd_step(factors, tr, int(eid), state, hp)
 
     replay_factors = init_factors(observed.dims, ranks, hp.seed, hp.init_scale)
     replay_state = PidState(n)
     replay_rng = np.random.default_rng(hp.seed)
     sums = np.zeros(n)
+    records = entries(tr)
     for _ in range(epochs):
         for eid in epoch_visit_order(replay_rng, n):
-            e = tr.entries[eid]
+            e = records[eid]
             sums[eid] += e.value - reconstruct_entry(replay_factors, e.i, e.j, e.k)
-            sgd_step(replay_factors, e, int(eid), replay_state, hp)
+            sgd_step(replay_factors, tr, int(eid), replay_state, hp)
 
     assert np.array_equal(state.integral, sums)
 

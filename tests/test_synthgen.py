@@ -14,6 +14,8 @@ from tensorwheel import (
     reconstruct_full,
 )
 
+from records import entries
+
 RANKS = Ranks(r=(2, 2, 2), h=(2, 2, 2))
 
 
@@ -22,14 +24,14 @@ def test_full_density_no_noise_equals_dense_reconstruction():
     observed, truth = generate(spec)
     assert len(observed) == 4 * 3 * 2
     full = reconstruct_full(truth)
-    for e in observed.entries:
+    for e in entries(observed):
         assert e.value == full[e.i, e.j, e.k]
 
 
 def test_observed_values_match_oracle():
     spec = SynthSpec(dims=(5, 4, 3), ranks=RANKS, density=0.4, seed=9)
     observed, truth = generate(spec)
-    for e in observed.entries:
+    for e in entries(observed):
         assert abs(e.value - oracle_entry(truth, e.i, e.j, e.k)) < 1e-12
 
 
@@ -37,12 +39,12 @@ def test_deterministic_per_seed():
     spec = SynthSpec(dims=(5, 5, 4), ranks=RANKS, density=0.3, noise_sigma=0.1, seed=13)
     first_obs, first_truth = generate(spec)
     second_obs, second_truth = generate(spec)
-    assert first_obs.entries == second_obs.entries
+    assert entries(first_obs) == entries(second_obs)
     for name in "gabc":
         assert np.array_equal(getattr(first_truth, name), getattr(second_truth, name))
     other_obs, _ = generate(SynthSpec(dims=(5, 5, 4), ranks=RANKS, density=0.3,
                                       noise_sigma=0.1, seed=14))
-    assert other_obs.entries != first_obs.entries
+    assert entries(other_obs) != entries(first_obs)
 
 
 def test_sample_count_and_distinct_positions():
@@ -54,7 +56,7 @@ def test_sample_count_and_distinct_positions():
         observed, _ = generate(spec)
         expected = math.ceil(density * 6 * 5 * 4)
         assert len(observed) == expected
-        positions = {(e.i, e.j, e.k) for e in observed.entries}
+        positions = {(e.i, e.j, e.k) for e in entries(observed)}
         assert len(positions) == expected
 
 
@@ -64,9 +66,9 @@ def test_noise_perturbs_values():
     clean_obs, truth = generate(base)
     noisy_obs, _ = generate(noisy)
     # same positions, shifted values
-    assert [(e.i, e.j, e.k) for e in clean_obs.entries] == \
-           [(e.i, e.j, e.k) for e in noisy_obs.entries]
-    diffs = [abs(c.value - n.value) for c, n in zip(clean_obs.entries, noisy_obs.entries)]
+    assert [(e.i, e.j, e.k) for e in entries(clean_obs)] == \
+           [(e.i, e.j, e.k) for e in entries(noisy_obs)]
+    diffs = [abs(c.value - n.value) for c, n in zip(entries(clean_obs), entries(noisy_obs))]
     assert max(diffs) > 0.0
 
 
@@ -75,8 +77,8 @@ def test_holdout_complements_observed():
     observed, truth = generate(spec)
     held = holdout_set(observed, truth)
     assert len(held) == 5 * 4 * 3 - len(observed)
-    obs_pos = {(e.i, e.j, e.k) for e in observed.entries}
-    for e in held.entries:
+    obs_pos = {(e.i, e.j, e.k) for e in entries(observed)}
+    for e in entries(held):
         assert (e.i, e.j, e.k) not in obs_pos
         assert abs(e.value - oracle_entry(truth, e.i, e.j, e.k)) < 1e-12
 

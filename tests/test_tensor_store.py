@@ -15,7 +15,6 @@ from tensorwheel import (
     BoundsError,
     DomainError,
     DuplicateKeyError,
-    Entry,
     ParameterError,
     ParseError,
     Ranks,
@@ -34,6 +33,8 @@ from tensorwheel import (
 from tensorwheel import tensor_store
 from tensorwheel.tensor_store import largest_remainder_sizes, read_coo
 
+from records import entries
+
 
 def write_file(tmp_path, text, name="data.txt"):
     path = tmp_path / name
@@ -48,7 +49,7 @@ def test_ingest_single_line(tmp_path):
     t = ingest(path, dims=(2, 2, 3))
     assert t.dims == (2, 2, 3)
     assert len(t) == 1
-    assert t.entries[0] == Entry(0, 1, 2, 3.5)
+    assert entries(t)[0] == (0, 1, 2, 3.5)
     assert t.normalized is False
 
 
@@ -99,7 +100,7 @@ def test_ingest_keep_last_overrides_duplicates(tmp_path):
     path = write_file(tmp_path, "0 1 2 3.5\n0 1 2 4.0\n")
     t = ingest(path, keep_last=True)
     assert len(t) == 1
-    assert t.entries[0].value == 4.0
+    assert entries(t)[0].value == 4.0
 
 
 @pytest.mark.parametrize("bad_line, line_no", [
@@ -147,30 +148,29 @@ def test_ingest_totality(tmp_path):
 
 
 def test_write_coo_round_trip(tmp_path):
-    entries = [Entry(0, 1, 2, 3.5), Entry(1, 0, 0, 0.25)]
-    t = SparseTensor((2, 2, 3), entries)
+    t = SparseTensor((2, 2, 3), [0, 1], [1, 0], [2, 0], [3.5, 0.25])
     path = tmp_path / "out.txt"
     write_coo(t, path)
     back = ingest(path)
     assert back.dims == t.dims
-    assert back.entries == t.entries
+    assert entries(back) == entries(t)
 
 
 # ----------------------------------------------------- tensor validation
 
 def test_sparse_tensor_rejects_out_of_bounds():
     with pytest.raises(BoundsError):
-        SparseTensor((2, 2, 2), [Entry(2, 0, 0, 1.0)])
+        SparseTensor((2, 2, 2), [2], [0], [0], [1.0])
 
 
 def test_sparse_tensor_rejects_duplicates():
     with pytest.raises(DuplicateKeyError):
-        SparseTensor((2, 2, 2), [Entry(0, 0, 0, 1.0), Entry(0, 0, 0, 2.0)])
+        SparseTensor((2, 2, 2), [0, 0], [0, 0], [0, 0], [1.0, 2.0])
 
 
 def test_sparse_tensor_rejects_non_finite():
     with pytest.raises(DomainError):
-        SparseTensor((2, 2, 2), [Entry(0, 0, 0, float("inf"))])
+        SparseTensor((2, 2, 2), [0], [0], [0], [float("inf")])
 
 
 def test_sparse_tensor_rejects_bad_dims():
@@ -181,42 +181,39 @@ def test_sparse_tensor_rejects_bad_dims():
 # ------------------------------------------------------------- normalize
 
 def test_normalize_values():
-    t = SparseTensor((1, 1, 3), [Entry(0, 0, 0, 0.0),
-                                 Entry(0, 0, 1, math.e - 1.0),
-                                 Entry(0, 0, 2, 3.5)])
+    t = SparseTensor((1, 1, 3), [0, 0, 0], [0, 0, 0], [0, 1, 2], [0.0, math.e - 1.0, 3.5])
     n = normalize(t)
     assert n.normalized is True
-    assert n.entries[0].value == 0.0
-    assert n.entries[1].value == pytest.approx(1.0, abs=1e-15)
+    assert entries(n)[0].value == 0.0
+    assert entries(n)[1].value == pytest.approx(1.0, abs=1e-15)
     # independent reference for ln(4.5)
-    assert n.entries[2].value == pytest.approx(math.log(4.5), abs=1e-15)
+    assert entries(n)[2].value == pytest.approx(math.log(4.5), abs=1e-15)
     # input untouched
-    assert t.entries[2].value == 3.5 and t.normalized is False
+    assert entries(t)[2].value == 3.5 and t.normalized is False
 
 
 def test_normalize_rejects_negative():
-    t = SparseTensor((1, 1, 1), [Entry(0, 0, 0, -0.5)])
+    t = SparseTensor((1, 1, 1), [0], [0], [0], [-0.5])
     with pytest.raises(DomainError):
         normalize(t)
 
 
 def test_normalize_twice_is_state_error():
-    t = normalize(SparseTensor((1, 1, 1), [Entry(0, 0, 0, 1.0)]))
+    t = normalize(SparseTensor((1, 1, 1), [0], [0], [0], [1.0]))
     with pytest.raises(StateError):
         normalize(t)
 
 
 def test_denormalize_values():
-    t = SparseTensor((1, 1, 2), [Entry(0, 0, 0, 0.0), Entry(0, 0, 1, 1.0)],
-                     normalized=True)
+    t = SparseTensor((1, 1, 2), [0, 0], [0, 0], [0, 1], [0.0, 1.0], normalized=True)
     d = denormalize(t)
     assert d.normalized is False
-    assert d.entries[0].value == 0.0
-    assert d.entries[1].value == pytest.approx(math.e - 1.0, abs=1e-15)
+    assert entries(d)[0].value == 0.0
+    assert entries(d)[1].value == pytest.approx(math.e - 1.0, abs=1e-15)
 
 
 def test_denormalize_requires_normalized():
-    t = SparseTensor((1, 1, 1), [Entry(0, 0, 0, 1.0)])
+    t = SparseTensor((1, 1, 1), [0], [0], [0], [1.0])
     with pytest.raises(StateError):
         denormalize(t)
 
@@ -228,24 +225,24 @@ def test_round_trip_identity():
     # representable in float64
     rng = np.random.default_rng(5)
     values = np.concatenate([rng.uniform(0, 1e6, 500), [0.0, 1.0, 1e-9, 1e6]])
-    entries = [Entry(0, 0, k, float(v)) for k, v in enumerate(values)]
-    t = SparseTensor((1, 1, len(entries)), entries)
+    n = len(values)
+    t = SparseTensor((1, 1, n), np.zeros(n), np.zeros(n), np.arange(n), values)
     back = denormalize(normalize(t))
-    for orig, rt in zip(t.entries, back.entries):
+    for orig, rt in zip(entries(t), entries(back)):
         assert abs(rt.value - orig.value) <= 1e-12 * max(1.0, orig.value)
 
 
 # ----------------------------------------------------------------- split
 
 def test_split_exact_ratio_100():
-    t = SparseTensor((10, 10, 1), [Entry(i, j, 0, 1.0 + i + 10 * j)
-                                   for i in range(10) for j in range(10)])
+    ii, jj = np.divmod(np.arange(100), 10)
+    t = SparseTensor((10, 10, 1), ii, jj, np.zeros(100), 1.0 + ii + 10 * jj)
     tr, va, te = split(t, SplitSpec(ratios=(1, 2, 7), seed=0))
     assert (len(tr), len(va), len(te)) == (10, 20, 70)
 
 
 def test_split_exact_ratio_10():
-    t = SparseTensor((10, 1, 1), [Entry(i, 0, 0, float(i)) for i in range(10)])
+    t = SparseTensor((10, 1, 1), range(10), [0] * 10, [0] * 10, range(10))
     tr, va, te = split(t, SplitSpec(ratios=(1, 2, 7), seed=3))
     assert (len(tr), len(va), len(te)) == (1, 2, 7)
 
@@ -262,7 +259,7 @@ def largest_remainder_reference(n, ratios):
 
 
 def test_split_101_matches_largest_remainder():
-    t = SparseTensor((101, 1, 1), [Entry(i, 0, 0, float(i)) for i in range(101)])
+    t = SparseTensor((101, 1, 1), range(101), [0] * 101, [0] * 101, range(101))
     tr, va, te = split(t, SplitSpec(ratios=(1, 2, 7), seed=1))
     sizes = (len(tr), len(va), len(te))
     assert sizes == largest_remainder_reference(101, (1, 2, 7))
@@ -281,31 +278,31 @@ def test_split_partitions_entries():
     rng = np.random.default_rng(17)
     for trial in range(20):
         n = int(rng.integers(1, 60))
-        entries = [Entry(i, 0, 0, float(rng.uniform())) for i in range(n)]
-        t = SparseTensor((n, 1, 1), entries)
+        t = SparseTensor((n, 1, 1), range(n), [0] * n, [0] * n,
+                         [float(rng.uniform()) for _ in range(n)])
         spec = SplitSpec(ratios=tuple(rng.integers(0, 5, 3) + np.array([1, 0, 0])),
                          seed=int(rng.integers(1e6)))
         parts = split(t, spec)
-        keys = [set((e.i, e.j, e.k) for e in p.entries) for p in parts]
-        assert keys[0] | keys[1] | keys[2] == set((e.i, e.j, e.k) for e in entries)
+        keys = [set((e.i, e.j, e.k) for e in entries(p)) for p in parts]
+        assert keys[0] | keys[1] | keys[2] == set((e.i, e.j, e.k) for e in entries(t))
         assert not (keys[0] & keys[1]) and not (keys[0] & keys[2]) and not (keys[1] & keys[2])
         assert sum(len(p) for p in parts) == n
 
 
 def test_split_deterministic():
-    t = SparseTensor((50, 1, 1), [Entry(i, 0, 0, float(i)) for i in range(50)])
+    t = SparseTensor((50, 1, 1), range(50), [0] * 50, [0] * 50, range(50))
     spec = SplitSpec(ratios=(1, 2, 7), seed=42)
     first = split(t, spec)
     second = split(t, spec)
     for p1, p2 in zip(first, second):
-        assert p1.entries == p2.entries
+        assert entries(p1) == entries(p2)
 
 
 def test_split_distinct_seeds_differ():
-    t = SparseTensor((100, 1, 1), [Entry(i, 0, 0, float(i)) for i in range(100)])
+    t = SparseTensor((100, 1, 1), range(100), [0] * 100, [0] * 100, range(100))
     a = split(t, SplitSpec(ratios=(1, 2, 7), seed=0))
     b = split(t, SplitSpec(ratios=(1, 2, 7), seed=1))
-    assert a[0].entries != b[0].entries
+    assert entries(a[0]) != entries(b[0])
 
 
 def test_split_empty_input_rejected():
@@ -315,7 +312,7 @@ def test_split_empty_input_rejected():
 
 
 def test_split_preserves_normalized_flag():
-    t = normalize(SparseTensor((3, 1, 1), [Entry(i, 0, 0, 1.0 * i) for i in range(3)]))
+    t = normalize(SparseTensor((3, 1, 1), range(3), [0] * 3, [0] * 3, [0.0, 1.0, 2.0]))
     for part in split(t, SplitSpec(ratios=(1, 1, 1), seed=0)):
         assert part.normalized is True
 
@@ -387,10 +384,11 @@ def loop_validation(dims, rows):
 
 
 def build_both_ways(dims, rows):
-    """Constructors of the same tensor: from Entry records and from arrays."""
+    """Constructions of the same tensor: from columns as lists and as arrays."""
     columns = [list(c) for c in zip(*rows)] if rows else [[], [], [], []]
-    return (lambda: SparseTensor(dims, [Entry(*r) for r in rows]),
-            lambda: SparseTensor.from_arrays(dims, *columns))
+    arrays = [np.array(c, dtype=t) for c, t in zip(columns, [np.int64] * 3 + [np.float64])]
+    return (lambda: SparseTensor(dims, *columns),
+            lambda: SparseTensor(dims, *arrays))
 
 
 @pytest.mark.parametrize("dims, rows, error, message", [
@@ -449,13 +447,13 @@ HUGE = "9999999 9999999 9999999 1.0\n0 0 0 2.0\n"
 def test_ingest_accepts_dims_whose_product_exceeds_int64(tmp_path):
     t = ingest(write_file(tmp_path, HUGE))
     assert t.dims == (10 ** 7,) * 3
-    assert t.entries == [Entry(9999999, 9999999, 9999999, 1.0), Entry(0, 0, 0, 2.0)]
+    assert entries(t) == [(9999999, 9999999, 9999999, 1.0), (0, 0, 0, 2.0)]
     with pytest.raises(DuplicateKeyError) as err:
         ingest(write_file(tmp_path, HUGE + "9999999 9999999 9999999 3.0\n"))
     assert err.value.line_no == 3
     with pytest.raises(DuplicateKeyError):
-        SparseTensor.from_arrays(t.dims, [9999999, 0, 9999999], [9999999, 0, 9999999],
-                                 [9999999, 0, 9999999], [1.0, 2.0, 3.0])
+        SparseTensor(t.dims, [9999999, 0, 9999999], [9999999, 0, 9999999],
+                     [9999999, 0, 9999999], [1.0, 2.0, 3.0])
 
 
 def test_ingest_rejects_index_beyond_int64(tmp_path):
@@ -469,12 +467,12 @@ def test_ingest_infers_dims_past_the_largest_int64_index(tmp_path, tail):
     # one past 2**63 - 1 is a Python int: in int64 it wrapped to -2**63
     t = ingest(write_file(tmp_path, f"0 0 0 1.0\n0 {2 ** 63 - 1} 1 2.0\n" + tail))
     assert t.dims == (1, 2 ** 63, 2)
-    assert t.entries == [Entry(0, 0, 0, 1.0), Entry(0, 2 ** 63 - 1, 1, 2.0)]
+    assert entries(t) == [(0, 0, 0, 1.0), (0, 2 ** 63 - 1, 1, 2.0)]
 
 
 def test_arrays_are_read_only_and_not_shared_with_callers():
     values = np.array([1.0, 3.0])
-    t = SparseTensor.from_arrays((1, 1, 2), np.zeros(2, dtype=np.int64), [0, 0], [0, 1], values)
+    t = SparseTensor((1, 1, 2), np.zeros(2, dtype=np.int64), [0, 0], [0, 1], values)
     values[0] = 9.0
     assert values.flags.writeable and t.values.tolist() == [1.0, 3.0]
     for name in ("ii", "jj", "kk", "values"):
@@ -484,19 +482,12 @@ def test_arrays_are_read_only_and_not_shared_with_callers():
     assert t.values.tolist() == [1.0, 3.0]
 
 
-def test_entries_view_holds_python_scalars_in_entry_order():
-    t = SparseTensor.from_arrays((3, 3, 3), np.array([2, 0]), np.array([1, 0]), np.array([0, 2]),
-                                 np.array([0.5, -1.0]))
-    assert t.entries == [Entry(2, 1, 0, 0.5), Entry(0, 0, 2, -1.0)]
-    assert all(type(e.i) is int and type(e.value) is float for e in t.entries)
-
-
 def test_log_transforms_match_the_per_entry_reference():
     rng = np.random.default_rng(3)
     raw = np.concatenate([rng.uniform(0, 1e6, 4000), rng.exponential(1e-3, 4000),
                           10.0 ** rng.uniform(-300, 300, 4000), [0.0, -0.0, 5e-324, 1e308]])
     n = len(raw)
-    t = SparseTensor.from_arrays((1, 1, n), np.zeros(n), np.zeros(n), np.arange(n), raw)
+    t = SparseTensor((1, 1, n), np.zeros(n), np.zeros(n), np.arange(n), raw)
     logged = normalize(t)
     assert logged.values.tobytes() == np.array([np.log1p(v) for v in raw.tolist()]).tobytes()
     back = denormalize(logged)
@@ -519,11 +510,11 @@ def test_derived_tensors_do_not_check_their_keys_again(monkeypatch):
     assert len(observed) + len(held) == 60 and sum(map(len, parts)) == len(observed)
     monkeypatch.undo()
     with pytest.raises(DuplicateKeyError):
-        SparseTensor.from_arrays((2, 2, 2), [0, 0], [1, 1], [0, 0], [1.0, 2.0])
+        SparseTensor((2, 2, 2), [0, 0], [1, 1], [0, 0], [1.0, 2.0])
 
 
 def test_log_transforms_share_the_index_arrays():
-    t = SparseTensor.from_arrays((2, 2, 2), [0, 1], [1, 0], [0, 1], [1.0, 2.0])
+    t = SparseTensor((2, 2, 2), [0, 1], [1, 0], [0, 1], [1.0, 2.0])
     logged = normalize(t)
     back = denormalize(logged)
     for name in ("ii", "jj", "kk"):
@@ -532,8 +523,7 @@ def test_log_transforms_share_the_index_arrays():
 
 
 def test_denormalize_overflow_is_a_domain_error():
-    t = SparseTensor.from_arrays((1, 1, 2), [0, 0], [0, 0], [0, 1], [1.0, 1000.0],
-                                 normalized=True)
+    t = SparseTensor((1, 1, 2), [0, 0], [0, 0], [0, 1], [1.0, 1000.0], normalized=True)
     with np.errstate(over="ignore"), pytest.raises(
             DomainError, match=re.escape("entry (0, 0, 1) has non-finite value inf")):
         denormalize(t)
@@ -550,7 +540,7 @@ class FailingValue(float):
 
 def test_write_coo_that_fails_part_way_keeps_the_previous_file(tmp_path):
     path = tmp_path / "out.txt"
-    write_coo(SparseTensor((2, 2, 2), [Entry(0, 0, 0, 1.0)]), path)
+    write_coo(SparseTensor((2, 2, 2), [0], [0], [0], [1.0]), path)
     before = path.read_bytes()
     # two entries, of which only the first can be written
     half = SimpleNamespace(dims=(2, 2, 2), ii=np.array([0, 1]), jj=np.array([0, 1]),
@@ -569,9 +559,9 @@ def test_write_coo_through_a_symlink_replaces_its_target(tmp_path):
     target.write_text("old\n")
     link = tmp_path / "link.txt"
     link.symlink_to(target)
-    t = SparseTensor((2, 2, 2), [Entry(1, 0, 1, 0.5)])
+    t = SparseTensor((2, 2, 2), [1], [0], [1], [0.5])
     write_coo(t, link)
-    assert link.is_symlink() and ingest(target).entries == t.entries
+    assert link.is_symlink() and entries(ingest(target)) == entries(t)
     assert sorted(os.listdir(tmp_path)) == ["link.txt", "target.txt"]
 
 
@@ -581,7 +571,7 @@ def test_write_coo_into_a_pipe_writes_in_place(tmp_path):
     received = []
     reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
     reader.start()
-    write_coo(SparseTensor((2, 2, 2), [Entry(0, 0, 0, 1.0)]), pipe)
+    write_coo(SparseTensor((2, 2, 2), [0], [0], [0], [1.0]), pipe)
     reader.join(timeout=30)
     assert not reader.is_alive()
     assert received == ["# dims 2 2 2\n0 0 0 1.0\n"]
@@ -600,7 +590,7 @@ def sparse_tensors(draw):
     positions = draw(st.lists(st.integers(0, math.prod(dims) - 1), unique=True))
     values = draw(st.lists(FINITE, min_size=len(positions), max_size=len(positions)))
     ii, jj, kk = np.unravel_index(np.array(positions, dtype=np.int64), dims)
-    return SparseTensor.from_arrays(dims, ii, jj, kk, values)
+    return SparseTensor(dims, ii, jj, kk, values)
 
 
 @settings(max_examples=100, deadline=None)
@@ -750,7 +740,7 @@ def test_ingest_reads_a_pipe_once(tmp_path, keep_last):
     text = "# dims 3 3 3\n0 0 0 1.0\n1 1 1 2.0\n0 0 0 3.0\n# end\n"
     if keep_last:
         t = read_through_a_pipe(tmp_path, text, keep_last=True)
-        assert t.dims == (3, 3, 3) and t.entries == [Entry(0, 0, 0, 3.0), Entry(1, 1, 1, 2.0)]
+        assert t.dims == (3, 3, 3) and entries(t) == [(0, 0, 0, 3.0), (1, 1, 1, 2.0)]
     else:
         with pytest.raises(DuplicateKeyError) as err:
             read_through_a_pipe(tmp_path, text)
@@ -779,4 +769,4 @@ def test_ingest_errors_name_the_line_the_loop_names(tmp_path, text, line_no, mes
 def test_ingest_takes_what_int_and_float_take(tmp_path):
     # Unicode digits and underscores, which numpy's reader refuses
     t = ingest(write_file(tmp_path, "\u0661 0 0 1_0.5\n0 1_0 0 \u0663\n"))
-    assert t.entries == [Entry(1, 0, 0, 10.5), Entry(0, 10, 0, 3.0)]
+    assert entries(t) == [(1, 0, 0, 10.5), (0, 10, 0, 3.0)]
