@@ -104,12 +104,16 @@ def _decimal(x: float) -> str:
     return f"{x:.6f}" if abs(x) < 1e16 else f"{x:.6e}"
 
 
-def _write_report(report: dict, path, summary: str) -> int:
-    # strict JSON: a non-finite metric is a bug upstream, not a report
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    with open_replacing(path) as fh:
-        fh.write(text + "\n")
-    print(f"{summary} -> {path}")
+def _write_report(args, run, summary) -> int:
+    """Write the report of ``run(args)`` to --report, then print
+    ``summary(report)``.  The report's file is opened before the run, so
+    a path that cannot be written fails before any training, and a run
+    that fails leaves no file."""
+    with open_replacing(args.report) as fh:
+        report = run(args)
+        # strict JSON: a non-finite metric is a bug upstream, not a report
+        fh.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    print(f"{summary(report)} -> {args.report}")
     return 0
 
 
@@ -213,9 +217,8 @@ def run_train(args) -> dict:
 
 
 def cmd_train(args) -> int:
-    report = run_train(args)
-    return _write_report(report, args.report,
-                         f"mean rmse {_decimal(report['mean_rmse'])}, mean mae "
+    return _write_report(args, run_train,
+                         lambda report: f"mean rmse {_decimal(report['mean_rmse'])}, mean mae "
                          f"{_decimal(report['mean_mae'])} over {args.reps} repetition(s)")
 
 
@@ -260,9 +263,9 @@ def run_ablate(args) -> dict:
 
 
 def cmd_ablate(args) -> int:
-    report = run_ablate(args)
-    return _write_report(report, args.report,
-                         f"mean epochs-to-convergence: pid {report['mean_converged_at_pid']:.1f}, "
+    return _write_report(args, run_ablate,
+                         lambda report: "mean epochs-to-convergence: pid "
+                         f"{report['mean_converged_at_pid']:.1f}, "
                          f"plain {report['mean_converged_at_plain']:.1f}")
 
 
@@ -283,19 +286,20 @@ def run_grid(args) -> dict:
         raise ParameterError("validation split is empty; adjust --split ratios")
     epochs = args.grid_epochs if args.grid_epochs is not None else args.epochs
 
+    # every cell's hyperparameters are checked before any cell trains
+    hps = [_resolve_hp(args, eta=eta, lam=lam, seed=args.seed, max_epochs=epochs)
+           for eta in etas for lam in lambdas]
     cells = []
-    for eta in etas:
-        for lam in lambdas:
-            hp = _resolve_hp(args, eta=eta, lam=lam, seed=args.seed, max_epochs=epochs)
-            try:
-                _, report = train(train_t, valid_t, tensor.dims, ranks, hp,
-                                  early_stop=not args.no_early_stop)
-                cell = {"valid_rmse": report.valid_rmse_history[report.converged_at],
-                        "converged_at": report.converged_at,
-                        "epochs_run": report.epochs_run, "diverged": False}
-            except DivergenceError as err:
-                cell = {"diverged": True, "error": str(err)}
-            cells.append({"eta": eta, "lambda": lam, **cell})
+    for hp in hps:
+        try:
+            _, report = train(train_t, valid_t, tensor.dims, ranks, hp,
+                              early_stop=not args.no_early_stop)
+            cell = {"valid_rmse": report.valid_rmse_history[report.converged_at],
+                    "converged_at": report.converged_at,
+                    "epochs_run": report.epochs_run, "diverged": False}
+        except DivergenceError as err:
+            cell = {"diverged": True, "error": str(err)}
+        cells.append({"eta": hp.eta, "lambda": hp.lam, **cell})
 
     viable = [c for c in cells if not c["diverged"]]
     if not viable:
@@ -316,11 +320,11 @@ def run_grid(args) -> dict:
 
 
 def cmd_grid(args) -> int:
-    report = run_grid(args)
-    w = report["winner"]
-    return _write_report(report, args.report,
-                         f"winner: eta {w['eta']:g}, lambda {w['lambda']:g} "
-                         f"(valid rmse {_decimal(w['valid_rmse'])})")
+    def summary(report):
+        w = report["winner"]
+        return (f"winner: eta {w['eta']:g}, lambda {w['lambda']:g} "
+                f"(valid rmse {_decimal(w['valid_rmse'])})")
+    return _write_report(args, run_grid, summary)
 
 
 def _add_data_flags(p):

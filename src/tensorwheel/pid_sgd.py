@@ -11,7 +11,10 @@ since its previous visit (derivative).  Proportional-only settings
 
 A step names its observation by the set and an entry id, the
 observation's position in the set's arrays, which is also its slot in
-the PID state.  On the native kernel a step is an epoch of one id.
+the PID state.  ``train`` and ``sgd_step`` reach the kernel through one
+function, ``_runners``, which picks native or numpy: ``train`` runs it on
+the build for its ranks over each epoch's visit order, ``sgd_step`` on
+the generic build over the one id.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import numpy as np
 from .errors import BoundsError, DivergenceError, DomainError, ParameterError
 from .metrics import evaluate
 from .tensor_store import SparseTensor
-from .twd_core import (Ranks, TwdFactors, block_partials, check_index, entry_blocks,
-                       finite_loss, init_factors, native_kernel, reconstruct_entries,
-                       scatter_blocks, training_kernel)
+from .twd_core import (NativeKernel, Ranks, TwdFactors, block_partials, check_index,
+                       entry_blocks, finite_loss, init_factors, native_kernel,
+                       reconstruct_entries, scatter_blocks)
 
 
 @dataclass(frozen=True)
@@ -140,18 +143,6 @@ def pid_error(state: PidState, entry_id: int, e_n: float, hp: HyperParams) -> fl
     return composite
 
 
-def _pid_arrays(state: PidState | None):
-    return None if state is None else (state.integral, state.prev_error)
-
-
-def _gains(hp: HyperParams) -> tuple:
-    return hp.eta, hp.lam, hp.cp, hp.ci, hp.cd
-
-
-def _columns(obs: SparseTensor) -> tuple:
-    return obs.ii, obs.jj, obs.kk, obs.values
-
-
 def sgd_step(f: TwdFactors, obs: SparseTensor, entry_id: int, state: PidState | None,
              hp: HyperParams) -> None:
     """One PID-guided SGD step (in place) on the observation ``entry_id``
@@ -164,37 +155,17 @@ def sgd_step(f: TwdFactors, obs: SparseTensor, entry_id: int, state: PidState | 
     vector p, p moves by one expression, and p is written back only if
     it and the driving error are finite: a diverging step raises
     DivergenceError and leaves f as it was, with the PID state folded.
-    Runs the loaded native kernel's epoch over the one id, else
-    ``_numpy_step``; neither copies obs, so the cost does not grow with
-    its length.
+    Runs ``_runners``' epoch over the one id on the generic kernel, as
+    ``train`` does over a visit order; neither copies obs, so the cost
+    does not grow with its length.
     """
     if not 0 <= entry_id < len(obs):
         raise BoundsError(f"entry id {entry_id} outside the {len(obs)} observations")
     if state is not None and len(state) != len(obs):
         raise ParameterError(f"PID state of size {len(state)} for {len(obs)} observations")
-    i, j, k = (int(col[entry_id]) for col in (obs.ii, obs.jj, obs.kk))
-    check_index(f, i, j, k)
-    kernel = native_kernel()
-    if kernel is None:
-        _numpy_step(f, i, j, k, float(obs.values[entry_id]), entry_id, state, hp)
-    else:
-        kernel.epoch(f, _columns(obs), _pid_arrays(state), _gains(hp))(np.array([entry_id]))
-
-
-def _numpy_step(f: TwdFactors, i: int, j: int, k: int, value: float, entry_id: int,
-                state: PidState | None, hp: HyperParams) -> None:
-    """``sgd_step`` in numpy, on checked indices; the caller silences
-    numpy's overflow warnings for it."""
-    blocks = entry_blocks(f, i, j, k)
-    x_hat, *partials = block_partials(*blocks)
-    e_t = value - x_hat
-    if state is not None:
-        e_t = pid_error(state, entry_id, e_t, hp)
-    p = np.concatenate(blocks, axis=None)
-    p += hp.eta * (e_t * np.concatenate(partials, axis=None) - hp.lam * p)
-    if not (math.isfinite(e_t) and np.isfinite(p).all()):
-        raise DivergenceError(entry_id)
-    scatter_blocks(p, blocks)
+    check_index(f, obs.ii.item(entry_id), obs.jj.item(entry_id), obs.kk.item(entry_id))
+    run_epoch, _ = _runners(f, obs, state, hp, native_kernel())
+    run_epoch(np.array([entry_id]))
 
 
 def plain_sgd_step(f: TwdFactors, obs: SparseTensor, entry_id: int, hp: HyperParams) -> None:
@@ -209,31 +180,36 @@ def epoch_visit_order(rng: np.random.Generator, n_entries: int) -> np.ndarray:
     return rng.permutation(n_entries)
 
 
-def _epoch_runner(f: TwdFactors, train_set: SparseTensor, state: PidState | None,
-                  hp: HyperParams):
-    """The function that runs one epoch's steps over a visit order: one
-    call into the native kernel built for f's ranks when it is loaded, else
-    a loop of numpy steps.  It raises DivergenceError at the first step
-    that diverges."""
-    kernel = training_kernel(f.ranks)
+def _runners(f: TwdFactors, obs: SparseTensor, state: PidState | None, hp: HyperParams,
+             kernel: NativeKernel | None):
+    """The two functions of an epoch over obs, which must lie inside f's
+    dims: ``run_epoch(order)`` runs the steps in place over an order of
+    entry ids and raises DivergenceError at the first that diverges, and
+    ``epoch_loss()`` returns ``compute_loss(f, obs, hp.lam)``.  They are
+    ``kernel.bind``'s, one call into C each, where ``kernel`` is loaded;
+    else a loop of numpy steps, reading each visited entry from obs's
+    arrays, and ``compute_loss``.  The only place native or numpy is
+    picked for training.  Numpy's overflow warnings are the caller's to
+    silence."""
     if kernel is not None:
-        return kernel.epoch(f, _columns(train_set), _pid_arrays(state), _gains(hp))
-    ii, jj, kk, values = (col.tolist() for col in _columns(train_set))
+        return kernel.bind(f, (obs.ii, obs.jj, obs.kk, obs.values),
+                           None if state is None else (state.integral, state.prev_error),
+                           (hp.eta, hp.lam, hp.cp, hp.ci, hp.cd))
 
-    def run(order):
+    def run_epoch(order: np.ndarray) -> None:
         for e in order.tolist():
-            _numpy_step(f, ii[e], jj[e], kk[e], values[e], e, state, hp)
-    return run
+            blocks = entry_blocks(f, obs.ii.item(e), obs.jj.item(e), obs.kk.item(e))
+            x_hat, *partials = block_partials(*blocks)
+            e_t = obs.values.item(e) - x_hat
+            if state is not None:
+                e_t = pid_error(state, e, e_t, hp)
+            p = np.concatenate(blocks, axis=None)
+            p += hp.eta * (e_t * np.concatenate(partials, axis=None) - hp.lam * p)
+            if not (math.isfinite(e_t) and np.isfinite(p).all()):
+                raise DivergenceError(e)
+            scatter_blocks(p, blocks)
 
-
-def _loss_runner(f: TwdFactors, train_set: SparseTensor, lam: float):
-    """The function that returns the epoch's training loss: one call into
-    the native kernel built for f's ranks when it is loaded, else
-    ``compute_loss``.  Either raises DomainError where the loss overflows."""
-    kernel = training_kernel(f.ranks)
-    if kernel is not None:
-        return kernel.loss(f, _columns(train_set), lam)
-    return lambda: compute_loss(f, train_set, lam)
+    return run_epoch, lambda: compute_loss(f, obs, hp.lam)
 
 
 def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
@@ -250,11 +226,10 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     are the checkpoint from the best-validation epoch.  A non-finite
     factor, loss or validation RMSE raises DivergenceError with the
     epoch, hp.eta and the norms of the last finite factors.  Each
-    epoch's steps, and its loss, run in one call each into the native
-    kernel built for ``ranks`` when it is loaded
-    (``twd_core.training_kernel``), else as numpy steps and
-    ``compute_loss``; the validation RMSE is numpy's ``evaluate`` on
-    either.
+    epoch's steps, and its loss, run through ``_runners`` on
+    ``twd_core.native_kernel(ranks)``, the build for ``ranks``: one call
+    each into C when it is loaded, else numpy steps and ``compute_loss``;
+    the validation RMSE is numpy's ``evaluate`` on either.
 
     Args:
         train_set: observed entries to fit; must be non-empty, with
@@ -282,8 +257,7 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
             raise BoundsError(f"training indices outside dims {factors.dims}")
     state = PidState(n) if pid else None
     order_rng = np.random.default_rng(hp.seed)
-    run_epoch = _epoch_runner(factors, train_set, state, hp)
-    epoch_loss = _loss_runner(factors, train_set, hp.lam)
+    run_epoch, epoch_loss = _runners(factors, train_set, state, hp, native_kernel(ranks))
     use_valid = len(valid_set) > 0
 
     report = TrainReport()

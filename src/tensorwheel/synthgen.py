@@ -47,6 +47,8 @@ class SynthSpec:
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.value_scale <= 0:
             raise ParameterError(f"value_scale must be > 0, got {self.value_scale}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate(spec: SynthSpec) -> tuple[SparseTensor, TwdFactors]:

@@ -24,11 +24,12 @@ the same stages in C, with the trainer's epoch of steps and its
 training loss around them; every contraction there sums a few outputs
 per pass, each in the order of a plain loop, so blocking changes no
 bit.  It is built with the system C compiler on first use and loaded
-with ctypes (``native_kernel``), and numpy's ``block_partials`` runs
-wherever it cannot be; the trainer's epochs and losses run a build of
-the same source, with the same flags, for their ranks
-(``training_kernel``), whose loops have constant trip counts and whose
-results are the same bit for bit.
+with ctypes by the one loader ``native_kernel``, and numpy's
+``block_partials`` runs wherever it cannot be.  ``native_kernel(ranks)``
+is a build of the same source, with the same flags, for one rank tuple,
+whose loops have constant trip counts and whose results are the same
+bit for bit; the trainer runs it.  ``NativeKernel.bind`` hands the
+trainer, and the step, an epoch runner and a loss over one workspace.
 ``entry_partials``, ``reconstruct_entry`` and the trainer's step (a
 one-entry epoch in C) all run whichever kernel is loaded, never a mix,
 so ``reconstruct_entry`` equals the trainer's x_hat bit for bit, as does
@@ -324,25 +325,31 @@ class NativeKernel:
                                      "of one length")
         return [arr.ctypes.data for arr in pid]
 
-    def epoch(self, f: TwdFactors, columns, pid, gains):
-        """A function running one epoch of steps in place over an order of
-        entry ids in one call (plain steps with ``pid`` None); gains are
-        (eta, lam, cp, ci, cd).  It raises DivergenceError at the step that
-        diverges, which writes nothing back.  ``columns`` (ii, jj, kk,
-        values) are taken by ``_columns`` and must not be written while
-        the function is in use; their indices must lie inside f's dims,
-        and the PID state must cover them."""
-        operands = self._operands(f, in_place=True)
+    def bind(self, f: TwdFactors, columns, pid, gains):
+        """The two functions an epoch of training runs, bound to f in place
+        and to one workspace: ``run_epoch(order)`` runs the steps over an
+        order of entry ids in one call (plain steps with ``pid`` None), and
+        raises DivergenceError at the step that diverges, which writes
+        nothing back; ``epoch_loss()`` returns ``pid_sgd.compute_loss`` of
+        f's current values over the columns with L2 weight lam, and, as
+        there, raises DomainError where it overflows.  Gains are (eta, lam,
+        cp, ci, cd).  Each of the loss's reconstructions equals the step's
+        bit for bit; its sums run in an order of their own, so it agrees
+        with numpy's to rounding.  ``columns`` (ii, jj, kk, values) are
+        taken by ``_columns`` and must not be written while the functions
+        are in use; their indices must lie inside f's dims, and the PID
+        state must cover them."""
+        operands = self._operands(f, in_place=True, extra=sum(f.dims))
         cols = self._columns(columns)
         hp = np.array(gains, dtype=np.float64)
         shape, g, a, b, c, work = (arr.ctypes.data for arr in operands)
         head = [shape, g, a, b, c, *(col.ctypes.data for col in cols)]
         tail = [hp.ctypes.data, *self._pid(pid), work]
-        n = len(cols[3])
+        n, lam = len(cols[3]), float(hp[1])
         if pid is not None and len(pid[0]) != n:
             raise ParameterError("the training columns and the PID state differ in length")
 
-        def run(order: np.ndarray) -> None:
+        def run_epoch(order: np.ndarray) -> None:
             order = np.ascontiguousarray(order, dtype=np.int64)
             if len(order) and (order.min() < 0 or order.max() >= n):
                 raise BoundsError(f"visit order outside the {n} training entries")
@@ -350,32 +357,17 @@ class NativeKernel:
             if diverged >= 0:
                 raise DivergenceError(diverged)
 
-        run.buffers = (operands, cols, hp, pid)  # the memory head and tail point into
-        return run
+        def epoch_loss() -> float:
+            return finite_loss(self._lib.tw_loss(*head, n, lam, work))
 
-    def loss(self, f: TwdFactors, columns, lam: float):
-        """A function returning ``pid_sgd.compute_loss`` of f's current
-        values over ``columns`` (ii, jj, kk, values) with L2 weight lam, in
-        one call; as there, a loss that overflows raises DomainError.  Each
-        reconstruction equals the step's bit for bit; the sums run in an
-        order of their own, so the loss agrees with numpy's to rounding.
-        The columns are taken as ``epoch`` takes them; their indices must
-        lie inside f's dims."""
-        operands = self._operands(f, in_place=True, extra=sum(f.dims))
-        cols = self._columns(columns)
-        args = [*(arr.ctypes.data for arr in operands[:-1]), *(col.ctypes.data for col in cols),
-                len(cols[3]), float(lam), operands[-1].ctypes.data]
-
-        def run() -> float:
-            return finite_loss(self._lib.tw_loss(*args))
-
-        run.buffers = (operands, cols)  # the memory args point into
-        return run
+        # keep alive the memory that head and tail point into
+        run_epoch.buffers = epoch_loss.buffers = (operands, cols, hp, pid)
+        return run_epoch, epoch_loss
 
 
 _UNLOADED = object()
 _native = _UNLOADED  # the NativeKernel once loaded, None where it cannot be
-_for_ranks: dict = {}  # Ranks -> the kernel training_kernel returns for them
+_for_ranks: dict = {}  # Ranks -> the kernel native_kernel returns for them
 
 
 def kernel_flags(ranks: Ranks | None = None) -> list:
@@ -413,35 +405,33 @@ def _build_kernel(ranks: Ranks | None = None) -> Path:
     return path
 
 
-def native_kernel() -> NativeKernel | None:
-    """The compiled kernel, built and loaded on the first call; None, and
-    numpy runs instead, when the compiler is missing or the build or the
-    load fails."""
+def _load(ranks: Ranks | None = None) -> NativeKernel | None:
+    """The kernel's build for ranks (None: the generic one), built unless
+    cached and loaded; None where the compiler is missing or the build or
+    the load fails."""
+    try:
+        return NativeKernel(ctypes.CDLL(str(_build_kernel(ranks))), ranks)
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
+def native_kernel(ranks: Ranks | None = None) -> NativeKernel | None:
+    """The compiled kernel: the generic build, loaded on the first call,
+    or, given ranks, the build for them, which the trainer runs, loaded on
+    the first call for them; the generic kernel where that build or load
+    fails.  Both builds give the same results bit for bit.  None, and
+    numpy runs instead, where the generic kernel is not loaded: the
+    compiler is missing or its build or load failed.  Ranks whose
+    workspace cannot be allocated raise MemoryError before any build for
+    them."""
     global _native
     if _native is _UNLOADED:
-        try:
-            _native = NativeKernel(ctypes.CDLL(str(_build_kernel())))
-        except (OSError, subprocess.SubprocessError):
-            _native = None
-    return _native
-
-
-def training_kernel(ranks: Ranks) -> NativeKernel | None:
-    """The kernel ``pid_sgd.train`` runs its epochs and losses on: the
-    build for ranks, compiled and loaded on the first call for them; the
-    generic kernel where that build or load fails; None, as
-    ``native_kernel``, where the generic kernel is not loaded.  Both
-    builds give the same results bit for bit.  Ranks whose workspace
-    cannot be allocated raise MemoryError before any build for them."""
-    generic = native_kernel()
-    if generic is None:
-        return None
+        _native = _load()
+    if ranks is None or _native is None:
+        return _native
     if ranks not in _for_ranks:
         workspace(ranks)  # fails here, not after compiling a build that could never run
-        try:
-            _for_ranks[ranks] = NativeKernel(ctypes.CDLL(str(_build_kernel(ranks))), ranks)
-        except (OSError, subprocess.SubprocessError):
-            _for_ranks[ranks] = generic
+        _for_ranks[ranks] = _load(ranks) or _native
     return _for_ranks[ranks]
 
 

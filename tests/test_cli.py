@@ -395,6 +395,13 @@ def test_synth_rejects_non_finite_values(tmp_path, capsys, flag, name):
     assert not output.exists()
 
 
+def test_synth_rejects_a_negative_seed(tmp_path, capsys):
+    output = tmp_path / "o.txt"
+    assert run(["synth", "--dims", "4,4,3", "--seed", -1, "--output", output]) == 1
+    assert_one_error_line(capsys, "seed must be >= 0, got -1")
+    assert not output.exists()
+
+
 @pytest.mark.parametrize("content", [
     "TWD v1 8 x 6 2 2 2 2 2 2\n",
     "TWD v1 2 2 2 1 1 1 1 1 1\nabc\n",
@@ -528,6 +535,8 @@ CLI_FAILURES = [
     failure("ablate", {"--split": "1:1:0"}),
     failure("grid", {"--split": "1:0:1"}),
     failure("grid", {"--grid-epochs": 0}),
+    failure("grid", {"--etas": "0.1,-1"}),
+    failure("grid", {"--lambdas": "0.01,nan"}),
     *[failure(c, {"--dims": "1,2"}) for c in TRAINING_COMMANDS],
     *[failure(c, {"--ranks": "a,b"}) for c in TRAINING_COMMANDS],
     *[failure(c, {"--seed": -1}) for c in TRAINING_COMMANDS],
@@ -560,6 +569,19 @@ def test_cli_failure_is_one_error_line(synth_file, tmp_path, capsys, monkeypatch
     assert run(argv) == 1
     assert_one_error_line(capsys)
     assert not report_path.exists()
+
+
+@pytest.mark.parametrize("command", TRAINING_COMMANDS)
+def test_a_report_path_that_cannot_be_written_fails_before_ingest(synth_file, tmp_path, capsys,
+                                                                  monkeypatch, command):
+    obs, _ = synth_file
+    for name in ("ingest", "train"):
+        def never(*args, name=name, **kwargs):
+            pytest.fail(f"the command called {name} before it failed")
+        monkeypatch.setattr(f"tensorwheel.cli.{name}", never)
+    assert run([command, "--input", obs, "--report", tmp_path / "missing" / "r.json"]) == 1
+    assert_one_error_line(capsys, "No such file or directory")
+    assert sorted(os.listdir(tmp_path)) == ["obs.txt", "truth.txt"]
 
 
 # ranks whose stage-1 block, R3*H1*R2*H2 doubles, takes 60 GiB at one

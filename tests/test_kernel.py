@@ -246,7 +246,7 @@ def test_native_loss_of_one_entry_without_l2_is_its_squared_residual():
     obs = SparseTensor(f.dims, [1], [3], [1], [0.25])
     for factors in (f, skewed):
         want = (0.25 - reconstruct_entry(factors, 1, 3, 1)) ** 2
-        assert native().loss(factors, columns(obs), 0.0)() == want
+        assert native().bind(factors, columns(obs), None, (0.1, 0.0, 1.0, 0.0, 0.0))[1]() == want
 
 
 def test_native_loss_that_overflows_raises_as_compute_loss_does():
@@ -255,7 +255,7 @@ def test_native_loss_that_overflows_raises_as_compute_loss_does():
     obs = SparseTensor(f.dims, [1, 0], [3, 0], [1, 0], [0.25, 1.0])
     for lam in (0.0, 0.01):
         with pytest.raises(DomainError) as ours:
-            native().loss(huge, columns(obs), lam)()
+            native().bind(huge, columns(obs), None, (0.1, lam, 1.0, 0.0, 0.0))[1]()
         with pytest.raises(DomainError) as want:
             compute_loss(huge, obs, lam)
         assert str(ours.value) == str(want.value)
@@ -269,7 +269,8 @@ def test_native_loss_matches_compute_loss(f, n, lam, seed):
     ii, jj, kk = (rng.integers(0, d, n) for d in f.dims)
     keys = np.unique(np.stack([ii, jj, kk]), axis=1)  # distinct positions
     obs = SparseTensor(f.dims, *keys, rng.uniform(-1, 1, keys.shape[1]))
-    ours, want = native().loss(f, columns(obs), lam)(), compute_loss(f, obs, lam)
+    ours = native().bind(f, columns(obs), None, (0.1, lam, 1.0, 0.0, 0.0))[1]()
+    want = compute_loss(f, obs, lam)
     # relative to the loss, or to the residuals' scale where a reconstruction
     # cancels its observation
     scale = want + np.sum((np.abs(obs.values) + term_magnitude(f, *keys)) ** 2)
@@ -423,7 +424,7 @@ RANK_TUPLES = [(1, 1, 1, 1, 1, 1), (2, 2, 2, 2, 2, 2), (5, 5, 5, 2, 2, 2), (3, 2
 def rank_build(ranks):
     """The kernel built for ranks; skips the test where it cannot be."""
     native()
-    kernel = twd_core.training_kernel(ranks)
+    kernel = twd_core.native_kernel(ranks)
     if kernel.ranks != ranks:
         pytest.skip("the kernel cannot be built for one rank tuple here")
     return kernel
@@ -441,7 +442,7 @@ def test_each_rank_tuple_is_built_once_into_a_library_of_its_own(fresh_loader, m
 
     monkeypatch.setattr(twd_core.subprocess, "run", counted)
     one, other = Ranks(r=(1, 1, 1), h=(1, 1, 1)), Ranks(r=(2, 2, 2), h=(2, 2, 2))
-    kernels = [twd_core.training_kernel(ranks) for ranks in (one, other, one)]
+    kernels = [twd_core.native_kernel(ranks) for ranks in (one, other, one)]
     assert [kernel.ranks for kernel in kernels] == [one, other, one]
     assert kernels[2] is kernels[0]
     assert len(compiles) == 3  # the generic build, then one per rank tuple
@@ -450,7 +451,7 @@ def test_each_rank_tuple_is_built_once_into_a_library_of_its_own(fresh_loader, m
     # a new process finds both in the cache
     monkeypatch.setattr(twd_core, "_native", twd_core._UNLOADED)
     monkeypatch.setattr(twd_core, "_for_ranks", {})
-    assert [twd_core.training_kernel(ranks).ranks for ranks in (one, other)] == [one, other]
+    assert [twd_core.native_kernel(ranks).ranks for ranks in (one, other)] == [one, other]
     assert len(compiles) == 3
     assert sorted(fresh_loader.iterdir()) == built
 
@@ -490,8 +491,7 @@ def test_a_rank_build_equals_the_generic_build_bitwise(ranks):
     runs = []
     for kernel in (rank_build(ranks), native()):
         f, state = init_factors(observed.dims, ranks, 1, 0.3), PidState(len(observed))
-        epoch = kernel.epoch(f, cols, (state.integral, state.prev_error), gains)
-        loss = kernel.loss(f, cols, 0.01)
+        epoch, loss = kernel.bind(f, cols, (state.integral, state.prev_error), gains)
         rng, losses = np.random.default_rng(0), []
         for _ in range(50):
             epoch(epoch_visit_order(rng, len(observed)))
@@ -508,8 +508,7 @@ def test_a_rank_build_refuses_factors_of_other_ranks():
     for other in (Ranks(r=(2, 2, 2), h=(2, 2, 3)), Ranks(r=(1, 2, 2), h=(2, 2, 2))):
         f = init_factors((3, 3, 3), other, seed=0, scale=0.3)
         before = [getattr(f, name).copy() for name in "gabc"]
-        for call in (lambda: kernel.epoch(f, cols, None, (0.1, 0.0, 1.0, 0.0, 0.0)),
-                     lambda: kernel.loss(f, cols, 0.01),
+        for call in (lambda: kernel.bind(f, cols, None, (0.1, 0.01, 1.0, 0.0, 0.0)),
                      lambda: kernel.partials(f, 0, 0, 0)):
             with pytest.raises(ParameterError, match="built for ranks"):
                 call()

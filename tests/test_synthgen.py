@@ -93,6 +93,7 @@ def test_holdout_complements_observed():
     dict(value_scale=float("nan")),
     dict(value_scale=float("inf")),
     dict(density=float("nan")),
+    dict(seed=-1),
 ])
 def test_spec_validation(bad):
     kw = dict(dims=(3, 3, 3), ranks=RANKS, density=0.5)
