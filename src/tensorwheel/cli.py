@@ -19,11 +19,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from typing import NamedTuple
 
-from .errors import ParameterError, StateError, TensorWheelError
+from .errors import DomainError, ParameterError, StateError, TensorWheelError
 from .metrics import evaluate, mean
 from .pid_sgd import DivergenceError, HyperParams, train
 from .synthgen import SynthSpec, generate
@@ -104,14 +105,33 @@ def _decimal(x: float) -> str:
     return f"{x:.6f}" if abs(x) < 1e16 else f"{x:.6e}"
 
 
+def _non_finite_key(value, path: str = "report") -> str | None:
+    """The key path, such as ``report.repetitions[0].rmse``, of the first
+    non-finite float in value, in the order the report is written; None
+    where it holds none."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}", item) for key, item in sorted(value.items()))
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{index}]", item) for index, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite_key(item, key) for key, item in items)), None)
+
+
 def _write_report(args, run, summary) -> int:
     """Write the report of ``run(args)`` to --report, then print
     ``summary(report)``.  The report's file is opened before the run, so
     a path that cannot be written fails before any training, and a run
-    that fails leaves no file."""
+    that fails leaves no file, as does a report holding a non-finite
+    number, which raises DomainError naming its key."""
     with open_replacing(args.report) as fh:
         report = run(args)
         # strict JSON: a non-finite metric is a bug upstream, not a report
+        key = _non_finite_key(report)
+        if key is not None:
+            raise DomainError(f"{key} is not finite")
         fh.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     print(f"{summary(report)} -> {args.report}")
     return 0

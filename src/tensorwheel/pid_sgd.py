@@ -13,14 +13,15 @@ A step names its observation by the set and an entry id, the
 observation's position in the set's arrays, which is also its slot in
 the PID state.  ``train`` and ``sgd_step`` reach the kernel through one
 function, ``_runners``, which picks native or numpy: ``train`` runs it on
-the build for its ranks over each epoch's visit order, ``sgd_step`` on
+the build for its ranks over each epoch's visit order, and for the sum
+of squared validation residuals its RMSE is taken from, ``sgd_step`` on
 the generic build over the one id.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -212,6 +213,19 @@ def _runners(f: TwdFactors, obs: SparseTensor, state: PidState | None, hp: Hyper
     return run_epoch, lambda: compute_loss(f, obs, hp.lam)
 
 
+def validation_rmse(f: TwdFactors, obs: SparseTensor, squares) -> float:
+    """The validation RMSE ``train`` records for f over obs, a non-empty
+    set inside f's dims: sqrt(squares() / n), where ``squares()``, the
+    ``epoch_loss`` of ``_runners`` over obs with lam 0, returns the sum
+    of squared residuals.  Where that sum is not finite, numpy's
+    ``evaluate(f, obs).rmse``, which takes it again scaled by max|r| and
+    raises DomainError where even that overflows."""
+    try:
+        return math.sqrt(squares() / len(obs))
+    except DomainError:
+        return evaluate(f, obs).rmse
+
+
 def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
           hp: HyperParams, pid: bool = True,
           early_stop: bool = True) -> tuple[TwdFactors, TrainReport]:
@@ -226,17 +240,21 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     are the checkpoint from the best-validation epoch.  A non-finite
     factor, loss or validation RMSE raises DivergenceError with the
     epoch, hp.eta and the norms of the last finite factors.  Each
-    epoch's steps, and its loss, run through ``_runners`` on
-    ``twd_core.native_kernel(ranks)``, the build for ``ranks``: one call
-    each into C when it is loaded, else numpy steps and ``compute_loss``;
-    the validation RMSE is numpy's ``evaluate`` on either.
+    epoch's steps, its loss and the sum of squared validation residuals
+    run through ``_runners`` on ``twd_core.native_kernel(ranks)``, the
+    build for ``ranks``, bound once per run: one call each into C when
+    it is loaded, else numpy steps and ``compute_loss``.  The validation
+    RMSE is ``validation_rmse`` of that sum, and on the numpy kernel
+    equals ``evaluate``'s bit for bit; on the native kernel it agrees
+    with it to rounding (the sum runs in an order of its own).
 
     Args:
         train_set: observed entries to fit; must be non-empty, with
             indices inside dims (else BoundsError).
-        valid_set: held-out entries for stopping/model selection; may be
-            empty, in which case stopping uses max_epochs only and the
-            final factors are returned.
+        valid_set: held-out entries for stopping/model selection, with
+            indices inside dims (else BoundsError); may be empty, in which
+            case stopping uses max_epochs only and the final factors are
+            returned.
         dims: tensor dimensions (I, J, K).
         ranks: ring and core-link ranks.
         hp: hyperparameters.
@@ -251,13 +269,17 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     if n == 0:
         raise ParameterError("training set is empty")
     factors = init_factors(dims, ranks, hp.seed, hp.init_scale)
-    # the store keeps indices >= 0; only dims smaller than the data's can fail
-    for col, dim in zip((train_set.ii, train_set.jj, train_set.kk), factors.dims):
-        if col.max() >= dim:
-            raise BoundsError(f"training indices outside dims {factors.dims}")
+    # the store keeps indices >= 0; only dims smaller than the data's can fail,
+    # and the native kernel follows indices unchecked
+    for name, obs in (("training", train_set), ("validation", valid_set)):
+        for col, dim in zip((obs.ii, obs.jj, obs.kk), factors.dims):
+            if len(col) and col.max() >= dim:
+                raise BoundsError(f"{name} indices outside dims {factors.dims}")
     state = PidState(n) if pid else None
     order_rng = np.random.default_rng(hp.seed)
-    run_epoch, epoch_loss = _runners(factors, train_set, state, hp, native_kernel(ranks))
+    kernel = native_kernel(ranks)
+    run_epoch, epoch_loss = _runners(factors, train_set, state, hp, kernel)
+    _, valid_squares = _runners(factors, valid_set, None, replace(hp, lam=0.0), kernel)
     use_valid = len(valid_set) > 0
 
     report = TrainReport()
@@ -279,7 +301,7 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
             except DomainError:
                 raise DivergenceError(what="loss")
             try:
-                rmse = evaluate(factors, valid_set).rmse if use_valid else None
+                rmse = validation_rmse(factors, valid_set, valid_squares) if use_valid else None
             except DomainError:
                 raise DivergenceError(what="validation RMSE")
         except DivergenceError as err:

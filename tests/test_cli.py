@@ -8,8 +8,8 @@ import threading
 import numpy as np
 import pytest
 
-from tensorwheel import (Ranks, SplitSpec, ingest, init_factors, load_checkpoint,
-                         oracle_entry, save_checkpoint, twd_core)
+from tensorwheel import (EvalReport, Ranks, SplitSpec, cli, ingest, init_factors,
+                         load_checkpoint, oracle_entry, save_checkpoint, twd_core)
 from tensorwheel.cli import _decimal, _parse_split, build_parser, main
 
 from records import entries
@@ -165,6 +165,19 @@ def test_failed_report_write_keeps_the_previous_report(synth_file, tmp_path, cap
     assert_one_error_line(capsys, "disk full")
     assert report_path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["obs.txt", "report.json", "truth.txt"]
+
+
+def test_a_non_finite_report_value_is_one_error_line(synth_file, tmp_path, capsys,
+                                                    monkeypatch):
+    obs, _ = synth_file
+    report_path = tmp_path / "report.json"
+
+    def nan_rmse(f, test_set, raw_domain=False):
+        return EvalReport(rmse=math.nan, mae=0.5, count=len(test_set))
+    monkeypatch.setattr(cli, "evaluate", nan_rmse)
+    assert run(train_args(obs, report_path, **{"--epochs": 3})) == 1
+    assert_one_error_line(capsys, "report.mean_rmse is not finite")
+    assert sorted(os.listdir(tmp_path)) == ["obs.txt", "truth.txt"]
 
 
 def test_train_writes_checkpoints_scoreable_by_evaluate(synth_file, tmp_path, capsys):

@@ -26,9 +26,12 @@ from tensorwheel import (
     SynthSpec,
     TwdFactors,
     compute_loss,
+    evaluate,
     generate,
     init_factors,
+    metrics,
     oracle_entry,
+    pid_sgd,
     reconstruct_entries,
     reconstruct_entry,
     reconstruct_full,
@@ -291,6 +294,7 @@ def test_pid_reduction_holds_on_both_kernels(kernel):
     f_pid, r_pid = train(tr, va, observed.dims, ranks, hp, pid=True, early_stop=False)
     f_plain, r_plain = train(tr, va, observed.dims, ranks, hp, pid=False, early_stop=False)
     assert r_pid.loss_history == r_plain.loss_history
+    assert r_pid.valid_rmse_history == r_plain.valid_rmse_history
     for name in "gabc":
         assert getattr(f_pid, name).tobytes() == getattr(f_plain, name).tobytes()
 
@@ -382,6 +386,60 @@ def test_train_rejects_indices_outside_dims(kernel):
     observed, tr, va = planted_split()
     with pytest.raises(BoundsError):
         train(tr, va, (4, 4, 3), Ranks(r=(2, 2, 2), h=(2, 2, 2)), HyperParams(max_epochs=2))
+
+
+def test_train_rejects_validation_indices_outside_dims(kernel, monkeypatch):
+    observed, tr, va = planted_split()
+    ni, nj, nk = observed.dims
+    outside = SparseTensor((ni + 1, nj, nk), [*va.ii, ni], [*va.jj, 0], [*va.kk, 0],
+                           [*va.values, 1.0])
+
+    def no_epoch(*args):
+        pytest.fail("an epoch ran before the validation set was checked")
+    monkeypatch.setattr(pid_sgd, "epoch_visit_order", no_epoch)
+    with pytest.raises(BoundsError, match="validation indices outside dims"):
+        train(tr, outside, observed.dims, Ranks(r=(2, 2, 2), h=(2, 2, 2)),
+              HyperParams(max_epochs=2))
+
+
+def test_an_overflowing_validation_sum_takes_evaluates_rescale_on_both_kernels(kernel):
+    # each squared residual overflows, the RMSE does not
+    observed, tr, va = planted_split()
+    huge = SparseTensor(va.dims, va.ii, va.jj, va.kk, np.full(len(va), 1e160))
+    hp = HyperParams(eta=0.05, lam=0.0, max_epochs=3, seed=0)
+    _, report = train(tr, huge, observed.dims, Ranks(r=(2, 2, 2), h=(2, 2, 2)), hp)
+    assert report.valid_rmse_history == [1e160, 1e160, 1e160]
+
+
+# the rank tuples of the suite's trainings, each built once: not drawn ranks
+@pytest.mark.parametrize("rank_tuple", [(2, 2, 2, 2, 2, 2), (5, 5, 5, 2, 2, 2)],
+                         ids=["2-2-2-2-2-2", "5-5-5-2-2-2"])
+def test_the_validation_rmse_is_evaluates_on_both_kernels(kernel, rank_tuple):
+    observed, tr, va = planted_split(seed=5)
+    ranks = Ranks(r=rank_tuple[:3], h=rank_tuple[3:])
+    hp = HyperParams(eta=0.05, lam=0.001, ci=0.01, max_epochs=40, patience=4, seed=5)
+    best, report = train(tr, va, observed.dims, ranks, hp)
+    recorded = report.valid_rmse_history[report.converged_at]
+    # the returned factors are the best epoch's, bit for bit
+    if kernel == "numpy":
+        assert recorded == evaluate(best, va).rmse
+    else:
+        assert recorded == pytest.approx(evaluate(best, va).rmse, rel=1e-12, abs=0)
+
+
+def test_train_on_the_native_kernel_never_scores_with_numpy(monkeypatch):
+    native()
+    observed, tr, va = planted_split()
+
+    def numpy_scoring(*args, **kwargs):
+        pytest.fail("train scored its validation set with numpy")
+    for module in (pid_sgd, metrics, twd_core):
+        monkeypatch.setattr(module, "reconstruct_entries", numpy_scoring)
+    monkeypatch.setattr(pid_sgd, "evaluate", numpy_scoring)
+    monkeypatch.setattr(metrics, "evaluate", numpy_scoring)
+    hp = HyperParams(eta=0.05, lam=0.01, max_epochs=10, seed=2)
+    _, report = train(tr, va, observed.dims, Ranks(r=(2, 2, 2), h=(2, 2, 2)), hp)
+    assert len(report.valid_rmse_history) == 10
 
 
 @pytest.fixture

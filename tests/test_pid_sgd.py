@@ -449,9 +449,9 @@ def test_train_non_finite_validation_rmse_is_divergence(monkeypatch):
     observed, _ = small_planted()
     tr, va, _ = split(observed, SplitSpec(ratios=(8, 2, 0), seed=0))
 
-    def overflowing(f, obs):  # as metrics.evaluate fails where a metric is not finite
+    def overflowing(f, obs, squares):  # as metrics.evaluate fails where a metric is not finite
         raise DomainError("rmse is not finite: a residual overflows float64")
-    monkeypatch.setattr(pid_sgd, "evaluate", overflowing)
+    monkeypatch.setattr(pid_sgd, "validation_rmse", overflowing)
     hp = HyperParams(eta=0.05, lam=0.0, max_epochs=3, seed=0)
     with pytest.raises(DivergenceError) as err:
         train(tr, va, observed.dims, Ranks(r=(2, 2, 2), h=(2, 2, 2)), hp)
