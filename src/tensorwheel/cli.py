@@ -19,19 +19,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import asdict, replace
 from typing import NamedTuple
 
-from .errors import DomainError, ParameterError, StateError, TensorWheelError
+from .errors import ParameterError, StateError, TensorWheelError
 from .metrics import evaluate, mean
 from .pid_sgd import DivergenceError, HyperParams, train
 from .synthgen import SynthSpec, generate
 from .tensor_store import (SparseTensor, SplitSpec, ingest, normalize, open_replacing,
                            read_coo, split, write_coo)
-from .twd_core import (Ranks, checkpoint_text, init_factors, kernel_name, load_checkpoint,
-                       save_checkpoint)
+from .twd_core import (Ranks, check_finite, checkpoint_text, init_factors, kernel_name,
+                       load_checkpoint, save_checkpoint)
 
 DEFAULT_SPLIT = ":".join(map(str, SplitSpec.ratios))  # --split as _parse_split reads it
 
@@ -105,19 +104,18 @@ def _decimal(x: float) -> str:
     return f"{x:.6f}" if abs(x) < 1e16 else f"{x:.6e}"
 
 
-def _non_finite_key(value, path: str = "report") -> str | None:
-    """The key path, such as ``report.repetitions[0].rmse``, of the first
-    non-finite float in value, in the order the report is written; None
-    where it holds none."""
+def _check_report(value, path: str = "report") -> None:
+    """Pass every float in value through ``check_finite``, named by its key
+    path, such as ``report.repetitions[0].rmse``, in the order the report
+    is written, so the first non-finite one raises DomainError."""
     if isinstance(value, float):
-        return None if math.isfinite(value) else path
-    if isinstance(value, dict):
-        items = ((f"{path}.{key}", item) for key, item in sorted(value.items()))
+        check_finite(value, path)
+    elif isinstance(value, dict):
+        for key, item in sorted(value.items()):
+            _check_report(item, f"{path}.{key}")
     elif isinstance(value, (list, tuple)):
-        items = ((f"{path}[{index}]", item) for index, item in enumerate(value))
-    else:
-        return None
-    return next(filter(None, (_non_finite_key(item, key) for key, item in items)), None)
+        for index, item in enumerate(value):
+            _check_report(item, f"{path}[{index}]")
 
 
 def _write_report(args, run, summary) -> int:
@@ -128,10 +126,7 @@ def _write_report(args, run, summary) -> int:
     number, which raises DomainError naming its key."""
     with open_replacing(args.report) as fh:
         report = run(args)
-        # strict JSON: a non-finite metric is a bug upstream, not a report
-        key = _non_finite_key(report)
-        if key is not None:
-            raise DomainError(f"{key} is not finite")
+        _check_report(report)  # strict JSON: a non-finite metric is a bug upstream
         fh.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     print(f"{summary(report)} -> {args.report}")
     return 0

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, StateError
+from .errors import ParameterError, StateError
 from .tensor_store import SparseTensor
-from .twd_core import TwdFactors, reconstruct_entries
+from .twd_core import TwdFactors, check_finite, reconstruct_entries
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,6 @@ def evaluate(f: TwdFactors, test_set: SparseTensor, raw_domain: bool = False) ->
     if not math.isfinite(rmse) and np.isfinite(residuals).all():
         m = float(np.max(np.abs(residuals)))
         rmse = m * float(np.sqrt(np.mean((residuals / m) ** 2)))
-    mae = mean(np.abs(residuals))
-    for name, value in (("rmse", rmse), ("mae", mae)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} is not finite: a residual overflows float64")
-    return EvalReport(rmse=rmse, mae=mae, count=n)
+    why = "a residual overflows float64"
+    return EvalReport(rmse=check_finite(rmse, "rmse", why),
+                      mae=check_finite(mean(np.abs(residuals)), "mae", why), count=n)

@@ -28,9 +28,9 @@ import numpy as np
 from .errors import BoundsError, DivergenceError, DomainError, ParameterError
 from .metrics import evaluate
 from .tensor_store import SparseTensor
-from .twd_core import (NativeKernel, Ranks, TwdFactors, block_partials, check_index,
-                       entry_blocks, finite_loss, init_factors, native_kernel,
-                       reconstruct_entries, scatter_blocks)
+from .twd_core import (LOSS_OVERFLOW, NativeKernel, Ranks, TwdFactors, block_partials,
+                       check_finite, check_index, check_indices, entry_blocks, init_factors,
+                       native_kernel, reconstruct_entries, scatter_blocks)
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def compute_loss(f: TwdFactors, obs: SparseTensor, lam: float) -> float:
             reg = n * g_norm + float(np.sum(a_norms[ii]) + np.sum(b_norms[jj])
                                      + np.sum(c_norms[kk]))
             loss += lam * reg
-    return finite_loss(loss)
+    return check_finite(loss, "loss", LOSS_OVERFLOW)
 
 
 def pid_error(state: PidState, entry_id: int, e_n: float, hp: HyperParams) -> float:
@@ -269,12 +269,8 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     if n == 0:
         raise ParameterError("training set is empty")
     factors = init_factors(dims, ranks, hp.seed, hp.init_scale)
-    # the store keeps indices >= 0; only dims smaller than the data's can fail,
-    # and the native kernel follows indices unchecked
-    for name, obs in (("training", train_set), ("validation", valid_set)):
-        for col, dim in zip((obs.ii, obs.jj, obs.kk), factors.dims):
-            if len(col) and col.max() >= dim:
-                raise BoundsError(f"{name} indices outside dims {factors.dims}")
+    for what, obs in (("training", train_set), ("validation", valid_set)):
+        check_indices(factors, obs.ii, obs.jj, obs.kk, what)
     state = PidState(n) if pid else None
     order_rng = np.random.default_rng(hp.seed)
     kernel = native_kernel(ranks)

@@ -71,9 +71,11 @@ def generate(spec: SynthSpec) -> tuple[SparseTensor, TwdFactors]:
     ii, jj, kk = np.unravel_index(linear, spec.dims)
     # positions in row-major order: at full density this is the index grid
     # reconstruct_full hands reconstruct_entries, so the two agree bit for bit
-    values = reconstruct_entries(truth, ii, jj, kk)
-    if spec.noise_sigma > 0:
-        values = values + rng.normal(0.0, spec.noise_sigma, n_obs)
+    # values that overflow come out non-finite, which SparseTensor refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = reconstruct_entries(truth, ii, jj, kk)
+        if spec.noise_sigma > 0:
+            values = values + rng.normal(0.0, spec.noise_sigma, n_obs)
     return SparseTensor._over_valid_keys(spec.dims, ii, jj, kk, values), truth
 
 

@@ -64,6 +64,8 @@ BATCH_BYTES = 64 << 20  # cap on a chunk's stage-1 block, where BATCH_CHUNK posi
 
 CHECKPOINT_MAGIC = "TWD v1"
 
+LOSS_OVERFLOW = "a reconstruction or a factor norm overflows float64"  # why a loss is not finite
+
 KERNEL_SOURCE = Path(__file__).with_name("twd_kernel.c")
 CC = "cc"
 # no FMA contraction: the kernel's update and PID fold round as numpy's do;
@@ -165,6 +167,24 @@ def check_index(f: TwdFactors, i: int, j: int, k: int):
         raise BoundsError(f"index ({i}, {j}, {k}) outside dims {f.dims}")
 
 
+def check_indices(f: TwdFactors, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray, what: str):
+    """Raise BoundsError("<what> indices outside dims <dims>") unless every
+    position of the index columns ii, jj and kk lies inside f's dims: the
+    one check of a set of positions, which the native kernel and numpy's
+    gathers follow unchecked."""
+    if len(ii) and any(col.min() < 0 or col.max() >= dim
+                       for col, dim in zip((ii, jj, kk), f.dims)):
+        raise BoundsError(f"{what} indices outside dims {f.dims}")
+
+
+def check_finite(value: float, what: str, why: str | None = None) -> float:
+    """value, or DomainError("<what> is not finite[: why]") where it is not:
+    the one check of a float bound for a caller, a report or a summary."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what} is not finite" + (f": {why}" if why else ""))
+    return value
+
+
 def block_partials(g, a_i, b_j, c_k):
     """Reconstruction at one position and its partial derivative w.r.t.
     each block it touches, from the blocks alone: the core ``g``
@@ -240,22 +260,16 @@ def scatter_blocks(flat: np.ndarray, blocks) -> None:
         start = end
 
 
-def finite_loss(loss: float) -> float:
-    """``loss``, or DomainError where it is not finite."""
-    if not math.isfinite(loss):
-        raise DomainError("loss is not finite: a reconstruction or a factor norm overflows "
-                          "float64")
-    return loss
-
-
 class NativeKernel:
     """The entry points of the compiled ``twd_kernel.c``.
 
     Each call checks the arrays it hands over: float64 (int64 for
     indices), C order, their shapes or lengths, and writeable
-    where the kernel writes.  The indices the kernel follows are
-    checked by the callers, the public functions of this module and of
-    ``pid_sgd``; only the epoch's visit order is checked here.
+    where the kernel writes.  Here an epoch's visit order is checked
+    against the columns and the PID state's length against theirs.  The
+    positions the kernel follows are not checked here: ``check_indices``
+    checks a whole set against the dims, in ``pid_sgd.train``, and
+    ``check_index`` one position, in ``sgd_step`` and ``entry_partials``.
     """
 
     def __init__(self, lib: ctypes.CDLL, ranks: Ranks | None = None):
@@ -312,17 +326,16 @@ class NativeKernel:
         return (x_hat, *(part.reshape(s) for part, s in zip(t, shapes)))
 
     @staticmethod
-    def _pid(pid) -> list:
-        """Pointers to the PID state (integral, prev_error), or NULLs for
-        the plain step."""
+    def _pid(pid, n: int) -> list:
+        """Pointers to the PID state (integral, prev_error), one slot for
+        each of the n training entries, or NULLs for the plain step."""
         if pid is None:
             return [None] * 2
-        n = len(pid[0])
         for arr in pid:
             if (arr.dtype != np.float64 or arr.shape != (n,) or not arr.flags.c_contiguous
                     or not arr.flags.writeable):
-                raise ParameterError("PID state arrays must be writeable, C-ordered and "
-                                     "of one length")
+                raise ParameterError("PID state arrays must be writeable, C-ordered and of "
+                                     f"the training columns' length {n}")
         return [arr.ctypes.data for arr in pid]
 
     def bind(self, f: TwdFactors, columns, pid, gains):
@@ -337,17 +350,15 @@ class NativeKernel:
         bit for bit; its sums run in an order of their own, so it agrees
         with numpy's to rounding.  ``columns`` (ii, jj, kk, values) are
         taken by ``_columns`` and must not be written while the functions
-        are in use; their indices must lie inside f's dims, and the PID
-        state must cover them."""
+        are in use; their indices must lie inside f's dims
+        (``check_indices``), and the PID state must hold one slot each."""
         operands = self._operands(f, in_place=True, extra=sum(f.dims))
         cols = self._columns(columns)
         hp = np.array(gains, dtype=np.float64)
         shape, g, a, b, c, work = (arr.ctypes.data for arr in operands)
-        head = [shape, g, a, b, c, *(col.ctypes.data for col in cols)]
-        tail = [hp.ctypes.data, *self._pid(pid), work]
         n, lam = len(cols[3]), float(hp[1])
-        if pid is not None and len(pid[0]) != n:
-            raise ParameterError("the training columns and the PID state differ in length")
+        head = [shape, g, a, b, c, *(col.ctypes.data for col in cols)]
+        tail = [hp.ctypes.data, *self._pid(pid, n), work]
 
         def run_epoch(order: np.ndarray) -> None:
             order = np.ascontiguousarray(order, dtype=np.int64)
@@ -358,7 +369,7 @@ class NativeKernel:
                 raise DivergenceError(diverged)
 
         def epoch_loss() -> float:
-            return finite_loss(self._lib.tw_loss(*head, n, lam, work))
+            return check_finite(self._lib.tw_loss(*head, n, lam, work), "loss", LOSS_OVERFLOW)
 
         # keep alive the memory that head and tail point into
         run_epoch.buffers = epoch_loss.buffers = (operands, cols, hp, pid)
@@ -498,14 +509,11 @@ def reconstruct_entries(f: TwdFactors, ii: np.ndarray, jj: np.ndarray,
     batched matmuls over slices gathered from ``_slice_major(f)``.  A
     chunk holds BATCH_CHUNK positions, or as many, at least one, as keep
     its stage-1 block, R3*H1*R2*H2 doubles a position, within
-    BATCH_BYTES."""
-    ni, nj, nk = f.dims
+    BATCH_BYTES.  Positions outside f's dims raise BoundsError."""
     n = len(ii)
     if n == 0:
         return np.zeros(0)
-    if (ii.min() < 0 or ii.max() >= ni or jj.min() < 0 or jj.max() >= nj
-            or kk.min() < 0 or kk.max() >= nk):
-        raise BoundsError(f"batch indices outside dims {f.dims}")
+    check_indices(f, ii, jj, kk, "batch")
     (_, r2, r3), (h1, h2, h3) = f.ranks.r, f.ranks.h
     a_s, b_s, c_s = _slice_major(f)
     g = f.g.ravel()

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorwheel import (EvalReport, Ranks, SplitSpec, cli, ingest, init_factors,
                          load_checkpoint, oracle_entry, save_checkpoint, twd_core)
@@ -415,6 +422,16 @@ def test_synth_rejects_a_negative_seed(tmp_path, capsys):
     assert not output.exists()
 
 
+@pytest.mark.parametrize("value_scale", ["1e100", "1e150"])
+def test_synth_values_that_overflow_are_one_error_line(tmp_path, capsys, value_scale):
+    # the planted reconstruction overflows to inf: the error line, not a numpy warning
+    output = tmp_path / "o.txt"
+    assert run(["synth", "--dims", "6,6,4", "--density", "0.5", "--value-scale", value_scale,
+                "--output", output]) == 1
+    assert_one_error_line(capsys, "has non-finite value")
+    assert not output.exists()
+
+
 @pytest.mark.parametrize("content", [
     "TWD v1 8 x 6 2 2 2 2 2 2\n",
     "TWD v1 2 2 2 1 1 1 1 1 1\nabc\n",
@@ -447,6 +464,15 @@ def test_evaluate_rejects_declared_dims_mismatch(tmp_path, capsys):
     matching = tmp_path / "matching.txt"
     matching.write_text("# dims 9 9 9\n0 0 0 1.0\n")
     assert run(["evaluate", "--input", matching, "--checkpoint", truth]) == 0
+
+
+def test_evaluate_names_a_batch_outside_the_checkpoints_dims(synth_file, tmp_path, capsys):
+    _, truth = synth_file
+    # without a header the dims are inferred, (9, 1, 1), and no declared dims differ
+    plain = tmp_path / "plain.txt"
+    plain.write_text("0 0 0 1.0\n8 0 0 0.5\n")
+    assert run(["evaluate", "--input", plain, "--checkpoint", truth]) == 1
+    assert_one_error_line(capsys, "batch indices outside dims (8, 8, 6)")
 
 
 @pytest.mark.parametrize("header, code", [("# dims 4 4 3\n", 0), ("# dims 5 4 3\n", 1)],
@@ -639,3 +665,114 @@ def test_ranks_too_large_for_memory_are_one_error_line(tmp_path, monkeypatch, co
     assert "Traceback" not in proc.stderr
     huge = [int(r) for r in HUGE_RANKS.split(",")]
     assert not twd_core.library_path(Ranks(huge[:3], huge[3:])).exists()  # nothing was built
+
+
+# ------------------------------------------------- a property over the CLI
+
+# finite values at the edges of float64: zero, subnormal, the largest, and both signs
+EDGE_VALUES = st.sampled_from([0.0, -0.0, 1e-320, -1e-320, 1e150, 1e308, -1e308, -1e-3])
+FLAG_VALUES = EDGE_VALUES | st.floats(allow_nan=False, allow_infinity=False)
+CLI_COMMANDS = ["train", "ablate", "grid", "evaluate", "synth", "ingest-check", "split"]
+
+
+@pytest.fixture(scope="module")
+def planted_files(tmp_path_factory):
+    """A planted 6x6x4 COO file and its truth checkpoint, shared by the examples."""
+    root = tmp_path_factory.mktemp("planted")
+    obs, truth = root / "obs.txt", root / "truth.txt"
+    assert run(["synth", "--dims", "6,6,4", "--ranks", "2,2,2,2,2,2", "--density", "0.5",
+                "--output", obs, "--truth", truth]) == 0
+    return obs, truth
+
+
+def drawn_file(data, path):
+    """A headerless COO file of a few drawn entries, or an empty one."""
+    entries = data.draw(st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 4), FLAG_VALUES),
+        max_size=30, unique_by=lambda e: e[:3]))
+    path.write_text("".join(f"{i} {j} {k} {v!r}\n" for i, j, k, v in entries))
+    return path
+
+
+def cli_call(data, command, obs, truth, out) -> list:
+    """An argv of ``command`` whose values are drawn, each as --flag=value,
+    since argparse reads a bare -1e-3 as an option."""
+    def flag(name, strategy, always=False):
+        if always or data.draw(st.booleans()):
+            argv.append(f"--{name}={data.draw(strategy)}")
+
+    def switch(name):
+        if data.draw(st.booleans()):
+            argv.append(f"--{name}")
+
+    # in range for most flags, at an edge, or anywhere finite
+    values = st.one_of(st.floats(0, 1), EDGE_VALUES, FLAG_VALUES).map(repr)
+    small = st.integers(-1, 3).map(str)
+    argv = [command]
+    if command != "synth":
+        data_file = drawn_file(data, out / "d.txt") if data.draw(st.booleans()) else obs
+        argv.append(f"--input={data_file}")
+        flag("dims", st.sampled_from(["6,6,4", "3,3,3", "7,7,5"]))
+    if command in ("train", "ablate", "grid"):
+        argv += ["--ranks=2,2,2,2,2,2", f"--report={out / 'r.json'}"]
+        flag("epochs", st.integers(0, 3).map(str), always=True)
+        for name in ("cp", "ci", "cd", "init-scale"):
+            flag(name, values)
+        flag("patience", small)
+        flag("seed", small)
+        flag("split", st.lists(st.integers(0, 3), min_size=3, max_size=3)
+             .map(lambda r: ":".join(map(str, r))))
+        switch("no-normalize")
+        switch("no-early-stop")
+    if command in ("train", "ablate"):
+        flag("reps", st.integers(0, 2).map(str), always=True)
+        flag("eta", values)
+        flag("lambda", values)
+        switch("raw-domain-metrics")
+    elif command == "grid":
+        lists = st.lists(values, min_size=1, max_size=2).map(",".join)
+        flag("etas", lists, always=True)
+        flag("lambdas", lists, always=True)
+        flag("grid-epochs", st.integers(0, 3).map(str))
+    elif command == "evaluate":
+        argv.append(f"--checkpoint={truth}")
+        switch("normalize")
+        switch("raw-domain-metrics")
+    elif command == "synth":
+        flag("dims", st.lists(st.integers(1, 6), min_size=3, max_size=3)
+             .map(lambda d: ",".join(map(str, d))), always=True)
+        flag("ranks", st.sampled_from(["1,1,1,1,1,1", "2,2,2,2,2,2", "3,1,2,2,1,3"]))
+        for name in ("density", "noise", "value-scale"):
+            flag(name, values)
+        flag("seed", small)
+        argv.append(f"--output={out / 'o.txt'}")
+        if data.draw(st.booleans()):
+            argv.append(f"--truth={out / 't.txt'}")
+    elif command == "ingest-check":
+        switch("keep-last")
+    elif command == "split":
+        flag("split", st.lists(st.integers(0, 3), min_size=3, max_size=3)
+             .map(lambda r: ":".join(map(str, r))))
+        flag("seed", small)
+        argv.append(f"--output-prefix={out / 'part'}")
+    return argv
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_finite_flags_and_data_end_in_exit_0_or_one_error_line(planted_files, command, data):
+    obs, truth = planted_files
+    with tempfile.TemporaryDirectory() as out:
+        argv = cli_call(data, command, obs, truth, Path(out))
+        stderr = io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    lines = stderr.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines

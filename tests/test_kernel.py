@@ -382,6 +382,16 @@ def test_sgd_step_rejects_what_lies_outside_the_factors(kernel):
         assert getattr(f, name).tobytes() == getattr(before, name).tobytes()
 
 
+def test_the_binding_refuses_a_pid_state_of_another_length():
+    f = init_factors((3, 4, 2), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=0, scale=0.3)
+    obs = SparseTensor(f.dims, [0, 1], [0, 1], [0, 1], [1.0, 2.0])
+    for pid in ((np.zeros(3), np.zeros(3)), (np.zeros(2), np.zeros(3))):
+        with pytest.raises(ParameterError,
+                           match="PID state arrays must be writeable, C-ordered and of "
+                                 "the training columns' length 2"):
+            native().bind(f, columns(obs), pid, (0.1, 0.0, 1.0, 0.0, 0.0))
+
+
 def test_train_rejects_indices_outside_dims(kernel):
     observed, tr, va = planted_split()
     with pytest.raises(BoundsError):
@@ -400,6 +410,40 @@ def test_train_rejects_validation_indices_outside_dims(kernel, monkeypatch):
     with pytest.raises(BoundsError, match="validation indices outside dims"):
         train(tr, outside, observed.dims, Ranks(r=(2, 2, 2), h=(2, 2, 2)),
               HyperParams(max_epochs=2))
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_train_names_training_indices_outside_dims(kernel, monkeypatch, axis):
+    observed, tr, va = planted_split()
+    dims, cols = list(observed.dims), [list(tr.ii), list(tr.jj), list(tr.kk)]
+    cols[axis][-1] = dims[axis]  # a position no other entry holds
+    dims[axis] += 1
+    outside = SparseTensor(tuple(dims), *cols, tr.values)
+
+    def no_epoch(*args):
+        pytest.fail("an epoch ran before the training set was checked")
+    monkeypatch.setattr(pid_sgd, "epoch_visit_order", no_epoch)
+    with pytest.raises(BoundsError,
+                       match=re.escape(f"training indices outside dims {observed.dims}")):
+        train(outside, va, observed.dims, Ranks(r=(2, 2, 2), h=(2, 2, 2)),
+              HyperParams(max_epochs=2))
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_a_batch_outside_dims_is_named_by_reconstruct_entries_and_evaluate(kernel, axis):
+    observed, _, va = planted_split()
+    f = init_factors(observed.dims, Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=0, scale=0.1)
+    message = re.escape(f"batch indices outside dims {observed.dims}")
+    for bad in (-1, observed.dims[axis]):
+        cols = [va.ii.copy(), va.jj.copy(), va.kk.copy()]
+        cols[axis][-1] = bad
+        with pytest.raises(BoundsError, match=message):
+            reconstruct_entries(f, *cols)
+    dims, cols = list(observed.dims), [list(va.ii), list(va.jj), list(va.kk)]
+    cols[axis][-1] = dims[axis]
+    dims[axis] += 1
+    with pytest.raises(BoundsError, match=message):
+        evaluate(f, SparseTensor(tuple(dims), *cols, va.values))
 
 
 def test_an_overflowing_validation_sum_takes_evaluates_rescale_on_both_kernels(kernel):
