@@ -200,9 +200,8 @@ def _repeat(args, command: str, body) -> dict:
         rep = Repetition(index, replace(hp, seed=seed), tensor.dims, ranks,
                          train_t, valid_t, test_t)
         reps.append({"seed": seed, **body(rep)})
-    hyperparams = {"eta": hp.eta, "lambda": hp.lam, "cp": hp.cp, "ci": hp.ci, "cd": hp.cd,
-                   "max_epochs": hp.max_epochs, "patience": hp.patience,
-                   "init_scale": hp.init_scale}
+    hyperparams = {"lambda" if name == "lam" else name: value
+                   for name, value in asdict(hp).items() if name != "seed"}
     config = _config(args, tensor, ranks, ratios, hyperparams=hyperparams, base_seed=args.seed,
                      repetitions=args.reps, raw_domain_metrics=args.raw_domain_metrics)
     return {"command": command, "config": config, "repetitions": reps}

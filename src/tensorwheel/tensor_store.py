@@ -8,7 +8,6 @@ Indices are 0-based both in files and in memory.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import os
@@ -123,22 +122,6 @@ def _dims_header(line: str, line_no: int):
         raise ParseError(line_no, f"malformed dims header: {line!r}") from None
 
 
-def _text_lines(data: bytes, errors: str = "strict"):
-    """The lines of a file's bytes as ``open(path, encoding="utf-8")``
-    yields them: decoded as UTF-8, with "\\r\\n" and "\\r" ending a line."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
-
-
-def _undecodable_line(data: bytes) -> int:
-    """1-based number of the first line of a file's bytes that is not valid UTF-8."""
-    for line_no, raw in enumerate(_text_lines(data, errors="surrogateescape"), start=1):
-        try:
-            raw.encode("utf-8")  # an undecodable byte was escaped to a lone surrogate
-        except UnicodeEncodeError:
-            return line_no
-    return line_no
-
-
 def ingest(path, dims="infer", keep_last: bool = False) -> SparseTensor:
     """Load a COO text file into a SparseTensor.
 
@@ -150,8 +133,11 @@ def ingest(path, dims="infer", keep_last: bool = False) -> SparseTensor:
 
     The file is read once, so a pipe works too.  A well-formed file is
     parsed in one pass by numpy's reader.  A file that pass refuses, for
-    any fault, is parsed again line by line from the bytes read, so that
-    every error names its line.
+    any fault, is parsed again line by line from the bytes read, each
+    line decoded as UTF-8 once, so that a fault of a line (its text, a
+    field, a header or a repeated key) names the first bad line.  A
+    fault of the tensor as a whole names no line: an entry outside the
+    dims names its position, and bad dims name the dims.
 
     Args:
         path: file to read.
@@ -208,8 +194,8 @@ def _ingest_whole(data: bytes, dims, keep_last: bool):
         at = data.find(b"#", end)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = np.loadtxt(itertools.compress(_text_lines(data), entry_lines), dtype=_COO_ROW,
-                          comments=None, ndmin=1)
+        rows = np.loadtxt(itertools.compress(data.decode("utf-8").split("\n"), entry_lines),
+                          dtype=_COO_ROW, comments=None, ndmin=1)
     keys, values = (rows["i"], rows["j"], rows["k"]), rows["value"]
     if keep_last:
         if not np.isfinite(values).all():
@@ -246,35 +232,36 @@ def _ingest_lines(data: bytes, dims, keep_last: bool):
     names a bad line."""
     header_dims = None
     records = {}  # (i, j, k) -> value, insertion-ordered
-    try:
-        for line_no, raw in enumerate(_text_lines(data), start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                if header_dims is None:
-                    header_dims = _dims_header(line, line_no)
-                continue
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise ParseError(line_no, f"expected 4 fields, got {len(fields)}")
-            try:
-                i, j, k = int(fields[0]), int(fields[1]), int(fields[2])
-                value = float(fields[3])
-            except ValueError:
-                raise ParseError(line_no, f"non-numeric field in {line!r}") from None
-            if min(i, j, k) < 0:
-                raise ParseError(line_no, f"negative index in {line!r}")
-            if max(i, j, k) >= 2 ** 63:
-                raise ParseError(line_no, f"index beyond int64 in {line!r}")
-            if not math.isfinite(value):
-                raise ParseError(line_no, f"non-finite value in {line!r}")
-            key = (i, j, k)
-            if key in records and not keep_last:
-                raise DuplicateKeyError(key, line_no)
-            records[key] = value
-    except UnicodeDecodeError:
-        raise ParseError(_undecodable_line(data), "not valid UTF-8 text") from None
+    # as a text file is read: "\n", "\r\n" and "\r" end a line
+    for line_no, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ParseError(line_no, "not valid UTF-8 text") from None
+        if line.startswith("#"):
+            if header_dims is None:
+                header_dims = _dims_header(line, line_no)
+            continue
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 4:
+            raise ParseError(line_no, f"expected 4 fields, got {len(fields)}")
+        try:
+            i, j, k = int(fields[0]), int(fields[1]), int(fields[2])
+            value = float(fields[3])
+        except ValueError:
+            raise ParseError(line_no, f"non-numeric field in {line!r}") from None
+        if min(i, j, k) < 0:
+            raise ParseError(line_no, f"negative index in {line!r}")
+        if max(i, j, k) >= 2 ** 63:
+            raise ParseError(line_no, f"index beyond int64 in {line!r}")
+        if not math.isfinite(value):
+            raise ParseError(line_no, f"non-finite value in {line!r}")
+        key = (i, j, k)
+        if key in records and not keep_last:
+            raise DuplicateKeyError(key, line_no)
+        records[key] = value
 
     keys = np.array(list(records), dtype=np.int64).reshape(-1, 3)
     if dims == "infer":

@@ -167,14 +167,22 @@ def check_index(f: TwdFactors, i: int, j: int, k: int):
         raise BoundsError(f"index ({i}, {j}, {k}) outside dims {f.dims}")
 
 
-def check_indices(f: TwdFactors, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray, what: str):
-    """Raise BoundsError("<what> indices outside dims <dims>") unless every
-    position of the index columns ii, jj and kk lies inside f's dims: the
-    one check of a set of positions, which the native kernel and numpy's
-    gathers follow unchecked."""
-    if len(ii) and any(col.min() < 0 or col.max() >= dim
-                       for col, dim in zip((ii, jj, kk), f.dims)):
+def check_indices(f: TwdFactors, ii, jj, kk, what: str) -> list:
+    """The index columns ii, jj and kk as arrays (``np.asarray``), once
+    every position they hold lies inside f's dims: the one check of a set
+    of positions, which the native kernel and numpy's gathers follow
+    unchecked.  Columns that are not 1-D integer arrays of one length
+    (empty ones of any type pass) raise ParameterError("<what> index
+    columns must be ..."), and positions outside the dims raise
+    BoundsError("<what> indices outside dims <dims>")."""
+    cols = [np.asarray(col) for col in (ii, jj, kk)]
+    if any(col.ndim != 1 or len(col) != len(cols[0]) or (len(col) and col.dtype.kind not in "iu")
+           for col in cols):
+        raise ParameterError(f"{what} index columns must be 1-D integer arrays of one length")
+    if len(cols[0]) and any(col.min() < 0 or col.max() >= dim
+                            for col, dim in zip(cols, f.dims)):
         raise BoundsError(f"{what} indices outside dims {f.dims}")
+    return cols
 
 
 def check_finite(value: float, what: str, why: str | None = None) -> float:
@@ -345,16 +353,20 @@ class NativeKernel:
         raises DivergenceError at the step that diverges, which writes
         nothing back; ``epoch_loss()`` returns ``pid_sgd.compute_loss`` of
         f's current values over the columns with L2 weight lam, and, as
-        there, raises DomainError where it overflows.  Gains are (eta, lam,
-        cp, ci, cd).  Each of the loss's reconstructions equals the step's
-        bit for bit; its sums run in an order of their own, so it agrees
-        with numpy's to rounding.  ``columns`` (ii, jj, kk, values) are
-        taken by ``_columns`` and must not be written while the functions
-        are in use; their indices must lie inside f's dims
+        there, raises DomainError where it overflows.  Gains are the five
+        values (eta, lam, cp, ci, cd); any other shape raises
+        ParameterError.  Each of the loss's reconstructions equals the
+        step's bit for bit; its sums run in an order of their own, so it
+        agrees with numpy's to rounding.  ``columns`` (ii, jj, kk, values)
+        are taken by ``_columns`` and must not be written while the
+        functions are in use; their indices must lie inside f's dims
         (``check_indices``), and the PID state must hold one slot each."""
         operands = self._operands(f, in_place=True, extra=sum(f.dims))
         cols = self._columns(columns)
         hp = np.array(gains, dtype=np.float64)
+        if hp.shape != (5,):
+            raise ParameterError(f"gains must be five values (eta, lam, cp, ci, cd), "
+                                 f"got an array of shape {hp.shape}")
         shape, g, a, b, c, work = (arr.ctypes.data for arr in operands)
         n, lam = len(cols[3]), float(hp[1])
         head = [shape, g, a, b, c, *(col.ctypes.data for col in cols)]
@@ -509,11 +521,13 @@ def reconstruct_entries(f: TwdFactors, ii: np.ndarray, jj: np.ndarray,
     batched matmuls over slices gathered from ``_slice_major(f)``.  A
     chunk holds BATCH_CHUNK positions, or as many, at least one, as keep
     its stage-1 block, R3*H1*R2*H2 doubles a position, within
-    BATCH_BYTES.  Positions outside f's dims raise BoundsError."""
+    BATCH_BYTES.  The columns are taken by ``check_indices``: they must
+    be 1-D integer arrays or sequences of one length, or ParameterError
+    names the batch, and positions outside f's dims raise BoundsError."""
+    ii, jj, kk = check_indices(f, ii, jj, kk, "batch")
     n = len(ii)
     if n == 0:
         return np.zeros(0)
-    check_indices(f, ii, jj, kk, "batch")
     (_, r2, r3), (h1, h2, h3) = f.ranks.r, f.ranks.h
     a_s, b_s, c_s = _slice_major(f)
     g = f.g.ravel()

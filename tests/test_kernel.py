@@ -392,6 +392,16 @@ def test_the_binding_refuses_a_pid_state_of_another_length():
             native().bind(f, columns(obs), pid, (0.1, 0.0, 1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("gains", [(0.1, 0.0), (0.1,), (0.1, 0.0, 1.0, 0.0, 0.0, 0.0),
+                                   [[0.1, 0.0, 1.0, 0.0, 0.0]]])
+def test_the_binding_refuses_gains_of_another_shape(gains):
+    # the kernel reads cp, ci and cd from the gains' slots 2..4 unchecked
+    f = init_factors((3, 4, 2), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=0, scale=0.3)
+    obs = SparseTensor(f.dims, [0, 1], [0, 1], [0, 1], [1.0, 2.0])
+    with pytest.raises(ParameterError, match=re.escape("gains must be five values")):
+        native().bind(f, columns(obs), (np.zeros(2), np.zeros(2)), gains)
+
+
 def test_train_rejects_indices_outside_dims(kernel):
     observed, tr, va = planted_split()
     with pytest.raises(BoundsError):

@@ -351,6 +351,26 @@ def test_ingest_non_utf8_deep_in_large_file(tmp_path):
     assert err.value.line_no == 3211
 
 
+# an undecodable byte on line 3 must not hide the fault of line 2
+FIELD_COUNT_THEN_BAD_BYTE = b"0 0 0 1.0\n0 1 2\n0 1 1 \xff\n"
+
+
+def test_ingest_names_a_bad_field_count_before_a_later_undecodable_line(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_bytes(FIELD_COUNT_THEN_BAD_BYTE)
+    with pytest.raises(ParseError, match="expected 4 fields, got 3") as err:
+        ingest(path)
+    assert err.value.line_no == 2
+
+
+def test_ingest_names_a_repeated_key_before_a_later_undecodable_line(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_bytes(b"0 0 0 1.0\n0 0 0 2.0\n0 1 1 \xff\n")
+    with pytest.raises(DuplicateKeyError) as err:
+        ingest(path)
+    assert err.value.key == (0, 0, 0) and err.value.line_no == 2
+
+
 def header_dims(path):
     return read_coo(path)[1]
 
@@ -722,10 +742,12 @@ def test_valid_comments_and_repeats_are_parsed_without_the_line_loop(
 
 
 def read_through_a_pipe(tmp_path, text, **kwargs):
-    """``ingest`` of ``text`` written into a named pipe by another thread."""
+    """``ingest`` of ``text``, a str or bytes, written into a named pipe by
+    another thread."""
     pipe = tmp_path / "pipe"
     os.mkfifo(pipe)
-    writer = threading.Thread(target=lambda: pipe.write_text(text), daemon=True)
+    write = pipe.write_bytes if isinstance(text, bytes) else pipe.write_text
+    writer = threading.Thread(target=lambda: write(text), daemon=True)
     writer.start()
     try:
         return ingest(pipe, **kwargs)
@@ -750,6 +772,12 @@ def test_ingest_reads_a_pipe_once(tmp_path, keep_last):
 def test_ingest_names_the_bad_line_of_a_pipe(tmp_path):
     with pytest.raises(ParseError, match="expected 4 fields, got 6") as err:
         read_through_a_pipe(tmp_path, "0 0 0 1.0\n0 1 2 3.0 # note\n")
+    assert err.value.line_no == 2
+
+
+def test_ingest_names_a_bad_field_count_before_a_later_undecodable_line_of_a_pipe(tmp_path):
+    with pytest.raises(ParseError, match="expected 4 fields, got 3") as err:
+        read_through_a_pipe(tmp_path, FIELD_COUNT_THEN_BAD_BYTE)
     assert err.value.line_no == 2
 
 

@@ -226,6 +226,31 @@ def test_reconstruct_entries_bounds():
         reconstruct_entries(f, np.array([0, 2]), np.array([0, 0]), np.array([0, 0]))
 
 
+def test_reconstruct_entries_takes_integer_lists():
+    f = init_factors((2, 3, 2), Ranks(r=(2, 1, 2), h=(1, 2, 2)), seed=0, scale=0.5)
+    cols = ([0, 1, 1], [2, 0, 1], [1, 1, 0])
+    assert np.array_equal(reconstruct_entries(f, *cols),
+                          reconstruct_entries(f, *(np.array(col) for col in cols)))
+    assert reconstruct_entries(f, [], [], []).shape == (0,)
+
+
+def test_reconstruct_entries_refuses_float_columns():
+    f = init_factors((2, 3, 2), Ranks(r=(1, 1, 1), h=(1, 1, 1)), seed=0, scale=0.1)
+    with pytest.raises(ParameterError, match="batch index columns"):
+        reconstruct_entries(f, np.array([0.0, 1.0]), np.array([2, 0]), np.array([1, 1]))
+
+
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("length", [1, 3])
+def test_reconstruct_entries_refuses_a_column_of_another_length(axis, length):
+    # numpy would broadcast a column of one position against the others
+    f = init_factors((2, 3, 2), Ranks(r=(1, 1, 1), h=(1, 1, 1)), seed=0, scale=0.1)
+    cols = [np.array([0, 1]), np.array([2, 0]), np.array([1, 1])]
+    cols[axis] = np.zeros(length, dtype=np.int64)
+    with pytest.raises(ParameterError, match="batch index columns"):
+        reconstruct_entries(f, *cols)
+
+
 # ------------------------------------------------------------ properties
 
 def test_multilinearity_in_core_and_factor():
