@@ -92,7 +92,10 @@ class TrainReport:
     """Per-epoch training trace.
 
     valid_rmse_history is empty when training ran without a validation
-    set; otherwise both histories have length epochs_run.
+    set; otherwise both histories have length epochs_run.  converged_at
+    is the 0-based best epoch so far: the first epoch of the lowest
+    validation RMSE, or the last epoch run without a validation set.
+    ``train`` keeps its stopping state here and nowhere else.
     """
 
     loss_history: list[float] = field(default_factory=list)
@@ -235,8 +238,9 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     each epoch visits every training entry once in a seeded shuffled
     order.  After each epoch the regularized training loss is recorded,
     and, when a validation set is given, its RMSE; training stops at
-    hp.max_epochs or (with early_stop) once validation RMSE has not
-    improved for hp.patience consecutive epochs.  The returned factors
+    hp.max_epochs or (with early_stop) once hp.patience epochs have run
+    since the best one, ``report.converged_at``, without a strictly lower
+    validation RMSE (a tie is no improvement).  The returned factors
     are the checkpoint from the best-validation epoch.  A non-finite
     factor, loss or validation RMSE raises DivergenceError with the
     epoch, hp.eta and the norms of the last finite factors.  Each
@@ -262,8 +266,9 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
         early_stop: when False, always run the full max_epochs.
 
     Returns:
-        (factors, report); report.converged_at is the 0-based epoch index
-        of the best validation RMSE (last epoch when no validation set).
+        (factors, report); report.converged_at is the 0-based index of
+        the first epoch of the lowest validation RMSE (the last epoch when
+        no validation set), whose factors are returned.
     """
     n = len(train_set)
     if n == 0:
@@ -279,12 +284,10 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     use_valid = len(valid_set) > 0
 
     report = TrainReport()
-    best_rmse = np.inf
-    best_epoch = 0
-    # the best epoch's g, a, b and c are copied in place, and checked once, at return
     arrays = (factors.g, factors.a, factors.b, factors.c)  # written in place by every epoch
-    best = [np.empty_like(x) for x in arrays] if use_valid else None
-    bad_epochs = 0
+    # the best epoch's g, a, b and c are copied in place, and checked once, at return;
+    # without validation the best epoch is the last, and best holds the live arrays
+    best = [np.empty_like(x) for x in arrays] if use_valid else arrays
 
     for epoch in range(hp.max_epochs):
         order = epoch_visit_order(order_rng, n)
@@ -306,22 +309,14 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
 
         report.loss_history.append(loss)
         report.epochs_run = epoch + 1
-
         if use_valid:
             report.valid_rmse_history.append(rmse)
-            if rmse < best_rmse:
-                best_rmse = rmse
-                best_epoch = epoch
-                for dst, src in zip(best, arrays):
-                    np.copyto(dst, src)
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if early_stop and bad_epochs >= hp.patience:
+            # a tie is no improvement: it neither moves the best epoch nor resets patience
+            if epoch > 0 and not rmse < report.valid_rmse_history[report.converged_at]:
+                if early_stop and epoch - report.converged_at >= hp.patience:
                     break
-
-    if use_valid:
-        report.converged_at = best_epoch
-        return TwdFactors(*best, factors.dims, factors.ranks), report
-    report.converged_at = report.epochs_run - 1
-    return factors, report
+                continue
+        report.converged_at = epoch
+        for dst, src in zip(best, arrays):
+            np.copyto(dst, src)  # a no-op where dst is src
+    return TwdFactors(*best, factors.dims, factors.ranks), report

@@ -8,7 +8,6 @@ Indices are 0-based both in files and in memory.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import warnings
@@ -109,17 +108,17 @@ class SparseTensor:
         return len(self.values)
 
 
-def _dims_header(line: str, line_no: int):
-    """(I, J, K) from a "# dims I J K" comment line; None for any other comment."""
+def _dims_header(line: str):
+    """(I, J, K) from a "# dims I J K" comment line; None for any other
+    comment.  A malformed header raises ValueError."""
     parts = line[1:].split()
     if parts[:1] != ["dims"]:
         return None
-    if len(parts) != 4:
-        raise ParseError(line_no, f"malformed dims header: {line!r}")
     try:
-        return tuple(int(p) for p in parts[1:])
+        ni, nj, nk = (int(p) for p in parts[1:])  # a count other than three raises too
     except ValueError:
-        raise ParseError(line_no, f"malformed dims header: {line!r}") from None
+        raise ValueError(f"malformed dims header: {line!r}") from None
+    return ni, nj, nk
 
 
 def ingest(path, dims="infer", keep_last: bool = False) -> SparseTensor:
@@ -171,15 +170,14 @@ def _ingest_whole(data: bytes, dims, keep_last: bool):
     fails, as for a negative index, a non-finite value or, without
     ``keep_last``, a repeated key.
 
-    Comment lines are found from each '#' in the file and left out of
-    the lines loadtxt reads, which strips no comment itself: a '#' in
-    any other line, as in "0 1 2 3.0 # note", raises, as the loop
-    refuses every such line."""
+    Numpy skips the comment lines (``comments="#"``).  The line of each
+    '#' is read first, for two things only: the first "# dims" header,
+    and to refuse a '#' in any other line, as in "0 1 2 3.0 # note",
+    which the loop refuses too.  A malformed header raises, and the loop
+    names its line."""
     if b"\r" in data:  # as a text file is read: "\r\n" and "\r" end a line
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     header_dims = None
-    entry_lines = bytearray(b"\x01") * (data.count(b"\n") + 1)  # 0 marks a comment line
-    line_no, counted = 1, 0
     at = data.find(b"#")
     while at != -1:
         start = data.rfind(b"\n", 0, at) + 1
@@ -187,15 +185,12 @@ def _ingest_whole(data: bytes, dims, keep_last: bool):
         line = data[start:end].decode("utf-8").strip()
         if not line.startswith("#"):
             raise ValueError(f"'#' inside an entry line: {line!r}")
-        line_no += data.count(b"\n", counted, start)
-        counted = start
-        entry_lines[line_no - 1] = 0
-        header_dims = header_dims or _dims_header(line, line_no)
+        header_dims = header_dims or _dims_header(line)
         at = data.find(b"#", end)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = np.loadtxt(itertools.compress(data.decode("utf-8").split("\n"), entry_lines),
-                          dtype=_COO_ROW, comments=None, ndmin=1)
+        rows = np.loadtxt(data.decode("utf-8").split("\n"), dtype=_COO_ROW, comments="#",
+                          ndmin=1)
     keys, values = (rows["i"], rows["j"], rows["k"]), rows["value"]
     if keep_last:
         if not np.isfinite(values).all():
@@ -240,7 +235,10 @@ def _ingest_lines(data: bytes, dims, keep_last: bool):
             raise ParseError(line_no, "not valid UTF-8 text") from None
         if line.startswith("#"):
             if header_dims is None:
-                header_dims = _dims_header(line, line_no)
+                try:
+                    header_dims = _dims_header(line)
+                except ValueError as err:
+                    raise ParseError(line_no, str(err)) from None
             continue
         if not line:
             continue
@@ -279,19 +277,24 @@ def open_replacing(path, encoding: str = "utf-8"):
     file, so a reader never sees a partly written file.  The replace is
     not fsynced.  A path that exists but is not a regular file, such as
     a device or a pipe, cannot be replaced and is written in place; a
-    symlink is followed, so the file it points to is replaced.
+    symlink is followed, so the file it points to is replaced.  A temp
+    file that cannot be created raises its OSError naming ``path``, as
+    given, not the temp file's random name.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding=encoding) as fh:
             yield fh
         return
-    path = os.path.realpath(path)
-    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    fh = open(tmp, "x", encoding=encoding)
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(6).hex()}.tmp"
+    try:
+        fh = open(tmp, "x", encoding=encoding)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, os.fspath(path)) from None
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -161,7 +161,11 @@ def init_factors(dims, ranks: Ranks, seed: int, scale: float) -> TwdFactors:
 
 
 def check_index(f: TwdFactors, i: int, j: int, k: int):
-    """Raise BoundsError unless (i, j, k) lies inside f's dims."""
+    """Raise ParameterError unless i, j and k are integers, Python's (bool
+    aside) or numpy's, and BoundsError unless (i, j, k) lies inside f's
+    dims."""
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (i, j, k)):
+        raise ParameterError(f"index ({i!r}, {j!r}, {k!r}) must be three integers")
     ni, nj, nk = f.dims
     if not (0 <= i < ni and 0 <= j < nj and 0 <= k < nk):
         raise BoundsError(f"index ({i}, {j}, {k}) outside dims {f.dims}")

@@ -623,6 +623,32 @@ def test_a_report_path_that_cannot_be_written_fails_before_ingest(synth_file, tm
     assert sorted(os.listdir(tmp_path)) == ["obs.txt", "truth.txt"]
 
 
+@pytest.mark.parametrize("argv, name", [
+    (lambda obs, out, missing: train_args(obs, missing / "r.json", **{"--epochs": 2}), "r.json"),
+    (lambda obs, out, missing: train_args(obs, out / "r.json", **{"--epochs": 2,
+                                                                  "--checkpoint": missing / "ck"}),
+     "ck.rep0.txt"),
+    (lambda obs, out, missing: ["synth", "--dims", "4,4,4", "--output", out / "s.txt",
+                                "--truth", missing / "t.txt"], "t.txt"),
+    (lambda obs, out, missing: ["split", "--input", obs, "--output-prefix", missing / "p"],
+     "p.train.txt"),
+], ids=["train-report", "train-checkpoint", "synth-truth", "split-output-prefix"])
+def test_an_output_path_in_a_missing_directory_is_named_as_given(synth_file, tmp_path, capsys,
+                                                                  argv, name):
+    # the error names the path the user gave, not the random name of its temp file
+    obs, _ = synth_file
+    out, missing = tmp_path / "out", tmp_path / "missing"
+    out.mkdir()
+    errors = []
+    for _ in range(2):
+        assert run(argv(obs, out, missing)) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        f"error: [Errno 2] No such file or directory: '{missing / name}'\n")
+    assert not missing.exists()
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
 # ranks whose stage-1 block, R3*H1*R2*H2 doubles, takes 60 GiB at one
 # position, while each factor holds at most 180k values
 HUGE_RANKS = "1,300,300,300,300,1"

@@ -456,6 +456,25 @@ def test_a_batch_outside_dims_is_named_by_reconstruct_entries_and_evaluate(kerne
         evaluate(f, SparseTensor(tuple(dims), *cols, va.values))
 
 
+@pytest.mark.parametrize("position", [(0.5, 0, 0), (np.float64(1.0), 0, 0), (0, "1", 0),
+                                      (0, 0, None), (True, 0, 0), (0, 0, np.bool_(True))])
+def test_a_position_that_is_not_three_integers_is_a_parameter_error(kernel, position):
+    f = init_factors((2, 2, 2), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=0, scale=0.1)
+    for fn in (reconstruct_entry, twd_core.entry_partials, oracle_entry):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"index ({', '.join(map(repr, position))}) must be three integers")):
+            fn(f, *position)
+
+
+def test_a_position_of_python_or_numpy_integers_passes_the_point_gate(kernel):
+    f = init_factors((2, 2, 2), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=0, scale=0.1)
+    expected = reconstruct_entry(f, 1, 0, 1)
+    assert reconstruct_entry(f, np.int64(1), np.int32(0), np.uint8(1)) == expected
+    assert oracle_entry(f, np.int64(1), 0, np.uint8(1)) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(BoundsError, match=re.escape("index (2, 0, 0) outside dims (2, 2, 2)")):
+        reconstruct_entry(f, np.int64(2), 0, 0)
+
+
 def test_an_overflowing_validation_sum_takes_evaluates_rescale_on_both_kernels(kernel):
     # each squared residual overflows, the RMSE does not
     observed, tr, va = planted_split()

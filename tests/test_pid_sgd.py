@@ -499,6 +499,24 @@ def test_train_returns_the_best_epoch_factors_bitwise():
         assert getattr(factors, name).tobytes() == getattr(live, name).tobytes()
 
 
+def test_a_validation_tie_neither_moves_the_best_epoch_nor_resets_patience(monkeypatch):
+    # epochs 2 and 5 tie the best so far, so the best epoch stays 1 and then 4,
+    # and patience 3 runs out at epoch 7, three epochs after epoch 4
+    observed, _ = small_planted()
+    tr, va, _ = split(observed, SplitSpec(ratios=(8, 2, 0), seed=0))
+    ranks = Ranks(r=(2, 2, 2), h=(2, 2, 2))
+    rmses = iter([3.0, 2.0, 2.0, 2.5, 1.0, 1.0, 1.0, 1.0, 0.5])
+    monkeypatch.setattr(pid_sgd, "validation_rmse", lambda f, obs, squares: next(rmses))
+    hp = HyperParams(eta=0.1, lam=0.0, max_epochs=9, patience=3, seed=0)
+    factors, report = train(tr, va, observed.dims, ranks, hp)
+    assert (report.epochs_run, report.converged_at) == (8, 4)
+    assert report.valid_rmse_history == [3.0, 2.0, 2.0, 2.5, 1.0, 1.0, 1.0, 1.0]
+    cut = HyperParams(eta=0.1, lam=0.0, max_epochs=5, seed=0)
+    live, _ = train(tr, SparseTensor(observed.dims, []), observed.dims, ranks, cut)
+    for name in "gabc":
+        assert getattr(factors, name).tobytes() == getattr(live, name).tobytes()
+
+
 def test_train_no_early_stop_flag():
     observed, _ = small_planted()
     tr, va, _ = split(observed, SplitSpec(ratios=(8, 2, 0), seed=0))

@@ -659,7 +659,8 @@ ODD_VALUE = ["nan", "inf", "-inf", "1e400", "1e-400", "-0.0", ".5", "1.", "Infin
 SEPARATORS = [" ", " ", " ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028",
               "\u3000"]
 OTHER_LINES = ["", "  ", "\t", "\x0b", "# note", "#", "# 1 2 3 4", "# dims 4 4 4",
-               "# dims 2 2 2", "  # dims 3 4 5", "# dims 0 4 4", "# dims 4 4", "# dims x 4 4"]
+               "# dims 2 2 2", "  # dims 3 4 5", "# dims 0 4 4", "# dims 4 4", "# dims x 4 4",
+               *(sep + "# note" for sep in "\xa0\x0b\x0c\x1c\x85\u2028\u3000")]
 LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", ""]
 
 
@@ -708,6 +709,8 @@ def coo_texts(draw):
 @example(text="0 0 0 nan\n0 0 0 2.0\n", dims="infer", keep_last=True)
 @example(text="0 0 0 1.0\n# dims 5 5 5\n1 1 1 2.0\n# end", dims="infer", keep_last=False)
 @example(text="# dims 4 4 4\r0 1 2 3.0\r# x\r\n1 1 1 0.5\r", dims="infer", keep_last=False)
+@example(text="0 0 0 1.0\n# x # y", dims="infer", keep_last=False)
+@example(text="0 0 0 1.0\r# note\r1 1 1 2.0\r", dims="infer", keep_last=False)
 def test_ingest_equals_the_line_loop(tmp_path_factory, text, dims, keep_last):
     path = tmp_path_factory.mktemp("coo") / "d.txt"
     path.write_bytes(text.encode("utf-8"))
@@ -792,6 +795,12 @@ def test_ingest_errors_name_the_line_the_loop_names(tmp_path, text, line_no, mes
     with pytest.raises(ParseError, match=message) as err:
         ingest(write_file(tmp_path, text))
     assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize("header", ["# dims 4 x 4", "# dims 4 4", "# dims 1 2 3 4", "# dims"])
+def test_a_malformed_dims_header_names_its_line(tmp_path, header):
+    with pytest.raises(ParseError, match=re.escape(f"line 2: malformed dims header: {header!r}")):
+        ingest(write_file(tmp_path, f"0 0 0 1.0\n{header}\n1 1 1 2.0\n"))
 
 
 def test_ingest_takes_what_int_and_float_take(tmp_path):
