@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BoundsError, DivergenceError, DomainError, ParameterError
 from .metrics import evaluate
-from .tensor_store import SparseTensor
+from .tensor_store import SparseTensor, whole
 from .twd_core import (LOSS_OVERFLOW, NativeKernel, Ranks, TwdFactors, block_partials,
                        check_finite, check_index, check_indices, entry_blocks, init_factors,
                        native_kernel, reconstruct_entries, scatter_blocks)
@@ -57,6 +57,8 @@ class HyperParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
+        for name in ("max_epochs", "patience", "seed"):
+            object.__setattr__(self, name, whole(getattr(self, name), name))
         if self.eta <= 0:
             raise ParameterError(f"eta must be > 0, got {self.eta}")
         if self.lam < 0:

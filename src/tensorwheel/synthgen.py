@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeCapError
-from .tensor_store import SparseTensor
+from .tensor_store import SparseTensor, check_dims, whole
 from .twd_core import (
     DENSE_CAP,
     Ranks,
@@ -47,8 +47,10 @@ class SynthSpec:
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.value_scale <= 0:
             raise ParameterError(f"value_scale must be > 0, got {self.value_scale}")
+        object.__setattr__(self, "seed", whole(self.seed, "seed"))
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "dims", check_dims(self.dims))
 
 
 def generate(spec: SynthSpec) -> tuple[SparseTensor, TwdFactors]:

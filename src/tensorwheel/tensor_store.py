@@ -27,6 +27,26 @@ from .errors import (
 )
 
 
+def whole(x, what: str) -> int:
+    """int(x), or ParameterError where x is not a whole number."""
+    if int(x) != x:
+        raise ParameterError(f"{what} must be a whole number, got {x}")
+    return int(x)
+
+
+def check_dims(dims) -> tuple[int, int, int]:
+    """dims as three ints, or ParameterError where they are not three
+    whole numbers >= 1."""
+    if len(dims) != 3:
+        raise ParameterError(f"dims must be three sizes, got {dims}")
+    ints = tuple(int(d) for d in dims)
+    if ints != tuple(dims):
+        raise ParameterError(f"dims must be whole numbers, got {dims}")
+    if min(ints) < 1:
+        raise ParameterError(f"dims must be >= 1, got {ints}")
+    return ints
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Train:validation:test ratio and the shuffle seed."""
@@ -39,6 +59,7 @@ class SplitSpec:
             raise ParameterError(f"ratios must be three non-negative integers, got {self.ratios}")
         if sum(self.ratios) == 0:
             raise ParameterError("ratio components must sum to > 0")
+        object.__setattr__(self, "seed", whole(self.seed, "seed"))
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "ratios", tuple(int(x) for x in self.ratios))
@@ -69,16 +90,17 @@ class SparseTensor:
     def _store(self, dims, ii, jj, kk, values, normalized, keys_valid=False):
         """Validate and keep the arrays, and return self; the first faulty
         entry decides the error."""
-        if len(dims) != 3:
-            raise ParameterError(f"dims must be three sizes, got {dims}")
-        self.dims = tuple(int(d) for d in dims)
-        if min(self.dims) < 1:
-            raise ParameterError(f"dims must be >= 1, got {self.dims}")
+        self.dims = check_dims(dims)
         keep = np.ascontiguousarray if keys_valid else np.array
-        ii, jj, kk = (keep(a, dtype=np.int64) for a in (ii, jj, kk))
+        given = ii, jj, kk
+        ii, jj, kk = (keep(a, dtype=np.int64) for a in given)
         values = keep(values, dtype=np.float64)
         if values.ndim != 1 or not ii.shape == jj.shape == kk.shape == values.shape:
             raise ParameterError("index and value arrays must be 1-D and of one length")
+        # only a column of another kind than integers can hold a fraction
+        if not keys_valid and any(np.asarray(a).dtype.kind not in "iub" and np.any(col != a)
+                                  for col, a in zip((ii, jj, kk), given)):
+            raise ParameterError("indices must be whole numbers")
         non_finite = ~np.isfinite(values)
         outside = repeat = np.zeros_like(non_finite)
         if not keys_valid:

@@ -56,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BoundsError, DivergenceError, DomainError, ParameterError, SizeCapError
-from .tensor_store import open_replacing
+from .tensor_store import check_dims, open_replacing
 
 DENSE_CAP = 10_000_000  # max elements a dense reconstruction may materialize
 BATCH_CHUNK = 256  # positions per batched-kernel call; bounds its temporaries
@@ -146,9 +146,7 @@ def init_factors(dims, ranks: Ranks, seed: int, scale: float) -> TwdFactors:
     Generation order is fixed (g, a, b, c from one seeded generator), so
     a given seed always produces the same factors.
     """
-    ni, nj, nk = (int(d) for d in dims)
-    if min(ni, nj, nk) < 1:
-        raise ParameterError(f"dims must be >= 1, got {dims}")
+    ni, nj, nk = check_dims(dims)
     if scale < 0:
         raise ParameterError(f"init scale must be >= 0, got {scale}")
     rng = np.random.default_rng(seed)

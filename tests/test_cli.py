@@ -444,6 +444,32 @@ def test_evaluate_malformed_checkpoint(synth_file, tmp_path, capsys, content):
     assert_one_error_line(capsys, "checkpoint")
 
 
+def test_evaluate_refuses_a_checkpoint_holding_nan(synth_file, tmp_path, capsys):
+    obs, truth = synth_file
+    header, first, *rest = truth.read_text().split("\n")
+    ckpt = tmp_path / "nan.txt"
+    ckpt.write_text("\n".join([header, " ".join(["nan", *first.split()[1:]]), *rest]))
+    assert run(["evaluate", "--input", obs, "--checkpoint", ckpt]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: factor g contains non-finite values\n")
+
+
+@pytest.mark.parametrize("command, flag, value, line", [
+    ("train", "--dims", "6,x,4", "error: --dims must be integers, got '6,x,4'"),
+    ("grid", "--etas", "0.1,x", "error: --etas must be comma-separated numbers, got '0.1,x'"),
+    ("train", "--split", "1:2", "error: split ratio needs the form A:B:C, got '1:2'"),
+    ("train", "--split", "1:x:7", "error: split ratio must be integers, got '1:x:7'"),
+])
+def test_a_flag_that_does_not_parse_is_one_exact_error_line(synth_file, tmp_path, capsys,
+                                                             command, flag, value, line):
+    obs, _ = synth_file
+    report = tmp_path / "r.json"
+    assert run([command, "--input", obs, flag, value, "--report", report]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", line + "\n")
+    assert not report.exists()
+
+
 def test_evaluate_rejects_declared_dims_mismatch(tmp_path, capsys):
     truth = tmp_path / "truth.txt"
     assert run(["synth", "--dims", "9,9,9", "--ranks", "1,1,1,1,1,1", "--density", "0.1",

@@ -1,7 +1,12 @@
 """The code-line counter, tools/code_lines.py, on fixed snippets."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 _spec = importlib.util.spec_from_file_location("code_lines", TOOL)
@@ -61,3 +66,17 @@ def test_a_directory_is_counted_by_language(tmp_path, capsys):
     assert code_lines.count([tmp_path]) == {"python": PYTHON_LINES, "c": C_LINES}
     assert code_lines.main([str(tmp_path / "pkg")]) == 0
     assert capsys.readouterr().out == f"python {PYTHON_LINES}\nc {C_LINES}\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_reader_that_has_gone_ends_it_with_one_error_line(tmp_path, unbuffered):
+    (tmp_path / "a.py").write_text(PYTHON)
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first line is written
+    try:
+        done = subprocess.run([sys.executable, TOOL, tmp_path], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "error: [Errno 32] Broken pipe\n")

@@ -52,10 +52,13 @@ BATCH_SIZES = (st.sampled_from([1, BATCH_CHUNK - 1, BATCH_CHUNK, BATCH_CHUNK + 1
 
 
 @st.composite
-def factor_sets(draw, max_dim=6, rank=RANK):
-    """Factors with random, often unequal, rank triples and values in [-1, 1)."""
+def factor_sets(draw, max_dim=6, rank=RANK, ranks=None):
+    """Factors with random, often unequal, rank triples, or the given ranks,
+    and values in [-1, 1)."""
     dims = tuple(draw(st.integers(1, max_dim)) for _ in range(3))
-    ranks = Ranks(r=tuple(draw(rank) for _ in range(3)), h=tuple(draw(rank) for _ in range(3)))
+    if ranks is None:
+        ranks = Ranks(r=tuple(draw(rank) for _ in range(3)),
+                      h=tuple(draw(rank) for _ in range(3)))
     r1, r2, r3 = ranks.r
     h1, h2, h3 = ranks.h
     ni, nj, nk = dims
@@ -186,6 +189,44 @@ def test_native_partials_sum_each_output_in_plain_loop_order(f, data):
     assert ours[0] == want[0]
     for got, plain in zip(ours[1:], want[1:]):
         assert got.tobytes() == plain.tobytes()
+
+
+def plain_loop_loss(f, cols, lam):
+    """The native loss in Python floats: one sum of the squared residuals,
+    each reconstruction ``reconstruct_entry``'s, and, unless lam is 0, lam
+    times (n |g|^2 + the sums of the slice norms the entries touch), each
+    slice norm summed over (run, rest of the slice), run-major."""
+    ii, jj, kk, values = (col.tolist() for col in cols)
+    loss = chain(r * r for r in (v - reconstruct_entry(f, i, j, k)
+                                 for i, j, k, v in zip(ii, jj, kk, values)))
+    if lam == 0.0:
+        return loss
+
+    def slice_norms(x):  # x laid out as (runs, slices, ...)
+        flat = x.reshape(x.shape[0], x.shape[1], -1).tolist()
+        return [chain(y * y for run in flat for y in run[s]) for s in range(x.shape[1])]
+
+    (g_norm,), an, bn, cn = map(slice_norms, (f.g.reshape(1, 1, -1), f.a, f.b, f.c))
+    sa, sb, sc = (chain(norms[s] for s in at) for norms, at in ((an, ii), (bn, jj), (cn, kk)))
+    return loss + lam * (len(values) * g_norm + (sa + sb + sc))
+
+
+@pytest.mark.parametrize("ranks", [None, Ranks(r=(3, 2, 2), h=(2, 3, 1))],
+                         ids=["generic", "3-2-2-2-3-1"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30), lam=st.sampled_from([0.0, 0.01, 0.7]),
+       seed=st.integers(0, 2**32 - 1))
+def test_native_loss_sums_in_plain_loop_order(ranks, data, n, lam, seed):
+    # the residuals, the slice norms and the core's sum of the loss are each
+    # one sum from 0.0, in the order of a plain loop over their terms
+    kernel = native() if ranks is None else rank_build(ranks)
+    f = data.draw(factor_sets(rank=st.integers(1, 5)) if ranks is None
+                  else factor_sets(ranks=ranks))
+    rng = np.random.default_rng(seed)
+    # positions may repeat: the loss reads the columns as they are
+    cols = (*(rng.integers(0, d, n) for d in f.dims), rng.uniform(-1, 1, n))
+    ours = kernel.bind(f, cols, None, (0.1, lam, 1.0, 0.0, 0.0))[1]()
+    assert ours == plain_loop_loss(f, cols, lam)
 
 
 # gains that damp the error: negative ones make the trajectories grow
@@ -390,6 +431,41 @@ def test_the_binding_refuses_a_pid_state_of_another_length():
                            match="PID state arrays must be writeable, C-ordered and of "
                                  "the training columns' length 2"):
             native().bind(f, columns(obs), pid, (0.1, 0.0, 1.0, 0.0, 0.0))
+
+
+def test_the_binding_refuses_what_it_cannot_run_and_leaves_the_factors_as_they_were():
+    f = init_factors((3, 4, 2), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=0, scale=0.3)
+    before = f.copy()
+    obs = SparseTensor(f.dims, [0, 1], [0, 1], [0, 1], [1.0, 2.0])
+    gains = (0.1, 0.0, 1.0, 0.0, 0.0)
+    read_only = f.a.copy()
+    read_only.flags.writeable = False
+    for a in (read_only, np.asfortranarray(f.a)):
+        f.a = a
+        with pytest.raises(ParameterError, match=re.escape(
+                "factor a must be a C-ordered float64 array of shape (2, 3, 2, 2), writeable")):
+            native().bind(f, columns(obs), None, gains)
+    f.a = before.a.copy()
+    with pytest.raises(ParameterError, match="the training columns differ in length"):
+        native().bind(f, (obs.ii, obs.jj, obs.kk[:1], obs.values), None, gains)
+    run_epoch, _ = native().bind(f, columns(obs), None, gains)
+    for order in ([2], [-1], [0, 2]):
+        with pytest.raises(BoundsError,
+                           match="visit order outside the 2 training entries"):
+            run_epoch(order)
+    for name in "gabc":
+        assert getattr(f, name).tobytes() == getattr(before, name).tobytes()
+
+
+def test_a_diverging_step_leaves_the_factors_unchanged_on_both_kernels(kernel):
+    f = init_factors((3, 3, 3), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=1, scale=1.0)
+    before = f.copy()
+    hp = HyperParams(eta=1e10, lam=0.0, cp=1.0, ci=0.0, cd=0.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        sgd_step(f, SparseTensor((3, 3, 3), [1], [2], [0], [1e300]), 0, PidState(1), hp)
+    assert err.value.entry_id == 0
+    for name in "gabc":
+        assert getattr(f, name).tobytes() == getattr(before, name).tobytes()
 
 
 @pytest.mark.parametrize("gains", [(0.1, 0.0), (0.1,), (0.1, 0.0, 1.0, 0.0, 0.0, 0.0),

@@ -76,6 +76,14 @@ def test_hyperparams_validation(bad):
         HyperParams(**bad)
 
 
+@pytest.mark.parametrize("name", ["max_epochs", "patience", "seed"])
+def test_hyperparams_refuse_counts_and_seeds_that_are_not_whole(name):
+    with pytest.raises(ParameterError, match=f"{name} must be a whole number, got 2.5"):
+        HyperParams(**{name: 2.5})
+    hp = HyperParams(**{name: 2.0})
+    assert getattr(hp, name) == 2 and type(getattr(hp, name)) is int
+
+
 def test_hyperparams_defaults():
     hp = HyperParams()
     assert hp.eta == 0.01 and hp.lam == 0.01

@@ -102,6 +102,16 @@ def test_spec_validation(bad):
         SynthSpec(**kw)
 
 
+def test_dims_and_seed_that_are_not_whole_are_refused():
+    with pytest.raises(ParameterError, match=r"dims must be whole numbers, got \(3.5, 3, 3\)"):
+        generate(SynthSpec(dims=(3.5, 3, 3), ranks=RANKS, density=0.5))
+    with pytest.raises(ParameterError, match="seed must be a whole number, got 2.5"):
+        SynthSpec(dims=(3, 3, 3), ranks=RANKS, density=0.5, seed=2.5)
+    whole = generate(SynthSpec(dims=(3.0, 3, 3), ranks=RANKS, density=0.5, seed=2.0))
+    exact = generate(SynthSpec(dims=(3, 3, 3), ranks=RANKS, density=0.5, seed=2))
+    assert entries(whole[0]) == entries(exact[0])
+
+
 def test_dense_cap_enforced():
     spec = SynthSpec(dims=(500, 500, 100), ranks=RANKS, density=0.01, seed=0)
     with pytest.raises(SizeCapError):

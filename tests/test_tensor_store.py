@@ -178,6 +178,29 @@ def test_sparse_tensor_rejects_bad_dims():
         SparseTensor((0, 2, 2), [])
 
 
+@pytest.mark.parametrize("dims, columns, message", [
+    ((2, 2, 2), ([1.9], [0], [0], [1.0]), "indices must be whole numbers"),
+    ((2.5, 2, 2), (), "dims must be whole numbers, got (2.5, 2, 2)"),
+])
+def test_sparse_tensor_refuses_what_is_not_whole_rather_than_truncating(dims, columns, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        SparseTensor(dims, *columns)
+
+
+def test_sparse_tensor_takes_whole_valued_floats_as_integers():
+    t = SparseTensor((2.0, 2, 3), np.ones(1), [0.0], [2], [1.0])
+    assert t.dims == (2, 2, 3) and all(type(d) is int for d in t.dims)
+    assert (t.ii.tolist(), t.jj.tolist(), t.kk.tolist()) == ([1], [0], [2])
+
+
+@pytest.mark.parametrize("columns", [([0, 1], [0, 1], [0], [1.0, 2.0]),
+                                     ([0], [0], [0], [[1.0]])])
+def test_sparse_tensor_refuses_columns_of_other_lengths_or_shapes(columns):
+    with pytest.raises(ParameterError,
+                       match="index and value arrays must be 1-D and of one length"):
+        SparseTensor((2, 2, 2), *columns)
+
+
 # ------------------------------------------------------------- normalize
 
 def test_normalize_values():
@@ -321,6 +344,12 @@ def test_split_preserves_normalized_flag():
 def test_split_spec_rejects_bad_ratios(ratios):
     with pytest.raises(ParameterError):
         SplitSpec(ratios=ratios, seed=0)
+
+
+def test_split_spec_refuses_a_seed_that_is_not_whole():
+    with pytest.raises(ParameterError, match="seed must be a whole number, got 1.5"):
+        SplitSpec(seed=1.5)
+    assert SplitSpec(seed=3.0) == SplitSpec(seed=3)
 
 
 # ---------------------------------------------------------- non-UTF-8 input

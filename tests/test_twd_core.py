@@ -96,6 +96,13 @@ def test_init_factors_rejects_zero_dims():
         init_factors((0, 2, 2), Ranks(r=(1, 1, 1), h=(1, 1, 1)), seed=0, scale=0.1)
 
 
+def test_init_factors_refuses_dims_that_are_not_whole():
+    ranks = Ranks(r=(1, 1, 1), h=(1, 1, 1))
+    with pytest.raises(ParameterError, match=r"dims must be whole numbers, got \(2.5, 2, 2\)"):
+        init_factors((2.5, 2, 2), ranks, seed=0, scale=0.1)
+    assert init_factors((2.0, 2, 2), ranks, seed=0, scale=0.1).dims == (2, 2, 2)
+
+
 # sizes numpy refuses at once: 10**14 rows of factor a exceed any address
 # space, and 10**20 exceeds numpy's index range
 @pytest.mark.parametrize("dims", [(10 ** 14, 3, 3), (3, 10 ** 20, 3)])
