@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from typing import NamedTuple
@@ -456,7 +457,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # here, not at exit, where a failed write cannot be caught
+        return status
+    except BrokenPipeError as exc:  # the reader of stdout, or of an output file, went away
+        print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:  # stdout's: to devnull, so that the flush at exit is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (TensorWheelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

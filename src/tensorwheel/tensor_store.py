@@ -27,9 +27,17 @@ from .errors import (
 )
 
 
+def is_whole(x) -> bool:
+    """Whether x is a whole number; NaN and infinity are not."""
+    try:
+        return int(x) == x
+    except (ValueError, OverflowError):  # NaN, infinity
+        return False
+
+
 def whole(x, what: str) -> int:
     """int(x), or ParameterError where x is not a whole number."""
-    if int(x) != x:
+    if not is_whole(x):
         raise ParameterError(f"{what} must be a whole number, got {x}")
     return int(x)
 
@@ -39,9 +47,9 @@ def check_dims(dims) -> tuple[int, int, int]:
     whole numbers >= 1."""
     if len(dims) != 3:
         raise ParameterError(f"dims must be three sizes, got {dims}")
-    ints = tuple(int(d) for d in dims)
-    if ints != tuple(dims):
+    if not all(map(is_whole, dims)):
         raise ParameterError(f"dims must be whole numbers, got {dims}")
+    ints = tuple(int(d) for d in dims)
     if min(ints) < 1:
         raise ParameterError(f"dims must be >= 1, got {ints}")
     return ints
@@ -55,7 +63,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.ratios) != 3 or any(int(x) != x or x < 0 for x in self.ratios):
+        if len(self.ratios) != 3 or any(not is_whole(x) or x < 0 for x in self.ratios):
             raise ParameterError(f"ratios must be three non-negative integers, got {self.ratios}")
         if sum(self.ratios) == 0:
             raise ParameterError("ratio components must sum to > 0")
@@ -93,7 +101,14 @@ class SparseTensor:
         self.dims = check_dims(dims)
         keep = np.ascontiguousarray if keys_valid else np.array
         given = ii, jj, kk
-        ii, jj, kk = (keep(a, dtype=np.int64) for a in given)
+        if keys_valid:
+            ii, jj, kk = (keep(a, dtype=np.int64) for a in given)
+        else:
+            try:
+                with np.errstate(invalid="ignore"):  # NaN or infinity in an array: refused below
+                    ii, jj, kk = (keep(a, dtype=np.int64) for a in given)
+            except (ValueError, OverflowError):  # NaN, infinity or what is no number, in a list
+                raise ParameterError("indices must be whole numbers") from None
         values = keep(values, dtype=np.float64)
         if values.ndim != 1 or not ii.shape == jj.shape == kk.shape == values.shape:
             raise ParameterError("index and value arrays must be 1-D and of one length")

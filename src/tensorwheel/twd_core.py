@@ -56,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BoundsError, DivergenceError, DomainError, ParameterError, SizeCapError
-from .tensor_store import check_dims, open_replacing
+from .tensor_store import check_dims, is_whole, open_replacing
 
 DENSE_CAP = 10_000_000  # max elements a dense reconstruction may materialize
 BATCH_CHUNK = 256  # positions per batched-kernel call; bounds its temporaries
@@ -83,7 +83,7 @@ class Ranks:
 
     def __post_init__(self):
         for name, triple in (("r", self.r), ("h", self.h)):
-            if len(triple) != 3 or any(int(x) != x or x < 1 for x in triple):
+            if len(triple) != 3 or any(not is_whole(x) or x < 1 for x in triple):
                 raise ParameterError(f"ranks.{name} must be three integers >= 1, got {triple}")
         object.__setattr__(self, "r", tuple(int(x) for x in self.r))
         object.__setattr__(self, "h", tuple(int(x) for x in self.h))

@@ -84,18 +84,44 @@ static inline __attribute__((always_inline)) void lanes(int L, int64_t o, double
         out[(o + l) * os] = acc[l];
 }
 
+/* Eight outputs of dots, from o on, in two banks of four accumulators;
+ * lanes is left as it is, so that a build whose calls never reach eight
+ * outputs compiles as before. */
+static inline __attribute__((always_inline)) void lanes8(int64_t o, double *out, int64_t os,
+                                                         operand x, operand y, int64_t nu,
+                                                         int64_t nv)
+{
+    double lo[4] = {0.0, 0.0, 0.0, 0.0}, hi[4] = {0.0, 0.0, 0.0, 0.0};
+    for (int64_t u = 0; u < nu; u++)
+        for (int64_t v = 0; v < nv; v++) {
+            const double *xp = x.p + o * x.o + u * x.u + v * x.v;
+            const double *yp = y.p + o * y.o + u * y.u + v * y.v;
+            for (int l = 0; l < 4; l++) {
+                lo[l] += xp[l * x.o] * yp[l * y.o];
+                hi[l] += xp[(l + 4) * x.o] * yp[(l + 4) * y.o];
+            }
+        }
+    for (int l = 0; l < 4; l++) {
+        out[(o + l) * os] = lo[l];
+        out[(o + l + 4) * os] = hi[l];
+    }
+}
+
 /* The kernel's one contraction loop: out[o*os], for o < n, is the sum
  * over u < nu, then v < nv, of x(o, u, v) y(o, u, v), starting from 0.0
- * and adding its terms in that order.  Four outputs are summed per pass,
- * then two, then one, so that their add chains overlap; each output's
- * order, and with it its rounding, is that of one output at a time.  It
- * sums every stage and partial, the core sum that ends a reconstruction
- * and, with x = y, the loss's slice norms. */
+ * and adding its terms in that order.  Eight outputs are summed per pass,
+ * then four, two and one: without FMA each output is one serial chain of
+ * adds, so the speed is bound by the number of chains in flight.  Each
+ * output's order, and with it its rounding, is that of one output at a
+ * time.  It sums every stage and partial, the core sum that ends a
+ * reconstruction and, with x = y, the loss's slice norms. */
 static inline __attribute__((always_inline)) void dots(int64_t n, double *out, int64_t os,
                                                        operand x, operand y, int64_t nu,
                                                        int64_t nv)
 {
     int64_t o = 0;
+    for (; o + 8 <= n; o += 8)
+        lanes8(o, out, os, x, y, nu, nv);
     for (; o + 4 <= n; o += 4)
         lanes(4, o, out, os, x, y, nu, nv);
     for (; o + 2 <= n; o += 2)

@@ -532,6 +532,25 @@ def test_evaluate_reads_a_named_pipe_once(tmp_path, header, code):
         assert proc.stdout.startswith("rmse ") and "over 2 entries" in proc.stdout
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_stdout_reader_that_has_gone_ends_it_with_one_error_line(tmp_path, unbuffered):
+    # as the console script runs it; buffered, the write fails only at the flush
+    path = tmp_path / "d.txt"
+    path.write_text("0 1 2 3.5\n1 0 0 1.25\n")
+    entry = "import sys; from tensorwheel.cli import main; sys.exit(main())"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "PYTHONUNBUFFERED": unbuffered}
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first line is written
+    try:
+        done = subprocess.run([sys.executable, "-c", entry, "ingest-check", "--input", path],
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+                              env=env)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+
+
 @pytest.mark.parametrize("command", ["ingest-check", "train"])
 def test_non_utf8_input_is_one_error_line(tmp_path, capsys, command):
     path = tmp_path / "d.txt"

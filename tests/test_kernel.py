@@ -178,17 +178,32 @@ def plain_loop_partials(g, a_i, b_j, c_k):
     return x_hat, *(np.array(t) for t in (t_g, t_a, t_b, t_c))
 
 
-@settings(max_examples=60, deadline=None)
-@given(f=factor_sets(rank=st.integers(1, 5)), data=st.data())
-def test_native_partials_sum_each_output_in_plain_loop_order(f, data):
+def assert_partials_in_plain_loop_order(kernel, f, data):
     # the kernel sums several outputs per pass; each must still round as a
     # lone sum of its terms, in its stage's order, does
     i, j, k = (data.draw(st.integers(0, d - 1)) for d in f.dims)
-    ours = native().partials(f, i, j, k)
+    ours = kernel.partials(f, i, j, k)
     want = plain_loop_partials(*entry_blocks(f, i, j, k))
     assert ours[0] == want[0]
     for got, plain in zip(ours[1:], want[1:]):
         assert got.tobytes() == plain.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=factor_sets(rank=st.integers(1, 5)), data=st.data())
+def test_native_partials_sum_each_output_in_plain_loop_order(f, data):
+    assert_partials_in_plain_loop_order(native(), f, data)
+
+
+# a rank tuple whose build has calls of dots with eight outputs or more:
+# stage 1 and ca have 10, gb 25
+EIGHT_WIDE = Ranks(r=(5, 5, 5), h=(2, 2, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=factor_sets(ranks=EIGHT_WIDE), data=st.data())
+def test_rank_build_partials_sum_each_output_in_plain_loop_order(f, data):
+    assert_partials_in_plain_loop_order(rank_build(EIGHT_WIDE), f, data)
 
 
 def plain_loop_loss(f, cols, lam):
@@ -211,17 +226,18 @@ def plain_loop_loss(f, cols, lam):
     return loss + lam * (len(values) * g_norm + (sa + sb + sc))
 
 
-@pytest.mark.parametrize("ranks", [None, Ranks(r=(3, 2, 2), h=(2, 3, 1))],
-                         ids=["generic", "3-2-2-2-3-1"])
+@pytest.mark.parametrize("ranks", [None, Ranks(r=(3, 2, 2), h=(2, 3, 1)), EIGHT_WIDE],
+                         ids=["generic", "3-2-2-2-3-1", "5-5-5-2-2-2"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.integers(1, 30), lam=st.sampled_from([0.0, 0.01, 0.7]),
        seed=st.integers(0, 2**32 - 1))
 def test_native_loss_sums_in_plain_loop_order(ranks, data, n, lam, seed):
     # the residuals, the slice norms and the core's sum of the loss are each
-    # one sum from 0.0, in the order of a plain loop over their terms
+    # one sum from 0.0, in the order of a plain loop over their terms; dims
+    # up to 9 give the slice norms, one output per slice, passes of eight
     kernel = native() if ranks is None else rank_build(ranks)
-    f = data.draw(factor_sets(rank=st.integers(1, 5)) if ranks is None
-                  else factor_sets(ranks=ranks))
+    f = data.draw(factor_sets(max_dim=9, rank=st.integers(1, 5)) if ranks is None
+                  else factor_sets(max_dim=9, ranks=ranks))
     rng = np.random.default_rng(seed)
     # positions may repeat: the loss reads the columns as they are
     cols = (*(rng.integers(0, d, n) for d in f.dims), rng.uniform(-1, 1, n))
@@ -727,7 +743,8 @@ def test_a_rank_build_refuses_factors_of_other_ranks():
 def test_kernel_source_compiles_without_warnings(tmp_path):
     if shutil.which(twd_core.CC) is None:
         pytest.skip("no C compiler")
-    for ranks in (None, Ranks(r=(3, 2, 4), h=(2, 3, 1))):  # the generic and a rank build
+    # the generic build, and rank builds whose stages stay under or reach eight outputs
+    for ranks in (None, Ranks(r=(3, 2, 4), h=(2, 3, 1)), EIGHT_WIDE):
         subprocess.run([twd_core.CC, *twd_core.kernel_flags(ranks), "-Wall", "-Wextra",
                         "-Werror", "-o", str(tmp_path / "kernel.so"),
                         str(twd_core.KERNEL_SOURCE)], check=True, capture_output=True)

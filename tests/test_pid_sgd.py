@@ -80,6 +80,9 @@ def test_hyperparams_validation(bad):
 def test_hyperparams_refuse_counts_and_seeds_that_are_not_whole(name):
     with pytest.raises(ParameterError, match=f"{name} must be a whole number, got 2.5"):
         HyperParams(**{name: 2.5})
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match=f"{name} must be a whole number, got {value}"):
+            HyperParams(**{name: value})
     hp = HyperParams(**{name: 2.0})
     assert getattr(hp, name) == 2 and type(getattr(hp, name)) is int
 

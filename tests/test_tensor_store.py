@@ -178,9 +178,18 @@ def test_sparse_tensor_rejects_bad_dims():
         SparseTensor((0, 2, 2), [])
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize("dims, columns, message", [
     ((2, 2, 2), ([1.9], [0], [0], [1.0]), "indices must be whole numbers"),
     ((2.5, 2, 2), (), "dims must be whole numbers, got (2.5, 2, 2)"),
+    # NaN and infinity are not whole, in a list or in an array
+    ((NAN, 2, 2), (), "dims must be whole numbers, got (nan, 2, 2)"),
+    ((2, 2, 2), ([0], [0], [NAN], [1.0]), "indices must be whole numbers"),
+    ((2, 2, 2), ([INF], [0], [0], [1.0]), "indices must be whole numbers"),
+    ((2, 2, 2), ([0], np.array([NAN]), [0], [1.0]), "indices must be whole numbers"),
+    ((2, 2, 2), ([0], [0], np.array([-INF]), [1.0]), "indices must be whole numbers"),
 ])
 def test_sparse_tensor_refuses_what_is_not_whole_rather_than_truncating(dims, columns, message):
     with pytest.raises(ParameterError, match=re.escape(message)):
@@ -340,7 +349,8 @@ def test_split_preserves_normalized_flag():
         assert part.normalized is True
 
 
-@pytest.mark.parametrize("ratios", [(0, 0, 0), (-1, 2, 7), (1, 2), (1.5, 2, 7)])
+@pytest.mark.parametrize("ratios", [(0, 0, 0), (-1, 2, 7), (1, 2), (1.5, 2, 7), (1, NAN, 7),
+                                    (INF, 2, 7)])
 def test_split_spec_rejects_bad_ratios(ratios):
     with pytest.raises(ParameterError):
         SplitSpec(ratios=ratios, seed=0)
@@ -349,6 +359,8 @@ def test_split_spec_rejects_bad_ratios(ratios):
 def test_split_spec_refuses_a_seed_that_is_not_whole():
     with pytest.raises(ParameterError, match="seed must be a whole number, got 1.5"):
         SplitSpec(seed=1.5)
+    with pytest.raises(ParameterError, match="seed must be a whole number, got inf"):
+        SplitSpec(seed=INF)
     assert SplitSpec(seed=3.0) == SplitSpec(seed=3)
 
 

@@ -51,6 +51,10 @@ def test_ranks_validation():
         Ranks(r=(1, 1, 1), h=(1, 1))
     with pytest.raises(ParameterError):
         Ranks(r=(1, 1, 1), h=(1, 1, 1.5))
+    with pytest.raises(ParameterError, match="ranks.r must be three integers >= 1"):
+        Ranks(r=(float("nan"), 1, 1), h=(1, 1, 1))
+    with pytest.raises(ParameterError, match="ranks.h must be three integers >= 1"):
+        Ranks(r=(1, 1, 1), h=(1, float("inf"), 1))
 
 
 def test_ranks_from_dim():
