@@ -82,6 +82,12 @@ class SparseTensor:
     position in them, its entry id.  With no arrays the tensor is empty.
     ``normalized`` records whether the log transform has been applied.
     Safe for concurrent reads after construction.
+
+    The constructor refuses an entry outside the dims (BoundsError), a
+    non-finite value (DomainError) and a repeated key (DuplicateKeyError);
+    the first faulty entry decides which.  A repeat is found as a key equal
+    to the one before it in ``key_order``, which keeps the repeats of a key
+    in entry order, so each occurrence after the first is faulty.
     """
 
     def __init__(self, dims, ii=(), jj=(), kk=(), values=(), normalized: bool = False):
@@ -121,11 +127,8 @@ class SparseTensor:
         if not keys_valid:
             ni, nj, nk = self.dims
             outside = (ii < 0) | (ii >= ni) | (jj < 0) | (jj >= nj) | (kk < 0) | (kk >= nk)
-            # a stable sort keeps the repeats of a key in entry order, so every
-            # occurrence after the first is marked; unlike a linear index of
-            # the dims, sorting the keys cannot overflow
-            order = np.lexsort((kk, jj, ii))
-            repeat[order[1:]] = (np.diff(np.stack((ii, jj, kk))[:, order]) == 0).all(axis=0)
+            order = key_order(ii, jj, kk)
+            repeat[order[1:]] = _same_key_as_before(order, ii, jj, kk)
         faulty = outside | non_finite | repeat
         if faulty.any():
             p = int(np.argmax(faulty))
@@ -143,6 +146,33 @@ class SparseTensor:
 
     def __len__(self):
         return len(self.values)
+
+
+def key_order(ii, jj, kk) -> np.ndarray:
+    """The stable order of the keys (ii[p], jj[p], kk[p]) that
+    ``np.lexsort((kk, jj, ii))`` gives: by i, then j, then k, and the
+    repeats of a key in entry order.
+
+    It sorts one linear index per key, (i * J + j) * K + k, where I, J and
+    K are the sides of the box that spans 0 and every key.  So it needs no
+    dims, a key outside them, or negative, sorts as the three columns
+    would, and no index overflows while the box has fewer cells than int64
+    can count.  A larger box, as for dims of 10**7 cubed, sorts the
+    columns."""
+    sizes = [int(col.max(initial=0)) - int(col.min(initial=0)) + 1 for col in (ii, jj, kk)]
+    if math.prod(sizes) > np.iinfo(np.int64).max:
+        return np.lexsort((kk, jj, ii))
+    return np.argsort((ii * sizes[1] + jj) * sizes[2] + kk, kind="stable")
+
+
+def _same_key_as_before(order, ii, jj, kk) -> np.ndarray:
+    """For each entry of ``order[1:]``, whether its key equals the key of
+    the entry before it in ``order``."""
+    same = True
+    for col in (ii, jj, kk):
+        in_order = col[order]
+        same = same & (in_order[1:] == in_order[:-1])
+    return same
 
 
 def _dims_header(line: str):
@@ -241,9 +271,9 @@ def _ingest_whole(data: bytes, dims, keep_last: bool):
 def _last_of_each_key(ii, jj, kk, values):
     """The keys in order of first appearance, each with its last value,
     as the line loop merges repeats under ``keep_last``."""
-    order = np.lexsort((kk, jj, ii))  # stable: the repeats of a key stay in file order
+    order = key_order(ii, jj, kk)  # stable: the repeats of a key stay in file order
     first_of_run = np.ones(len(order), dtype=bool)
-    first_of_run[1:] = (np.diff(np.stack((ii, jj, kk))[:, order]) != 0).any(axis=0)
+    first_of_run[1:] = ~_same_key_as_before(order, ii, jj, kk)
     if first_of_run.all():
         return (ii, jj, kk), values
     first = order[first_of_run]
@@ -337,14 +367,29 @@ def open_replacing(path, encoding: str = "utf-8"):
         raise
 
 
+class _IndexText(dict):
+    """An index value's text and the space after it, formatted on first use:
+    one per axis, as an axis has far fewer distinct values than entries."""
+
+    def __missing__(self, index):
+        text = self[index] = f"{index} "
+        return text
+
+
 def write_coo(t: SparseTensor, path) -> None:
     """Write a SparseTensor in the COO text format with a dims header,
-    replacing ``path`` only once the whole file is written."""
+    replacing ``path`` only once the whole file is written.
+
+    Each entry is the line ``f"{i} {j} {k} {value!r}\\n"``: ``repr`` gives
+    the shortest text that reads back as the same float.  Each index
+    value is formatted once per axis, not once per entry."""
     ni, nj, nk = t.dims
+    i_text, j_text, k_text = (map(_IndexText().__getitem__, col.tolist())
+                              for col in (t.ii, t.jj, t.kk))
     with open_replacing(path) as fh:
         fh.write(f"# dims {ni} {nj} {nk}\n")
-        for i, j, k, v in zip(t.ii.tolist(), t.jj.tolist(), t.kk.tolist(), t.values.tolist()):
-            fh.write(f"{i} {j} {k} {v!r}\n")
+        for i, j, k, v in zip(i_text, j_text, k_text, t.values.tolist()):
+            fh.write(f"{i}{j}{k}{v!r}\n")
 
 
 def normalize(t: SparseTensor) -> SparseTensor:

@@ -583,7 +583,14 @@ def save_checkpoint(f: TwdFactors, path) -> None:
 
 
 def load_checkpoint(path) -> TwdFactors:
-    """Parse a text checkpoint back into a TwdFactors."""
+    """Parse a text checkpoint back into a TwdFactors.
+
+    The header is the first line, ended by any line break that
+    ``str.splitlines`` takes, "\\r" among them.  The values are every
+    whitespace-separated token after it, parsed in one numpy call, which
+    takes a token as ``float`` does; the first it refuses raises
+    ``bad checkpoint value: could not convert string to float: '<token>'``.
+    """
     try:
         with open(path, encoding="ascii") as fh:
             content = fh.read()
@@ -604,7 +611,8 @@ def load_checkpoint(path) -> TwdFactors:
         raise ParameterError(f"bad checkpoint header: {lines[0]!r}")
     dims, ranks = (ni, nj, nk), Ranks(r=(r1, r2, r3), h=(h1, h2, h3))
     try:
-        values = np.array([float(t) for line in lines[1:] for t in line.split()])
+        # the header's tokens lead the file's, as every line break is whitespace
+        values = np.array(content.split()[len(head):], dtype=np.float64)
     except ValueError as exc:
         raise ParameterError(f"bad checkpoint value: {exc}") from None
     shapes = factor_shapes(dims, ranks)

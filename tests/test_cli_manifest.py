@@ -26,5 +26,6 @@ def test_two_numpy_runs_print_one_manifest_and_every_call_exits_as_listed(tmp_pa
     assert [(fields[1], int(fields[3])) for fields in calls] == [
         (name, code) for name, _, code in cli_manifest.CALLS]
     files = {line.split()[1] for line in first.splitlines() if line.startswith("file ")}
-    assert {"train.json", "ck.rep1.txt", "grid.json", "part.test.txt"} <= files
+    assert {"train.json", "ck.rep1.txt", "grid.json", "part.test.txt", "train5.json",
+            "ck5.rep0.txt", "train-ci.json"} <= files
     assert not any(name.endswith(".tmp") or name.startswith("missing") for name in files)

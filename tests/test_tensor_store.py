@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -556,6 +557,67 @@ def test_log_transforms_match_the_per_entry_reference():
         [np.expm1(v) for v in logged.values.tolist()]).tobytes()
 
 
+# ------------------------------------------------------------- key order
+
+def key_sets():
+    """Named key columns: distinct keys in key order and shuffled, repeats
+    in entry order, keys below 0, keys whose box just fits int64 and keys
+    whose box does not, the empty set and one key."""
+    rng = np.random.default_rng(5)
+    drawn = rng.integers(0, (9, 7, 5), size=(400, 3))  # ~2 in 5 a repeat
+    distinct = np.unique(drawn, axis=0)
+    near = np.array([[0, 0, 0], [2 ** 61 - 2, 1, 1], [5, 0, 1], [5, 1, 0], [2 ** 61 - 2, 1, 1]])
+    wide = np.array([[2 ** 63 - 1, 0, 5], [-2 ** 63, 3, 0], [0, 0, 0], [2 ** 63 - 1, 0, 5]])
+    return {
+        "in key order": distinct,
+        "shuffled": rng.permutation(distinct),
+        "with repeats": drawn,
+        "below 0": drawn - (4, 3, 2),
+        "box of 2**63 - 4 cells": near,
+        "box beyond int64": wide,
+        "empty": np.zeros((0, 3), dtype=np.int64),
+        "one key": np.array([[3, 1, 2]]),
+    }
+
+
+@pytest.mark.parametrize("name", list(key_sets()))
+def test_key_order_equals_lexsort(name):
+    ii, jj, kk = key_sets()[name].astype(np.int64).T
+    assert tensor_store.key_order(ii, jj, kk).tolist() == np.lexsort((kk, jj, ii)).tolist()
+
+
+# (2, 2, 2)'s linear index of (0, 2, 0), outside, is that of (1, 0, 0), and
+# (0, 0, 0) differs from (1, 0, 0) in i alone
+MIXED_FAULTS = [(1, 0, 0, 1.0), (0, 2, 0, 2.0), (0, -1, 1, 1.0), (1, 1, 1, float("nan")),
+                (1, 0, 0, 3.0), (0, 2, 0, 4.0), (0, 0, 0, 5.0)]
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_the_first_of_mixed_faults_decides_the_error(size):
+    # outside, negative, non-finite and repeated entries, in every order
+    for rows in itertools.permutations(MIXED_FAULTS, size):
+        expected = loop_validation((2, 2, 2), rows)
+        for build in build_both_ways((2, 2, 2), rows):
+            if expected is None:
+                assert len(build()) == size
+                continue
+            with pytest.raises(type(expected)) as err:
+                build()
+            assert str(err.value) == str(expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_keep_last_merges_a_shuffled_file_as_the_line_loop(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, (6, 5, 4), size=(300, 3))
+    assert len(np.unique(keys, axis=0)) < len(keys)
+    path = write_file(tmp_path, "".join(f"{i} {j} {k} {rng.uniform()!r}\n" for i, j, k in keys))
+    expected = ingest_outcome(line_loop, path, "infer", True)
+    monkeypatch.setattr(tensor_store, "_ingest_lines",
+                        lambda *args: pytest.fail("the line loop read a valid file"))
+    assert ingest_outcome(read_coo, path, "infer", True) == expected
+
+
 # ------------------------------------------- tensors derived from valid keys
 
 def test_derived_tensors_do_not_check_their_keys_again(monkeypatch):
@@ -564,6 +626,7 @@ def test_derived_tensors_do_not_check_their_keys_again(monkeypatch):
     def no_sort(*args, **kwargs):
         pytest.fail("keys valid by construction were checked again")
     monkeypatch.setattr(np, "lexsort", no_sort)
+    monkeypatch.setattr(tensor_store, "key_order", no_sort)
     spec = SynthSpec(dims=(5, 4, 3), ranks=Ranks(r=(2, 2, 2), h=(2, 2, 2)), density=0.5, seed=1)
     observed, truth = generate(spec)
     held = holdout_set(observed, truth)
@@ -613,6 +676,29 @@ def test_write_coo_that_fails_part_way_keeps_the_previous_file(tmp_path):
     with pytest.raises(OSError, match="disk full"):
         write_coo(half, tmp_path / "new.txt")
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def per_line_coo_text(t):
+    """The COO text as written one formatted line per entry."""
+    ni, nj, nk = t.dims
+    return f"# dims {ni} {nj} {nk}\n" + "".join(
+        f"{i} {j} {k} {v!r}\n"
+        for i, j, k, v in zip(t.ii.tolist(), t.jj.tolist(), t.kk.tolist(), t.values.tolist()))
+
+
+@pytest.mark.parametrize("t", [
+    # indices at and past 2**31
+    SparseTensor((2 ** 40, 3, 2 ** 31 + 5), [2 ** 40 - 1, 2 ** 31, 0], [0, 2, 0],
+                 [2 ** 31, 2 ** 31 + 4, 2 ** 31 - 1], [-0.0, 5e-324, 1e16]),
+    # index values repeated within and across axes
+    SparseTensor((3, 3, 3), [1, 1, 2, 1, 0], [1, 2, 1, 1, 0], [1, 1, 1, 2, 1],
+                 [1e16, -0.0, 0.1, 5e-324, -1.5e-300]),
+    SparseTensor((2, 2, 2)),
+], ids=["past 2**31", "repeated index values", "empty"])
+def test_write_coo_equals_the_per_line_text(tmp_path, t):
+    path = tmp_path / "t.txt"
+    write_coo(t, path)
+    assert path.read_bytes() == per_line_coo_text(t).encode()
 
 
 def test_write_coo_through_a_symlink_replaces_its_target(tmp_path):

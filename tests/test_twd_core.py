@@ -386,9 +386,31 @@ def test_checkpoint_header_format(tmp_path):
     assert head == "TWD v1 2 3 4 1 2 3 2 1 2"
 
 
+@pytest.mark.parametrize("token", ["abc", "0x1p3", "1d5", "1.0.0"])
+def test_checkpoint_names_its_first_bad_value(tmp_path, token):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"TWD v1 2 2 2 1 1 1 1 1 1\n1.0 2.0 -0.5\n{token} 1.0 zzz\n")
+    with pytest.raises(ParameterError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"bad checkpoint value: could not convert string to float: '{token}'"
+
+
+@pytest.mark.parametrize("after_header", ["\n", "\r\n", "\r", "\x0b", "\x1e"])
+def test_checkpoint_header_ends_at_any_line_break(tmp_path, after_header):
+    # "1_0" and "+.5" are what float() takes
+    path = tmp_path / "model.txt"
+    path.write_bytes(f"TWD v1 2 2 2 1 1 1 1 1 1{after_header}1_0 +.5\r-0.0 5e-324\n3 4 1e16"
+                     .encode())
+    f = load_checkpoint(path)
+    assert f.dims == (2, 2, 2) and f.ranks == Ranks(r=(1, 1, 1), h=(1, 1, 1))
+    flat = np.concatenate([getattr(f, name).ravel() for name in "gabc"])
+    assert flat.tobytes() == np.array([10.0, 0.5, -0.0, 5e-324, 3.0, 4.0, 1e16]).tobytes()
+
+
 @pytest.mark.parametrize("content", [
     "",
     "NOT A CHECKPOINT\n",
+    "TWD v1 2 2 2 1 1 1 1 1 1\r",   # header alone, ended by a carriage return
     "TWD v1 2 2 2 1 1 1 1 1\n",          # header too short
     "TWD v1 2 2 2 1 1 1 1 1 1\n1.0\n",   # too few values
     "TWD v1 2 x 2 1 1 1 1 1 1\n" + "1.0\n" * 7,   # non-integer header field

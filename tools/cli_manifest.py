@@ -30,14 +30,19 @@ from pathlib import Path
 TRAIN = ["--input", "obs.txt", "--ranks", "2,2,2,2,2,2", "--eta", "0.3", "--init-scale", "0.3",
          "--split", "8:1:1", "--patience", "3"]
 
+# ranks whose step and loss take every pass of the kernel's sums
+RANKS5 = ["--ranks", "5,5,5,2,2,2"]
+
 # files the calls read beside synth's: comment lines among the entries (one led
-# by a no-break space), a repeated key, an entry outside the truth's dims, and a
-# malformed header
+# by a no-break space), a repeated key, an entry outside the truth's dims, a
+# malformed header, and keys out of order with one repeated, whose values
+# sum to another mean in another order
 INPUTS = {
     "comments.txt": "# dims 4 4 4\n0 0 0 1.0\n# note\n\xa0# odd\n1 2 3 2.0\r\n# end".encode(),
     "repeats.txt": b"0 0 0 1.0\n1 1 1 2.0\n0 0 0 3.0\n",
     "wide.txt": b"0 0 0 1.0\n10 0 0 0.5\n",
     "bad-header.txt": b"0 0 0 1.0\n# dims 4 x 4\n",
+    "unordered.txt": b"2 1 0 1e16\n0 3 1 5.0\n1 0 2 -1e16\n0 0 0 1.0\n0 3 1 2.0\n",
 }
 
 # (name, argv, the exit code the call must end in)
@@ -64,6 +69,16 @@ CALLS = [
     ("evaluate-outside-dims", ["evaluate", "--input", "wide.txt", "--checkpoint", "truth.txt"], 1),
     ("train-unwritable-report", ["train", *TRAIN, "--epochs", "2", "--reps", "1",
                                  "--report", "missing/r.json"], 1),
+    ("train-integral", ["train", *TRAIN, "--ci", "0.05", "--epochs", "12", "--reps", "1",
+                        "--report", "train-ci.json"], 0),
+    ("synth-ranks5", ["synth", "--dims", "9,10,9", *RANKS5, "--density", "0.3", "--seed", "4",
+                      "--output", "obs5.txt", "--truth", "truth5.txt"], 0),
+    ("train-ranks5", ["train", "--input", "obs5.txt", *RANKS5, "--eta", "0.05", "--lambda", "0.02",
+                      "--init-scale", "0.3", "--split", "8:1:1", "--epochs", "10", "--reps", "1",
+                      "--report", "train5.json", "--checkpoint", "ck5"], 0),
+    ("ingest-check-unordered", ["ingest-check", "--input", "unordered.txt"], 1),
+    ("ingest-check-unordered-keep-last", ["ingest-check", "--input", "unordered.txt",
+                                          "--keep-last"], 0),
 ]
 
 
