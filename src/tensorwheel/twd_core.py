@@ -254,7 +254,10 @@ def entry_blocks(f: TwdFactors, i: int, j: int, k: int) -> tuple:
 
 def workspace(ranks: Ranks, extra: int = 0) -> np.ndarray:
     """A fresh workspace of the native kernel: p and t, one block vector
-    each, then the stage products ab, gb and ca, then ``extra`` doubles."""
+    each, then the stage products ab, gb and ca, then ``extra`` doubles.
+    A step gathers its entry's blocks into p and its partials into t;
+    ``tw_loss`` reads the blocks in the factors, and puts its slice norms
+    first and its stage products after them."""
     (r1, r2, r3), (h1, h2, h3) = ranks.r, ranks.h
     n = sum(math.prod(s) for s in block_shapes(ranks))
     return np.empty(2 * n + r3 * h1 * r2 * h2 + r1 * r2 * h1 * h3 + r2 * h3 * r1 * h1 + extra)
@@ -357,7 +360,9 @@ class NativeKernel:
         f's current values over the columns with L2 weight lam, and, as
         there, raises DomainError where it overflows.  Gains are the five
         values (eta, lam, cp, ci, cd); any other shape raises
-        ParameterError.  Each of the loss's reconstructions equals the
+        ParameterError.  The steps gather each entry's blocks into the
+        workspace and write them back; the loss reads them in f where they
+        lie, with no copy.  Each of the loss's reconstructions equals the
         step's bit for bit; its sums run in an order of their own, so it
         agrees with numpy's to rounding.  ``columns`` (ii, jj, kk, values)
         are taken by ``_columns`` and must not be written while the
@@ -596,19 +601,21 @@ def load_checkpoint(path) -> TwdFactors:
             content = fh.read()
     except UnicodeDecodeError:
         raise ParameterError(f"checkpoint is not ASCII text: {path}") from None
-    lines = content.splitlines()
-    if not lines:
+    if not content:
         raise ParameterError(f"empty checkpoint file: {path}")
-    head = lines[0].split()
+    # the first line, found without splitting the body: any other break
+    # that splitlines takes can only end it before the first "\n"
+    header = (content.partition("\n")[0].splitlines() or [""])[0]
+    head = header.split()
     magic = " ".join(head[:2])
     if magic != CHECKPOINT_MAGIC or len(head) != 11:
-        raise ParameterError(f"bad checkpoint header: {lines[0]!r}")
+        raise ParameterError(f"bad checkpoint header: {header!r}")
     try:
         ni, nj, nk, r1, r2, r3, h1, h2, h3 = (int(x) for x in head[2:])
     except ValueError:
-        raise ParameterError(f"bad checkpoint header: {lines[0]!r}") from None
+        raise ParameterError(f"bad checkpoint header: {header!r}") from None
     if min(ni, nj, nk) < 1:
-        raise ParameterError(f"bad checkpoint header: {lines[0]!r}")
+        raise ParameterError(f"bad checkpoint header: {header!r}")
     dims, ranks = (ni, nj, nk), Ranks(r=(r1, r2, r3), h=(h1, h2, h3))
     try:
         # the header's tokens lead the file's, as every line break is whitespace

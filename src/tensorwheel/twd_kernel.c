@@ -8,19 +8,21 @@
  * contraction of multiplies and adds into FMAs, so that the update and
  * the PID fold round exactly as numpy's elementwise arithmetic does.
  *
- * shape holds (I, J, K, R1, R2, R3, H1, H2, H3).  An entry's blocks are
- * gathered into one vector p laid out as g (H1,H2,H3), a[:, i]
- * (R3,R1,H1), b[:, j] (R1,R2,H2) and c[:, k] (R2,R3,H3); its partials t
- * share that layout.  The workspace w holds p, t and the three stage
- * products, and for tw_loss the slice norms before them; twd_core sizes
- * it.  Every index is checked by the caller.
+ * shape holds (I, J, K, R1, R2, R3, H1, H2, H3).  A step gathers an
+ * entry's blocks into one vector p laid out as g (H1,H2,H3), a[:, i]
+ * (R3,R1,H1), b[:, j] (R1,R2,H2) and c[:, k] (R2,R3,H3), updates p and
+ * writes it back; its partials t share that layout.  The loss and
+ * validation only read the blocks, so tw_loss reconstructs from the
+ * factors where they lie and copies nothing.  The workspace w holds p, t
+ * and the three stage products, and for tw_loss the slice norms before
+ * them; twd_core sizes it.  Every index is checked by the caller.
  *
  * The ranks are read through RANK(q), q in 3..8: s[q] in the generic
  * build.  A build for one rank tuple defines TW_RANK3 .. TW_RANK8 as its
  * six ranks (-DTW_RANK3=2 ...), so every loop over them has a constant
- * trip count and every stride folds; the arithmetic, and its order, are
- * the same in both.  Such a build ignores s[3..8]: its caller hands it
- * factors of its ranks only.
+ * trip count and every stride made of ranks alone folds; the arithmetic,
+ * and its order, are the same in both.  Such a build ignores s[3..8]: its
+ * caller hands it factors of its ranks only.
  */
 #include <math.h>
 #include <stdint.h>
@@ -130,27 +132,34 @@ static inline __attribute__((always_inline)) void dots(int64_t n, double *out, i
         lanes(1, o, out, os, x, y, nu, nv);
 }
 
-/* The reconstruction at p's position: stage 1 into ab[r3,h1,r2,h2], the
- * sum over r1 of a_i[r3,r1,h1] b_j[r1,r2,h2]; stage 2 into
- * t_g[h1,h2,h3], the sum over (r3, r2) of ab[r3,h1,r2,h2] c_k[r2,r3,h3];
- * stage 3, returned, the sum over (h1, h2, h3) of t_g g, in that order. */
-static double reconstruct(const int64_t *s, const double *p, double *ab, double *tg)
+/* The reconstruction from the blocks g, a_i, b_j and c_k: stage 1 into
+ * ab[r3,h1,r2,h2], the sum over r1 of a_i[r3,r1,h1] b_j[r1,r2,h2];
+ * stage 2 into t_g[h1,h2,h3], the sum over (r3, r2) of ab[r3,h1,r2,h2]
+ * c_k[r2,r3,h3]; stage 3, returned, the sum over (h1, h2, h3) of t_g g,
+ * in that order.  Each block is read where it lies: a_i's r3 runs are sa
+ * apart, b_j's r1 runs sb and c_k's r2 runs sc, and the rest of a run is
+ * contiguous, so the blocks may be p's or the factors' own.  noinline:
+ * gcc then makes one clone per call site, and tw_epoch compiles to the
+ * code it had when the loss read p.  Inlined, or left to gcc, it changed
+ * how the step was inlined (partials was no longer inlined into
+ * tw_partials), and a step at ranks (5,5,5,2,2,2) ran 2-3% slower. */
+static __attribute__((noinline)) double reconstruct(const int64_t *s, const double *g,
+                                                    const double *ai, const double *bj,
+                                                    const double *ck, int64_t sa, int64_t sb,
+                                                    int64_t sc, double *ab, double *tg)
 {
     const int64_t R1 = RANK(3), R2 = RANK(4), R3 = RANK(5);
     const int64_t H1 = RANK(6), H2 = RANK(7), H3 = RANK(8);
-    const double *g = p, *ai = g + H1 * H2 * H3, *bj = ai + R3 * R1 * H1,
-                 *ck = bj + R1 * R2 * H2;
     double x;
     for (int64_t r3 = 0; r3 < R3; r3++)
         for (int64_t h1 = 0; h1 < H1; h1++)
             dots(R2 * H2, ab + (r3 * H1 + h1) * R2 * H2, 1,
-                 (operand){ai + r3 * R1 * H1 + h1, 0, H1, 0}, (operand){bj, 1, R2 * H2, 0},
-                 R1, 1);
+                 (operand){ai + r3 * sa + h1, 0, H1, 0}, (operand){bj, 1, sb, 0}, R1, 1);
     for (int64_t h1 = 0; h1 < H1; h1++)
         for (int64_t h2 = 0; h2 < H2; h2++)
             dots(H3, tg + (h1 * H2 + h2) * H3, 1,
                  (operand){ab + h1 * R2 * H2 + h2, 0, H1 * R2 * H2, H2},
-                 (operand){ck, 1, H3, R3 * H3}, R3, R2);
+                 (operand){ck, 1, H3, sc}, R3, R2);
     dots(1, &x, 1, (operand){tg, 0, 0, 1}, (operand){g, 0, 0, 1}, 1, H1 * H2 * H3);
     return x;
 }
@@ -166,7 +175,7 @@ static double partials(const int64_t *s, const double *p, double *t, double *w)
                  *ck = bj + R1 * R2 * H2;
     double *tg = t, *ta = tg + H1 * H2 * H3, *tb = ta + R3 * R1 * H1, *tc = tb + R1 * R2 * H2;
     double *ab = w, *gb = ab + R3 * H1 * R2 * H2, *ca = gb + R1 * R2 * H1 * H3;
-    const double x = reconstruct(s, p, ab, tg);
+    const double x = reconstruct(s, g, ai, bj, ck, R1 * H1, R2 * H2, R3 * H3, ab, tg);
     /* t_c[r2,r3,h3] = sum over (h1, h2) of ab[r3,h1,r2,h2] g[h1,h2,h3] */
     for (int64_t r2 = 0; r2 < R2; r2++)
         for (int64_t h3 = 0; h3 < H3; h3++)
@@ -264,15 +273,19 @@ int64_t tw_epoch(const int64_t *s, double *g, double *a, double *b, double *c,
  * dots over (run, rest of the slice), into w's first I + J + K places; g
  * is one slice of one run.  l2 is taken before the residuals, so that
  * the norms are not live across their loop: at ranks (2,2,2,2,2,2) that
- * loop ran ~4% slower when they were. */
+ * loop ran ~4% slower when they were.  Each reconstruction reads a_i, b_j
+ * and c_k in the factors, their runs s[0] R1 H1, s[1] R2 H2 and s[2] R3 H3
+ * apart, and its stage products follow the norms in w.  The step keeps
+ * its gather: in place, b_j's r1 runs are not R2 H2 apart, so gb's R1 R2
+ * outputs would no longer be one pass of dots but R1 passes of R2, and a
+ * step that read in place was not reliably faster. */
 double tw_loss(const int64_t *s, double *g, double *a, double *b, double *c,
                const int64_t *ii, const int64_t *jj, const int64_t *kk, const double *values,
                int64_t n, double lam, double *w)
 {
     const int64_t R1 = RANK(3), R2 = RANK(4), R3 = RANK(5);
     const int64_t H1 = RANK(6), H2 = RANK(7), H3 = RANK(8);
-    double *an = w, *bn = an + s[0], *cn = bn + s[1], *p = cn + s[2];
-    const int64_t len = block_len(s);
+    double *an = w, *bn = an + s[0], *cn = bn + s[1], *tg = cn + s[2], *ab = tg + H1 * H2 * H3;
     double squares = 0.0, l2 = 0.0, g_norm, sa = 0.0, sb = 0.0, sc = 0.0;
     if (lam != 0.0) {
         const operand xg = {g, 0, 0, 1}, xa = {a, R1 * H1, s[0] * R1 * H1, 1},
@@ -289,8 +302,9 @@ double tw_loss(const int64_t *s, double *g, double *a, double *b, double *c,
         l2 = lam * ((double)n * g_norm + (sa + sb + sc));
     }
     for (int64_t q = 0; q < n; q++) {
-        move_blocks(s, g, a, b, c, ii[q], jj[q], kk[q], p, 1);
-        const double r = values[q] - reconstruct(s, p, p + 2 * len, p + len);
+        const double r = values[q] - reconstruct(s, g, a + ii[q] * R1 * H1, b + jj[q] * R2 * H2,
+                                                 c + kk[q] * R3 * H3, s[0] * R1 * H1,
+                                                 s[1] * R2 * H2, s[2] * R3 * H3, ab, tg);
         squares += r * r;
     }
     return squares + l2;

@@ -245,6 +245,25 @@ def test_native_loss_sums_in_plain_loop_order(ranks, data, n, lam, seed):
     assert ours == plain_loop_loss(f, cols, lam)
 
 
+@pytest.mark.parametrize("ranks, generic", [(Ranks(r=(2, 3, 4), h=(3, 1, 2)), True),
+                                            (Ranks(r=(3, 2, 2), h=(2, 3, 1)), False),
+                                            (EIGHT_WIDE, False)],
+                         ids=["generic", "3-2-2-2-3-1", "5-5-5-2-2-2"])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_native_loss_reads_each_factor_at_its_own_strides(ranks, generic, lam):
+    # the loss reads a_i, b_j and c_k in the factors, each run a stride of
+    # its own axis apart: with unequal dims and ranks, and every index of
+    # each axis visited, a stride of another axis or rank reads other values
+    kernel = native() if generic else rank_build(ranks)
+    dims, rng = (7, 5, 3), np.random.default_rng(23)
+    f = TwdFactors(*(rng.uniform(-1.0, 1.0, s) for s in twd_core.factor_shapes(dims, ranks)),
+                   dims, ranks)
+    n = 21
+    cols = (*(np.arange(n) % d for d in dims), rng.uniform(-1.0, 1.0, n))
+    ours = kernel.bind(f, cols, None, (0.1, lam, 1.0, 0.0, 0.0))[1]()
+    assert ours == plain_loop_loss(f, cols, lam)
+
+
 # gains that damp the error: negative ones make the trajectories grow
 # without bound, and rounding differences with them
 GAINS = st.sampled_from([0.0, 1.0, 0.5, 0.01, 0.001]) | st.floats(0.0, 2.0)
@@ -743,8 +762,11 @@ def test_a_rank_build_refuses_factors_of_other_ranks():
 def test_kernel_source_compiles_without_warnings(tmp_path):
     if shutil.which(twd_core.CC) is None:
         pytest.skip("no C compiler")
-    # the generic build, and rank builds whose stages stay under or reach eight outputs
-    for ranks in (None, Ranks(r=(3, 2, 4), h=(2, 3, 1)), EIGHT_WIDE):
+    # the generic build, rank builds whose stages stay under or reach eight
+    # outputs, and planted-small's and the manifest's train tuple: gcc
+    # inlines reconstruct's callers and move_blocks its own way in each
+    for ranks in (None, Ranks(r=(3, 2, 4), h=(2, 3, 1)), EIGHT_WIDE,
+                  Ranks(r=(2, 2, 2), h=(2, 2, 2))):
         subprocess.run([twd_core.CC, *twd_core.kernel_flags(ranks), "-Wall", "-Wextra",
                         "-Werror", "-o", str(tmp_path / "kernel.so"),
                         str(twd_core.KERNEL_SOURCE)], check=True, capture_output=True)

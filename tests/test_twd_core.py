@@ -407,6 +407,24 @@ def test_checkpoint_header_ends_at_any_line_break(tmp_path, after_header):
     assert flat.tobytes() == np.array([10.0, 0.5, -0.0, 5e-324, 3.0, 4.0, 1e16]).tobytes()
 
 
+@pytest.mark.parametrize("content, header", [
+    ("\nTWD v1 2 2 2 1 1 1 1 1 1\n", ""),                   # a blank first line
+    ("TWD v1 2 2\x0cTWD v1 2 2 2 1 1 1 1 1 1\n", "TWD v1 2 2"),  # ended by a form feed
+    ("NOT A CHECKPOINT\r\n1.0\n", "NOT A CHECKPOINT"),
+    ("TWD v1 2 2 2 1 1 1 1 1 x", "TWD v1 2 2 2 1 1 1 1 1 x"),   # no line break at all
+])
+def test_checkpoint_header_errors_quote_the_first_line(tmp_path, content, header):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content.encode())
+    with pytest.raises(ParameterError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"bad checkpoint header: {header!r}"
+    path.write_bytes(b"")
+    with pytest.raises(ParameterError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"empty checkpoint file: {path}"
+
+
 @pytest.mark.parametrize("content", [
     "",
     "NOT A CHECKPOINT\n",
