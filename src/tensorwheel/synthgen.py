@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeCapError
-from .tensor_store import SparseTensor, check_dims, whole
+from .tensor_store import SparseTensor, check_dims, check_seed
 from .twd_core import (
     DENSE_CAP,
     Ranks,
@@ -47,9 +47,7 @@ class SynthSpec:
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.value_scale <= 0:
             raise ParameterError(f"value_scale must be > 0, got {self.value_scale}")
-        object.__setattr__(self, "seed", whole(self.seed, "seed"))
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "dims", check_dims(self.dims))
 
 
@@ -85,8 +83,12 @@ def holdout_set(observed: SparseTensor, truth: TwdFactors) -> SparseTensor:
     """Ground-truth values at every position the observation set missed.
 
     This is the natural held-out set for planted-model experiments: the
-    values are known by construction, not by measurement.
+    values are known by construction, not by measurement.  truth must have
+    the observed dims.
     """
+    if tuple(truth.dims) != observed.dims:
+        raise ParameterError(f"truth dims {tuple(truth.dims)} differ from the observed dims "
+                             f"{observed.dims}")
     ni, nj, nk = observed.dims
     mask = np.zeros((ni, nj, nk), dtype=bool)
     mask[observed.ii, observed.jj, observed.kk] = True

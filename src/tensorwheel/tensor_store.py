@@ -42,6 +42,14 @@ def whole(x, what: str) -> int:
     return int(x)
 
 
+def check_seed(x) -> int:
+    """int(x), or ParameterError where x is not a whole number >= 0."""
+    seed = whole(x, "seed")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def check_dims(dims) -> tuple[int, int, int]:
     """dims as three ints, or ParameterError where they are not three
     whole numbers >= 1."""
@@ -67,9 +75,7 @@ class SplitSpec:
             raise ParameterError(f"ratios must be three non-negative integers, got {self.ratios}")
         if sum(self.ratios) == 0:
             raise ParameterError("ratio components must sum to > 0")
-        object.__setattr__(self, "seed", whole(self.seed, "seed"))
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "ratios", tuple(int(x) for x in self.ratios))
 
 
@@ -336,9 +342,9 @@ def _ingest_lines(data: bytes, dims, keep_last: bool):
 
 
 @contextmanager
-def open_replacing(path, encoding: str = "utf-8"):
-    """Open a new temp file beside ``path`` for text writing; on a clean
-    exit it replaces ``path``.
+def open_replacing(path):
+    """Open a new temp file beside ``path`` for UTF-8 text writing; on a
+    clean exit it replaces ``path``.
 
     A write that raises leaves ``path`` as it was and removes the temp
     file, so a reader never sees a partly written file.  The replace is
@@ -349,13 +355,13 @@ def open_replacing(path, encoding: str = "utf-8"):
     given, not the temp file's random name.
     """
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding=encoding) as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
     target = os.path.realpath(path)
     tmp = f"{target}.{os.urandom(6).hex()}.tmp"
     try:
-        fh = open(tmp, "x", encoding=encoding)
+        fh = open(tmp, "x", encoding="utf-8")
     except OSError as err:
         raise OSError(err.errno, err.strerror, os.fspath(path)) from None
     try:

@@ -56,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BoundsError, DivergenceError, DomainError, ParameterError, SizeCapError
-from .tensor_store import check_dims, is_whole, open_replacing
+from .tensor_store import check_dims, check_seed, is_whole, open_replacing
 
 DENSE_CAP = 10_000_000  # max elements a dense reconstruction may materialize
 BATCH_CHUNK = 256  # positions per batched-kernel call; bounds its temporaries
@@ -149,7 +149,7 @@ def init_factors(dims, ranks: Ranks, seed: int, scale: float) -> TwdFactors:
     ni, nj, nk = check_dims(dims)
     if scale < 0:
         raise ParameterError(f"init scale must be >= 0, got {scale}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     try:
         g, a, b, c = (rng.random(shape) * scale for shape in factor_shapes((ni, nj, nk), ranks))
     except (MemoryError, ValueError) as exc:  # ValueError: a size beyond numpy's index range
@@ -583,7 +583,7 @@ def checkpoint_text(f: TwdFactors) -> str:
 
 def save_checkpoint(f: TwdFactors, path) -> None:
     """Write ``checkpoint_text(f)``, replacing ``path`` only once it is whole."""
-    with open_replacing(path, encoding="ascii") as fh:
+    with open_replacing(path) as fh:
         fh.write(checkpoint_text(f))
 
 

@@ -68,44 +68,30 @@ typedef struct {
     int64_t o, u, v;
 } operand;
 
-/* L outputs of dots, from o on; inlined, as dots is, so that each call
- * site's constant strides and lane count fold away. */
+/* L outputs of dots, from o on, for L of 1, 2, 4 or 8, in two banks of
+ * four accumulators: output o + l in lo[l] and, for L = 8, o + 4 + l in
+ * hi[l].  Inlined, as dots is, so that each call site's constant strides
+ * and L fold away, the test of L > 4 among them. */
 static inline __attribute__((always_inline)) void lanes(int L, int64_t o, double *out,
                                                         int64_t os, operand x, operand y,
                                                         int64_t nu, int64_t nv)
 {
-    double acc[4] = {0.0, 0.0, 0.0, 0.0};
-    for (int64_t u = 0; u < nu; u++)
-        for (int64_t v = 0; v < nv; v++) {
-            const double *xp = x.p + o * x.o + u * x.u + v * x.v;
-            const double *yp = y.p + o * y.o + u * y.u + v * y.v;
-            for (int l = 0; l < L; l++)
-                acc[l] += xp[l * x.o] * yp[l * y.o];
-        }
-    for (int l = 0; l < L; l++)
-        out[(o + l) * os] = acc[l];
-}
-
-/* Eight outputs of dots, from o on, in two banks of four accumulators;
- * lanes is left as it is, so that a build whose calls never reach eight
- * outputs compiles as before. */
-static inline __attribute__((always_inline)) void lanes8(int64_t o, double *out, int64_t os,
-                                                         operand x, operand y, int64_t nu,
-                                                         int64_t nv)
-{
+    const int B = L > 4 ? 4 : L;
     double lo[4] = {0.0, 0.0, 0.0, 0.0}, hi[4] = {0.0, 0.0, 0.0, 0.0};
     for (int64_t u = 0; u < nu; u++)
         for (int64_t v = 0; v < nv; v++) {
             const double *xp = x.p + o * x.o + u * x.u + v * x.v;
             const double *yp = y.p + o * y.o + u * y.u + v * y.v;
-            for (int l = 0; l < 4; l++) {
+            for (int l = 0; l < B; l++) {
                 lo[l] += xp[l * x.o] * yp[l * y.o];
-                hi[l] += xp[(l + 4) * x.o] * yp[(l + 4) * y.o];
+                if (L > 4)
+                    hi[l] += xp[(l + 4) * x.o] * yp[(l + 4) * y.o];
             }
         }
-    for (int l = 0; l < 4; l++) {
+    for (int l = 0; l < B; l++) {
         out[(o + l) * os] = lo[l];
-        out[(o + l + 4) * os] = hi[l];
+        if (L > 4)
+            out[(o + l + 4) * os] = hi[l];
     }
 }
 
@@ -123,7 +109,7 @@ static inline __attribute__((always_inline)) void dots(int64_t n, double *out, i
 {
     int64_t o = 0;
     for (; o + 8 <= n; o += 8)
-        lanes8(o, out, os, x, y, nu, nv);
+        lanes(8, o, out, os, x, y, nu, nv);
     for (; o + 4 <= n; o += 4)
         lanes(4, o, out, os, x, y, nu, nv);
     for (; o + 2 <= n; o += 2)
@@ -139,9 +125,8 @@ static inline __attribute__((always_inline)) void dots(int64_t n, double *out, i
  * in that order.  Each block is read where it lies: a_i's r3 runs are sa
  * apart, b_j's r1 runs sb and c_k's r2 runs sc, and the rest of a run is
  * contiguous, so the blocks may be p's or the factors' own.  noinline:
- * gcc then makes one clone per call site, and tw_epoch compiles to the
- * code it had when the loss read p.  Inlined, or left to gcc, it changed
- * how the step was inlined (partials was no longer inlined into
+ * gcc then makes one clone per call site.  Inlined, or left to gcc, it
+ * changed how the step was inlined (partials was no longer inlined into
  * tw_partials), and a step at ranks (5,5,5,2,2,2) ran 2-3% slower. */
 static __attribute__((noinline)) double reconstruct(const int64_t *s, const double *g,
                                                     const double *ai, const double *bj,

@@ -200,10 +200,17 @@ def test_native_partials_sum_each_output_in_plain_loop_order(f, data):
 EIGHT_WIDE = Ranks(r=(5, 5, 5), h=(2, 2, 2))
 
 
+# a rank tuple whose stage 1 (R2 H2) and gb (R1 R2) each have 15 outputs,
+# summed in passes of eight, four, two and one
+EVERY_PASS = Ranks(r=(3, 5, 2), h=(1, 3, 1))
+
+
 @settings(max_examples=30, deadline=None)
-@given(f=factor_sets(ranks=EIGHT_WIDE), data=st.data())
-def test_rank_build_partials_sum_each_output_in_plain_loop_order(f, data):
-    assert_partials_in_plain_loop_order(rank_build(EIGHT_WIDE), f, data)
+@given(data=st.data())
+def test_rank_build_partials_sum_each_output_in_plain_loop_order(data):
+    for ranks in (EIGHT_WIDE, EVERY_PASS):
+        f = data.draw(factor_sets(ranks=ranks))
+        assert_partials_in_plain_loop_order(rank_build(ranks), f, data)
 
 
 def plain_loop_loss(f, cols, lam):
@@ -226,8 +233,8 @@ def plain_loop_loss(f, cols, lam):
     return loss + lam * (len(values) * g_norm + (sa + sb + sc))
 
 
-@pytest.mark.parametrize("ranks", [None, Ranks(r=(3, 2, 2), h=(2, 3, 1)), EIGHT_WIDE],
-                         ids=["generic", "3-2-2-2-3-1", "5-5-5-2-2-2"])
+@pytest.mark.parametrize("ranks", [None, Ranks(r=(3, 2, 2), h=(2, 3, 1)), EIGHT_WIDE, EVERY_PASS],
+                         ids=["generic", "3-2-2-2-3-1", "5-5-5-2-2-2", "3-5-2-1-3-1"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.integers(1, 30), lam=st.sampled_from([0.0, 0.01, 0.7]),
        seed=st.integers(0, 2**32 - 1))

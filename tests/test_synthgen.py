@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,15 @@ def test_holdout_complements_observed():
     for e in entries(held):
         assert (e.i, e.j, e.k) not in obs_pos
         assert abs(e.value - oracle_entry(truth, e.i, e.j, e.k)) < 1e-12
+
+
+@pytest.mark.parametrize("truth_dims", [(6, 4, 3), (5, 4, 2)])
+def test_holdout_refuses_a_truth_of_other_dims(truth_dims):
+    observed, _ = generate(SynthSpec(dims=(5, 4, 3), ranks=RANKS, density=0.35, seed=11))
+    _, truth = generate(SynthSpec(dims=truth_dims, ranks=RANKS, density=0.35, seed=11))
+    message = f"truth dims {truth_dims} differ from the observed dims (5, 4, 3)"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        holdout_set(observed, truth)
 
 
 @pytest.mark.parametrize("bad", [

@@ -107,6 +107,16 @@ def test_init_factors_refuses_dims_that_are_not_whole():
     assert init_factors((2.0, 2, 2), ranks, seed=0, scale=0.1).dims == (2, 2, 2)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),
+    (2.5, "seed must be a whole number, got 2.5"),
+    (float("nan"), "seed must be a whole number, got nan"),
+], ids=["negative", "fraction", "nan"])
+def test_init_factors_refuses_a_bad_seed(seed, message):
+    with pytest.raises(ParameterError, match=message):
+        init_factors((2, 2, 2), Ranks(r=(1, 1, 1), h=(1, 1, 1)), seed=seed, scale=0.1)
+
+
 # sizes numpy refuses at once: 10**14 rows of factor a exceed any address
 # space, and 10**20 exceeds numpy's index range
 @pytest.mark.parametrize("dims", [(10 ** 14, 3, 3), (3, 10 ** 20, 3)])
