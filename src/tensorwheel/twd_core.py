@@ -26,9 +26,9 @@ per pass, each in the order of a plain loop, so blocking changes no
 bit.  It is built with the system C compiler on first use and loaded
 with ctypes by the one loader ``native_kernel``, and numpy's
 ``block_partials`` runs wherever it cannot be.  ``native_kernel(ranks)``
-is a build of the same source, with the same flags, for one rank tuple,
-whose loops have constant trip counts and whose results are the same
-bit for bit; the trainer runs it.  ``NativeKernel.bind`` hands the
+is a build of the same source, with the same flags (and ``-mavx2`` where
+the host runs AVX2), for one rank tuple, whose loops have constant trip
+counts and whose results are the same bit for bit; the trainer runs it.  ``NativeKernel.bind`` hands the
 trainer, and the step, an epoch runner and a loss over one workspace.
 ``entry_partials``, ``reconstruct_entry`` and the trainer's step (a
 one-entry epoch in C) all run whichever kernel is loaded, never a mix,
@@ -46,9 +46,11 @@ index grid.  ``oracle_entry`` is the independent six-loop reference.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import math
 import os
+import platform
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -400,12 +402,35 @@ _native = _UNLOADED  # the NativeKernel once loaded, None where it cannot be
 _for_ranks: dict = {}  # Ranks -> the kernel native_kernel returns for them
 
 
+@functools.cache
+def host_avx2() -> bool:
+    """Whether this host's CPU runs AVX2: on x86-64, ``avx2`` among the
+    flags of /proc/cpuinfo, which Linux lists only where the OS saves the
+    AVX state.  False on another machine, or where the file cannot be
+    read.  Read once per process."""
+    if platform.machine() != "x86_64":
+        return False
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as info:
+            flags = next((line for line in info if line.startswith("flags")), ":")
+    except OSError:
+        return False
+    return "avx2" in flags.partition(":")[2].split()
+
+
 def kernel_flags(ranks: Ranks | None = None) -> list:
     """The compiler flags of ``twd_kernel.c``: CC_FLAGS for the generic
-    build, and for the build for ranks CC_FLAGS and the six ranks defined
-    as constants."""
-    defines = () if ranks is None else enumerate((*ranks.r, *ranks.h), start=3)
-    return [*CC_FLAGS, *(f"-DTW_RANK{q}={n}" for q, n in defines)]
+    build, and for the build for ranks CC_FLAGS, ``-mavx2`` where the host
+    runs AVX2 (``host_avx2``), and the six ranks defined as constants."""
+    if ranks is None:
+        return [*CC_FLAGS]
+    # a rank build may then sum its independent chains in 256-bit
+    # registers; -mavx2 leaves FMA off, and a packed IEEE multiply or add
+    # rounds as a scalar one does, so no bit moves.  The generic build, the
+    # fallback, stays at the baseline ISA.
+    isa = ["-mavx2"] if host_avx2() else []
+    defines = enumerate((*ranks.r, *ranks.h), start=3)
+    return [*CC_FLAGS, *isa, *(f"-DTW_RANK{q}={n}" for q, n in defines)]
 
 
 def library_path(ranks: Ranks | None = None) -> Path:

@@ -6,7 +6,9 @@
  *
  * Built and loaded by twd_core with the system C compiler, without
  * contraction of multiplies and adds into FMAs, so that the update and
- * the PID fold round exactly as numpy's elementwise arithmetic does.
+ * the PID fold round exactly as numpy's elementwise arithmetic does; a
+ * build for one rank tuple (below) with -mavx2 where the CPU runs AVX2,
+ * which packs independent sums into wider registers and rounds the same.
  *
  * shape holds (I, J, K, R1, R2, R3, H1, H2, H3).  A step gathers an
  * entry's blocks into one vector p laid out as g (H1,H2,H3), a[:, i]
@@ -68,46 +70,57 @@ typedef struct {
     int64_t o, u, v;
 } operand;
 
-/* L outputs of dots, from o on, for L of 1, 2, 4 or 8, in two banks of
- * four accumulators: output o + l in lo[l] and, for L = 8, o + 4 + l in
- * hi[l].  Inlined, as dots is, so that each call site's constant strides
- * and L fold away, the test of L > 4 among them. */
+/* L outputs of dots, from o on, for L of 1, 2, 4, 8 or 16, in four banks
+ * of four accumulators: output o + 4m + l in bank m's place l, bank m
+ * touched only where L > 4m.  Inlined, as dots is, so that each call
+ * site's constant strides and L fold away, the tests of L among them. */
 static inline __attribute__((always_inline)) void lanes(int L, int64_t o, double *out,
                                                         int64_t os, operand x, operand y,
                                                         int64_t nu, int64_t nv)
 {
     const int B = L > 4 ? 4 : L;
-    double lo[4] = {0.0, 0.0, 0.0, 0.0}, hi[4] = {0.0, 0.0, 0.0, 0.0};
+    double b0[4] = {0.0, 0.0, 0.0, 0.0}, b1[4] = {0.0, 0.0, 0.0, 0.0},
+           b2[4] = {0.0, 0.0, 0.0, 0.0}, b3[4] = {0.0, 0.0, 0.0, 0.0};
     for (int64_t u = 0; u < nu; u++)
         for (int64_t v = 0; v < nv; v++) {
             const double *xp = x.p + o * x.o + u * x.u + v * x.v;
             const double *yp = y.p + o * y.o + u * y.u + v * y.v;
             for (int l = 0; l < B; l++) {
-                lo[l] += xp[l * x.o] * yp[l * y.o];
+                b0[l] += xp[l * x.o] * yp[l * y.o];
                 if (L > 4)
-                    hi[l] += xp[(l + 4) * x.o] * yp[(l + 4) * y.o];
+                    b1[l] += xp[(l + 4) * x.o] * yp[(l + 4) * y.o];
+                if (L > 8)
+                    b2[l] += xp[(l + 8) * x.o] * yp[(l + 8) * y.o];
+                if (L > 12)
+                    b3[l] += xp[(l + 12) * x.o] * yp[(l + 12) * y.o];
             }
         }
     for (int l = 0; l < B; l++) {
-        out[(o + l) * os] = lo[l];
+        out[(o + l) * os] = b0[l];
         if (L > 4)
-            out[(o + l + 4) * os] = hi[l];
+            out[(o + l + 4) * os] = b1[l];
+        if (L > 8)
+            out[(o + l + 8) * os] = b2[l];
+        if (L > 12)
+            out[(o + l + 12) * os] = b3[l];
     }
 }
 
 /* The kernel's one contraction loop: out[o*os], for o < n, is the sum
  * over u < nu, then v < nv, of x(o, u, v) y(o, u, v), starting from 0.0
- * and adding its terms in that order.  Eight outputs are summed per pass,
- * then four, two and one: without FMA each output is one serial chain of
- * adds, so the speed is bound by the number of chains in flight.  Each
- * output's order, and with it its rounding, is that of one output at a
- * time.  It sums every stage and partial, the core sum that ends a
+ * and adding its terms in that order.  Sixteen outputs are summed per
+ * pass, then eight, four, two and one: without FMA each output is one
+ * serial chain of adds, so the speed is bound by the number of chains in
+ * flight.  Each output's order, and with it its rounding, is that of one
+ * output at a time.  It sums every stage and partial, the core sum that ends a
  * reconstruction and, with x = y, the loss's slice norms. */
 static inline __attribute__((always_inline)) void dots(int64_t n, double *out, int64_t os,
                                                        operand x, operand y, int64_t nu,
                                                        int64_t nv)
 {
     int64_t o = 0;
+    for (; o + 16 <= n; o += 16)
+        lanes(16, o, out, os, x, y, nu, nv);
     for (; o + 8 <= n; o += 8)
         lanes(8, o, out, os, x, y, nu, nv);
     for (; o + 4 <= n; o += 4)
@@ -124,14 +137,18 @@ static inline __attribute__((always_inline)) void dots(int64_t n, double *out, i
  * c_k[r2,r3,h3]; stage 3, returned, the sum over (h1, h2, h3) of t_g g,
  * in that order.  Each block is read where it lies: a_i's r3 runs are sa
  * apart, b_j's r1 runs sb and c_k's r2 runs sc, and the rest of a run is
- * contiguous, so the blocks may be p's or the factors' own.  noinline:
- * gcc then makes one clone per call site.  Inlined, or left to gcc, it
- * changed how the step was inlined (partials was no longer inlined into
- * tw_partials), and a step at ranks (5,5,5,2,2,2) ran 2-3% slower. */
+ * contiguous, so the blocks may be p's or the factors' own.  ab and tg
+ * overlap nothing else it reads or writes, and restrict says so: without
+ * it gcc guards each vectorised loop with run-time overlap checks.
+ * noinline: gcc then makes one clone per call site.  Inlined, or left to
+ * gcc, it changed how the step was inlined (partials was no longer
+ * inlined into its caller), and a step at ranks (5,5,5,2,2,2) ran 2-3%
+ * slower. */
 static __attribute__((noinline)) double reconstruct(const int64_t *s, const double *g,
                                                     const double *ai, const double *bj,
                                                     const double *ck, int64_t sa, int64_t sb,
-                                                    int64_t sc, double *ab, double *tg)
+                                                    int64_t sc, double *restrict ab,
+                                                    double *restrict tg)
 {
     const int64_t R1 = RANK(3), R2 = RANK(4), R3 = RANK(5);
     const int64_t H1 = RANK(6), H2 = RANK(7), H3 = RANK(8);
@@ -151,8 +168,11 @@ static __attribute__((noinline)) double reconstruct(const int64_t *s, const doub
 
 /* The reconstruction at p's position, returned, and its partials, into
  * t; the stages of twd_core.block_partials: r1, then (r3, r2), then the
- * core, with the a, b and c partials from stage 1's product. */
-static double partials(const int64_t *s, const double *p, double *t, double *w)
+ * core, with the a, b and c partials from stage 1's product.  p, t and
+ * the stage products in w do not overlap (restrict); a step at ranks
+ * (5,5,5,2,2,2) ran ~20% faster once gcc knew it. */
+static double partials(const int64_t *s, const double *restrict p, double *restrict t,
+                       double *restrict w)
 {
     const int64_t R1 = RANK(3), R2 = RANK(4), R3 = RANK(5);
     const int64_t H1 = RANK(6), H2 = RANK(7), H3 = RANK(8);
@@ -193,14 +213,28 @@ static double partials(const int64_t *s, const double *p, double *t, double *w)
     return x;
 }
 
-/* Reconstruction and partials at (i, j, k); the partials are left in w
- * after p, at w[n] with n the length of p. */
-double tw_partials(const int64_t *s, double *g, double *a, double *b, double *c,
-                   int64_t i, int64_t j, int64_t k, double *w)
+/* Reconstruction and partials at (i, j, k), from its blocks gathered
+ * into p = w; the partials are left in w after p, at w[n] with n the
+ * length of p.  static, so that the step calls it in the library, not
+ * through the PLT as it would an exported function; noinline, so that
+ * move_blocks and partials are inlined into it, as they were into the
+ * exported one: inlined into the step, it left both out of line, and a
+ * step at ranks (2,2,2,2,2,2) ran ~20% slower. */
+static __attribute__((noinline)) double gathered_partials(const int64_t *s, double *g,
+                                                          double *a, double *b, double *c,
+                                                          int64_t i, int64_t j, int64_t k,
+                                                          double *w)
 {
     const int64_t n = block_len(s);
     move_blocks(s, g, a, b, c, i, j, k, w, 1);
     return partials(s, w, w + n, w + 2 * n);
+}
+
+/* gathered_partials, exported. */
+double tw_partials(const int64_t *s, double *g, double *a, double *b, double *c,
+                   int64_t i, int64_t j, int64_t k, double *w)
+{
+    return gathered_partials(s, g, a, b, c, i, j, k, w);
 }
 
 /* One PID-SGD step on entry id at (i, j, k); hp holds (eta, lam, cp, ci,
@@ -213,7 +247,7 @@ static int step(const int64_t *s, double *g, double *a, double *b, double *c,
 {
     const int64_t n = block_len(s);
     double *p = w, *t = w + n;
-    double e = value - tw_partials(s, g, a, b, c, i, j, k, w);
+    double e = value - gathered_partials(s, g, a, b, c, i, j, k, w);
     int finite;
     if (integral) {
         const double raw = e, sum = integral[id] + raw;

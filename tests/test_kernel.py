@@ -1,6 +1,7 @@
 """Property tests of the staged contraction kernels in twd_core, and of
 the native kernel beside the numpy one."""
 
+import hashlib
 import json
 import os
 import re
@@ -196,7 +197,7 @@ def test_native_partials_sum_each_output_in_plain_loop_order(f, data):
 
 
 # a rank tuple whose build has calls of dots with eight outputs or more:
-# stage 1 and ca have 10, gb 25
+# stage 1 and ca have 10, gb 25 (a pass of sixteen, then eight and one)
 EIGHT_WIDE = Ranks(r=(5, 5, 5), h=(2, 2, 2))
 
 
@@ -748,6 +749,52 @@ def test_a_rank_build_equals_the_generic_build_bitwise(ranks):
         runs.append(([getattr(f, name).tobytes() for name in "gabc"], losses,
                      state.integral.tobytes(), state.prev_error.tobytes()))
     assert runs[0] == runs[1]
+
+
+AVX2_TUPLES = [(2, 2, 2, 2, 2, 2), (5, 5, 5, 2, 2, 2), (3, 5, 2, 1, 3, 1)]
+
+
+@pytest.mark.parametrize("ranks", [Ranks(r=t[:3], h=t[3:]) for t in AVX2_TUPLES],
+                         ids=["-".join(map(str, t)) for t in AVX2_TUPLES])
+def test_the_avx2_rank_build_equals_the_baseline_rank_build_bitwise(ranks, tmp_path,
+                                                                    monkeypatch):
+    if shutil.which(twd_core.CC) is None or not twd_core.host_avx2():
+        pytest.skip("no C compiler or no AVX2")
+    native()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    # dims of 16 and more, so that the loss's slice norms take a pass of sixteen
+    observed, _ = generate(SynthSpec(dims=(18, 17, 16), ranks=ranks, density=0.1,
+                                     noise_sigma=0.01, seed=4))
+    cols, runs = columns(observed), []
+    for avx2 in (True, False):
+        monkeypatch.setattr(twd_core, "host_avx2", lambda: avx2)
+        monkeypatch.setattr(twd_core, "_for_ranks", {})
+        assert ("-mavx2" in twd_core.kernel_flags(ranks)) == avx2
+        kernel = rank_build(ranks)
+        f, state = init_factors(observed.dims, ranks, 5, 0.2), PidState(len(observed))
+        epoch, loss = kernel.bind(f, cols, (state.integral, state.prev_error),
+                                  (0.01, 0.02, 1.0, 0.05, 0.001))
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            epoch(epoch_visit_order(rng, len(observed)))
+        _, plain_loss = kernel.bind(f, cols, None, (0.01, 0.0, 1.0, 0.0, 0.0))
+        runs.append(([getattr(f, name).tobytes() for name in "gabc"], state.integral.tobytes(),
+                     state.prev_error.tobytes(), loss(), plain_loss()))
+    assert runs[0] == runs[1]
+
+
+def test_a_host_without_avx2_gets_the_baseline_flags(monkeypatch):
+    ranks = Ranks(r=(5, 5, 5), h=(2, 2, 2))
+    baseline = ["-O3", "-shared", "-fPIC", "-ffp-contract=off", "-DTW_RANK3=5",
+                "-DTW_RANK4=5", "-DTW_RANK5=5", "-DTW_RANK6=2", "-DTW_RANK7=2", "-DTW_RANK8=2"]
+    monkeypatch.setattr(twd_core, "host_avx2", lambda: False)
+    assert twd_core.kernel_flags(ranks) == baseline
+    key = hashlib.sha256(twd_core.KERNEL_SOURCE.read_bytes() + " ".join(baseline).encode())
+    assert twd_core.library_path(ranks).name == f"{key.hexdigest()}.so"
+    for avx2 in (False, True):  # the generic build, the fallback, is baseline on every host
+        monkeypatch.setattr(twd_core, "host_avx2", lambda: avx2)
+        assert twd_core.kernel_flags(None) == baseline[:4]
+    assert twd_core.kernel_flags(ranks) == baseline[:4] + ["-mavx2"] + baseline[4:]
 
 
 def test_a_rank_build_refuses_factors_of_other_ranks():

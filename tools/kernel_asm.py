@@ -3,10 +3,13 @@ of a change that must not change what the kernel runs.
 
 The kernel of the package under TREE/src, its ``KERNEL_SOURCE``, is
 compiled with that tree's ``CC`` and ``kernel_flags``: the generic build,
-then one build per rank tuple given.  Each goes to a temp directory, not to
-the kernel cache.  Each build is disassembled with ``objdump -d``, its
-addresses and ``%rip`` offsets dropped, so that code moved as a whole
-reads the same, and branch and call targets kept as ``<symbol+offset>``.
+then one build per rank tuple given.  Where the host runs AVX2, a tree's
+rank builds carry ``-mavx2`` if its ``kernel_flags`` adds it, so compare
+two trees whose rank flags agree, or read the rank builds apart.  Each
+build goes to a temp directory, not to the kernel cache, and is
+disassembled with ``objdump -d``, its addresses and ``%rip`` offsets
+dropped, so that code moved as a whole reads the same, and branch and
+call targets kept as ``<symbol+offset>``.
 The manifest has one line per build and function, with the build, the
 function's name, its instruction count and the sha256 of its
 instructions, so two trees compare by a ``diff`` of their manifests:
