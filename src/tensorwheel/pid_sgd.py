@@ -11,17 +11,19 @@ since its previous visit (derivative).  Proportional-only settings
 
 A step names its observation by the set and an entry id, the
 observation's position in the set's arrays, which is also its slot in
-the PID state.  ``train`` and ``sgd_step`` reach the kernel through one
-function, ``_runners``, which picks native or numpy: ``train`` runs it on
-the build for its ranks over each epoch's visit order, and for the sum
-of squared validation residuals its RMSE is taken from, ``sgd_step`` on
-the generic build over the one id.
+the PID state.  ``sgd_step`` reaches the kernel through ``_runners``,
+which picks native or numpy and runs the generic build over the one id.
+``train`` reaches it through ``_round``, on the build for its ranks: one
+call into C per epoch runs the steps over the epoch's visit order, the
+training loss and the sum of squared validation residuals its RMSE is
+taken from.  Without the native kernel, ``_round`` runs ``_runners``'
+numpy steps and ``compute_loss``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -162,8 +164,8 @@ def sgd_step(f: TwdFactors, obs: SparseTensor, entry_id: int, state: PidState | 
     it and the driving error are finite: a diverging step raises
     DivergenceError and leaves f as it was, with the PID state folded.
     Runs ``_runners``' epoch over the one id on the generic kernel, as
-    ``train`` does over a visit order; neither copies obs, so the cost
-    does not grow with its length.
+    ``train`` runs its steps over a visit order; neither copies obs, so
+    the cost does not grow with its length.
     """
     if not 0 <= entry_id < len(obs):
         raise BoundsError(f"entry id {entry_id} outside the {len(obs)} observations")
@@ -194,13 +196,10 @@ def _runners(f: TwdFactors, obs: SparseTensor, state: PidState | None, hp: Hyper
     ``epoch_loss()`` returns ``compute_loss(f, obs, hp.lam)``.  They are
     ``kernel.bind``'s, one call into C each, where ``kernel`` is loaded;
     else a loop of numpy steps, reading each visited entry from obs's
-    arrays, and ``compute_loss``.  The only place native or numpy is
-    picked for training.  Numpy's overflow warnings are the caller's to
-    silence."""
+    arrays, and ``compute_loss``.  Numpy's overflow warnings are the
+    caller's to silence."""
     if kernel is not None:
-        return kernel.bind(f, (obs.ii, obs.jj, obs.kk, obs.values),
-                           None if state is None else (state.integral, state.prev_error),
-                           (hp.eta, hp.lam, hp.cp, hp.ci, hp.cd))
+        return kernel.bind(f, *_bind_args(obs, state, hp))
 
     def run_epoch(order: np.ndarray) -> None:
         for e in order.tolist():
@@ -218,11 +217,45 @@ def _runners(f: TwdFactors, obs: SparseTensor, state: PidState | None, hp: Hyper
     return run_epoch, lambda: compute_loss(f, obs, hp.lam)
 
 
+def _round(f: TwdFactors, train_set: SparseTensor, valid_set: SparseTensor,
+           state: PidState | None, hp: HyperParams, kernel: NativeKernel | None):
+    """``run_round(order)``, one epoch of ``train``: the steps of
+    ``_runners``' ``run_epoch(order)`` over train_set, then two functions,
+    returned, whose values are ``compute_loss(f, train_set, hp.lam)`` and
+    ``compute_loss(f, valid_set, 0)``, the sum of squared validation
+    residuals; each raises DomainError where its value is not finite.
+    Both sets must lie inside f's dims.  Where ``kernel`` is loaded, it is
+    ``kernel.bind_round``'s: one call into C, which takes both sums.  Else
+    the numpy steps, with numpy's overflow warnings silenced, since a
+    diverging run surfaces as DivergenceError, and ``compute_loss`` when
+    the functions are called.  The one place ``train`` picks native or
+    numpy."""
+    if kernel is not None:
+        return kernel.bind_round(f, *_bind_args(train_set, state, hp),
+                                 (valid_set.ii, valid_set.jj, valid_set.kk, valid_set.values))
+    run_epoch, epoch_loss = _runners(f, train_set, state, hp, None)
+    sums = (epoch_loss, lambda: compute_loss(f, valid_set, 0.0))
+
+    def run_round(order: np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_epoch(order)
+        return sums
+
+    return run_round
+
+
+def _bind_args(obs: SparseTensor, state: PidState | None, hp: HyperParams) -> tuple:
+    """The columns, PID state and gains the native kernel binds to."""
+    return ((obs.ii, obs.jj, obs.kk, obs.values),
+            None if state is None else (state.integral, state.prev_error),
+            (hp.eta, hp.lam, hp.cp, hp.ci, hp.cd))
+
+
 def validation_rmse(f: TwdFactors, obs: SparseTensor, squares) -> float:
     """The validation RMSE ``train`` records for f over obs, a non-empty
     set inside f's dims: sqrt(squares() / n), where ``squares()``, the
-    ``epoch_loss`` of ``_runners`` over obs with lam 0, returns the sum
-    of squared residuals.  Where that sum is not finite, numpy's
+    second function of ``_round``'s epoch, returns the sum of squared
+    residuals.  Where that sum is not finite, numpy's
     ``evaluate(f, obs).rmse``, which takes it again scaled by max|r| and
     raises DomainError where even that overflows."""
     try:
@@ -247,12 +280,12 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     factor, loss or validation RMSE raises DivergenceError with the
     epoch, hp.eta and the norms of the last finite factors.  Each
     epoch's steps, its loss and the sum of squared validation residuals
-    run through ``_runners`` on ``twd_core.native_kernel(ranks)``, the
-    build for ``ranks``, bound once per run: one call each into C when
-    it is loaded, else numpy steps and ``compute_loss``.  The validation
-    RMSE is ``validation_rmse`` of that sum, and on the numpy kernel
-    equals ``evaluate``'s bit for bit; on the native kernel it agrees
-    with it to rounding (the sum runs in an order of its own).
+    run through ``_round`` on ``twd_core.native_kernel(ranks)``, the
+    build for ``ranks``, bound once per run: one call into C per epoch
+    when it is loaded, else numpy steps and ``compute_loss``.  The
+    validation RMSE is ``validation_rmse`` of that sum, and on the numpy
+    kernel equals ``evaluate``'s bit for bit; on the native kernel it
+    agrees with it to rounding (the sum runs in an order of its own).
 
     Args:
         train_set: observed entries to fit; must be non-empty, with
@@ -280,9 +313,7 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
         check_indices(factors, obs.ii, obs.jj, obs.kk, what)
     state = PidState(n) if pid else None
     order_rng = np.random.default_rng(hp.seed)
-    kernel = native_kernel(ranks)
-    run_epoch, epoch_loss = _runners(factors, train_set, state, hp, kernel)
-    _, valid_squares = _runners(factors, valid_set, None, replace(hp, lam=0.0), kernel)
+    run_round = _round(factors, train_set, valid_set, state, hp, native_kernel(ranks))
     use_valid = len(valid_set) > 0
 
     report = TrainReport()
@@ -294,9 +325,7 @@ def train(train_set: SparseTensor, valid_set: SparseTensor, dims, ranks: Ranks,
     for epoch in range(hp.max_epochs):
         order = epoch_visit_order(order_rng, n)
         try:
-            # overflow in a diverging run surfaces as DivergenceError, not as numpy warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                run_epoch(order)
+            epoch_loss, valid_squares = run_round(order)
             try:
                 loss = epoch_loss()
             except DomainError:

@@ -28,8 +28,10 @@ with ctypes by the one loader ``native_kernel``, and numpy's
 ``block_partials`` runs wherever it cannot be.  ``native_kernel(ranks)``
 is a build of the same source, with the same flags (and ``-mavx2`` where
 the host runs AVX2), for one rank tuple, whose loops have constant trip
-counts and whose results are the same bit for bit; the trainer runs it.  ``NativeKernel.bind`` hands the
-trainer, and the step, an epoch runner and a loss over one workspace.
+counts and whose results are the same bit for bit; the trainer runs it.
+``NativeKernel.bind_round`` hands the trainer a function that runs an
+epoch's steps, its loss and its validation sum in one call into C;
+``NativeKernel.bind`` hands the step an epoch runner and a loss.
 ``entry_partials``, ``reconstruct_entry`` and the trainer's step (a
 one-entry epoch in C) all run whichever kernel is loaded, never a mix,
 so ``reconstruct_entry`` equals the trainer's x_hat bit for bit, as does
@@ -275,13 +277,26 @@ def scatter_blocks(flat: np.ndarray, blocks) -> None:
         start = end
 
 
+class _Bound(ctypes.Structure):
+    """The ``bound`` struct of ``twd_kernel.c``: what ``tw_round`` reads
+    from one epoch to the next, in its field order."""
+
+    _fields_ = [(name, ctypes.c_int64 if name in ("n", "n_valid") else ctypes.c_void_p)
+                for name in ("s", "g", "a", "b", "c", "ii", "jj", "kk", "values", "n", "hp",
+                             "integral", "prev", "vi", "vj", "vk", "vv", "n_valid", "out", "w")]
+
+
 class NativeKernel:
-    """The entry points of the compiled ``twd_kernel.c``.
+    """The entry points of the compiled ``twd_kernel.c``: ``partials``
+    over ``tw_partials``; ``bind``, an epoch runner over ``tw_epoch`` and
+    a loss over ``tw_loss``, which ``sgd_step`` and the tests run; and
+    ``bind_round``, one ``tw_round`` call per epoch, which ``train`` runs.
 
     Each call checks the arrays it hands over: float64 (int64 for
     indices), C order, their shapes or lengths, and writeable
     where the kernel writes.  Here an epoch's visit order is checked
-    against the columns and the PID state's length against theirs.  The
+    against the columns, in Python for ``bind`` and in C for
+    ``bind_round``, and the PID state's length against theirs.  The
     positions the kernel follows are not checked here: ``check_indices``
     checks a whole set against the dims, in ``pid_sgd.train``, and
     ``check_index`` one position, in ``sgd_step`` and ``entry_partials``.
@@ -295,6 +310,8 @@ class NativeKernel:
         lib.tw_epoch.restype = i64
         lib.tw_loss.argtypes = [ptr] * 9 + [i64, f64, ptr]
         lib.tw_loss.restype = f64
+        lib.tw_round.argtypes = [ptr, ptr, i64]
+        lib.tw_round.restype = i64
         self._lib = lib
         self.ranks = ranks  # those of a build for one rank tuple; None: any
 
@@ -320,14 +337,14 @@ class NativeKernel:
                 workspace(f.ranks, extra)]
 
     @staticmethod
-    def _columns(columns) -> list:
+    def _columns(columns, what: str = "training") -> list:
         """The columns (ii, jj, kk, values) as C-ordered int64 and float64
         arrays, of one length; arrays that already are, such as a
         SparseTensor's read-only ones, are kept, not copied."""
         cols = [np.ascontiguousarray(col, dtype=dtype)
                 for col, dtype in zip(columns, (np.int64,) * 3 + (np.float64,))]
         if any(col.shape != cols[3].shape for col in cols) or cols[3].ndim != 1:
-            raise ParameterError("the training columns differ in length")
+            raise ParameterError(f"the {what} columns differ in length")
         return cols
 
     def partials(self, f: TwdFactors, i: int, j: int, k: int):
@@ -353,6 +370,25 @@ class NativeKernel:
                                      f"the training columns' length {n}")
         return [arr.ctypes.data for arr in pid]
 
+    def _bound(self, f: TwdFactors, columns, pid, gains):
+        """What ``bind`` and ``bind_round`` share, once their checks pass:
+        ``head``, the pointers to the shape vector, f's arrays in place and
+        the training columns; ``tail``, those to the gains, the PID state
+        and a fresh workspace; the columns' length n; lam, the gains' slot
+        1; and the buffers the pointers point into, which the caller keeps
+        alive."""
+        operands = self._operands(f, in_place=True, extra=sum(f.dims))
+        cols = self._columns(columns)
+        hp = np.array(gains, dtype=np.float64)
+        if hp.shape != (5,):
+            raise ParameterError(f"gains must be five values (eta, lam, cp, ci, cd), "
+                                 f"got an array of shape {hp.shape}")
+        shape, g, a, b, c, work = (arr.ctypes.data for arr in operands)
+        n = len(cols[3])
+        head = [shape, g, a, b, c, *(col.ctypes.data for col in cols)]
+        tail = [hp.ctypes.data, *self._pid(pid, n), work]
+        return head, tail, n, float(hp[1]), (operands, cols, hp, pid)
+
     def bind(self, f: TwdFactors, columns, pid, gains):
         """The two functions an epoch of training runs, bound to f in place
         and to one workspace: ``run_epoch(order)`` runs the steps over an
@@ -370,16 +406,7 @@ class NativeKernel:
         are taken by ``_columns`` and must not be written while the
         functions are in use; their indices must lie inside f's dims
         (``check_indices``), and the PID state must hold one slot each."""
-        operands = self._operands(f, in_place=True, extra=sum(f.dims))
-        cols = self._columns(columns)
-        hp = np.array(gains, dtype=np.float64)
-        if hp.shape != (5,):
-            raise ParameterError(f"gains must be five values (eta, lam, cp, ci, cd), "
-                                 f"got an array of shape {hp.shape}")
-        shape, g, a, b, c, work = (arr.ctypes.data for arr in operands)
-        n, lam = len(cols[3]), float(hp[1])
-        head = [shape, g, a, b, c, *(col.ctypes.data for col in cols)]
-        tail = [hp.ctypes.data, *self._pid(pid, n), work]
+        head, tail, n, lam, buffers = self._bound(f, columns, pid, gains)
 
         def run_epoch(order: np.ndarray) -> None:
             order = np.ascontiguousarray(order, dtype=np.int64)
@@ -390,11 +417,45 @@ class NativeKernel:
                 raise DivergenceError(diverged)
 
         def epoch_loss() -> float:
-            return check_finite(self._lib.tw_loss(*head, n, lam, work), "loss", LOSS_OVERFLOW)
+            return check_finite(self._lib.tw_loss(*head, n, lam, tail[-1]), "loss",
+                                LOSS_OVERFLOW)
 
         # keep alive the memory that head and tail point into
-        run_epoch.buffers = epoch_loss.buffers = (operands, cols, hp, pid)
+        run_epoch.buffers = epoch_loss.buffers = buffers
         return run_epoch, epoch_loss
+
+    def bind_round(self, f: TwdFactors, columns, pid, gains, valid):
+        """``run_round(order)``, a whole epoch of training in one call of
+        ``tw_round``: ``bind``'s ``run_epoch(order)``, then its
+        ``epoch_loss``, then the sum of squared residuals over the
+        validation columns ``valid`` (ii, jj, kk, values), which is
+        ``epoch_loss`` over them with lam 0, and 0.0 where they are empty.
+        It returns two functions that return the two sums, or raise
+        DomainError where one is not finite.  An order holding an id
+        outside the training entries raises BoundsError before any step
+        runs.  The arguments are checked as ``bind`` checks them, and
+        ``valid``, like ``columns``, must lie inside f's dims and must not
+        be written while ``run_round`` is in use."""
+        head, tail, n, _, buffers = self._bound(f, columns, pid, gains)
+        cols = self._columns(valid, "validation")
+        out = np.empty(2)
+        bound = _Bound(*head, n, *tail[:3], *(col.ctypes.data for col in cols), len(cols[3]),
+                       out.ctypes.data, tail[3])
+        at, round_ = ctypes.addressof(bound), self._lib.tw_round
+
+        def run_round(order: np.ndarray):
+            order = np.ascontiguousarray(order, dtype=np.int64)
+            status = round_(at, order.ctypes.data, len(order))
+            if status == -2:
+                raise BoundsError(f"visit order outside the {n} training entries")
+            if status >= 0:
+                raise DivergenceError(status)
+            loss, squares = out.tolist()
+            return (lambda: check_finite(loss, "loss", LOSS_OVERFLOW),
+                    lambda: check_finite(squares, "validation sum of squares", LOSS_OVERFLOW))
+
+        run_round.buffers = (buffers, cols, out, bound)  # the memory bound holds and points into
+        return run_round
 
 
 _UNLOADED = object()

@@ -1,8 +1,10 @@
 /* Native kernel of the tensor wheel model: the reconstruction and
  * partials at one position (tw_partials), an epoch of PID-SGD steps
- * (tw_epoch) and the regularized training loss (tw_loss).  Every sum
- * over factor values, the loss's slice norms among them, goes through
- * one loop, dots.
+ * (tw_epoch), the regularized training loss (tw_loss), and a training
+ * epoch in one call (tw_round): its steps, its loss and the validation
+ * sum of squared residuals, which the trainer calls once per epoch.
+ * Every sum over factor values, the loss's slice norms among them, goes
+ * through one loop, dots.
  *
  * Built and loaded by twd_core with the system C compiler, without
  * contraction of multiplies and adds into FMAs, so that the update and
@@ -327,4 +329,52 @@ double tw_loss(const int64_t *s, double *g, double *a, double *b, double *c,
         squares += r * r;
     }
     return squares + l2;
+}
+
+/* tw_epoch and tw_loss under hidden names, so that tw_round calls them in
+ * the library and not through the PLT; aliases, not wrappers of a static
+ * body, so that neither export's machine code changes. */
+extern __typeof(tw_epoch) epoch_here __attribute__((alias("tw_epoch"), visibility("hidden")));
+extern __typeof(tw_loss) loss_here __attribute__((alias("tw_loss"), visibility("hidden")));
+
+/* tw_round's arguments that stay the same from one epoch to the next,
+ * bound once per training run: the factors, the n training entries, the
+ * gains and PID state of tw_epoch, the n_valid validation entries, the
+ * two sums' place out and the workspace.  twd_core._Bound lists the same
+ * fields in the same order. */
+typedef struct {
+    const int64_t *s;
+    double *g, *a, *b, *c;
+    const int64_t *ii, *jj, *kk;
+    const double *values;
+    int64_t n;
+    const double *hp;
+    double *integral, *prev;
+    const int64_t *vi, *vj, *vk;
+    const double *vv;
+    int64_t n_valid;
+    double *out, *w;
+} bound;
+
+/* One training epoch in one call: tw_epoch over order[0..n_order) of the
+ * training entries, then tw_loss of those at hp[1] into out[0], and
+ * tw_loss with lam 0 of the validation entries, their sum of squared
+ * residuals, into out[1].  Returns -2, before any step, where an id of
+ * the order lies outside [0, n); the id of the entry whose step diverged,
+ * with out unwritten; else -1. */
+int64_t tw_round(const bound *x, const int64_t *order, int64_t n_order)
+{
+    int64_t diverged;
+    for (int64_t q = 0; q < n_order; q++)
+        if (order[q] < 0 || order[q] >= x->n)
+            return -2;
+    diverged = epoch_here(x->s, x->g, x->a, x->b, x->c, x->ii, x->jj, x->kk, x->values, order,
+                          n_order, x->hp, x->integral, x->prev, x->w);
+    if (diverged >= 0)
+        return diverged;
+    x->out[0] = loss_here(x->s, x->g, x->a, x->b, x->c, x->ii, x->jj, x->kk, x->values, x->n,
+                          x->hp[1], x->w);
+    x->out[1] = loss_here(x->s, x->g, x->a, x->b, x->c, x->vi, x->vj, x->vk, x->vv, x->n_valid,
+                          0.0, x->w);
+    return -1;
 }

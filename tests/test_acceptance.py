@@ -6,8 +6,12 @@ traces: ground truth is known by construction, so held-out quality is
 measured at positions the trainer never saw.
 """
 
+import contextlib
+import io
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,3 +292,16 @@ def test_criterion_8_report_determinism(planted, tmp_path):
     report_line(8, "report determinism", identical,
                 f"{len(first.read_bytes())} bytes each")
     assert identical
+
+
+def test_the_readme_library_example_runs_and_meets_criterion_4():
+    # README's "Library" block, run as it stands, so that it cannot rot
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme[readme.index("\n## Library\n"):]
+    block = re.search(r"```python\n(.*?)```", library, flags=re.S).group(1)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(block, "README.md", "exec"), {})
+    rmse = float(printed.getvalue())
+    print(f"README example: held-out rmse {rmse:.4f}")
+    assert rmse < 0.05

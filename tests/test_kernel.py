@@ -783,6 +783,77 @@ def test_the_avx2_rank_build_equals_the_baseline_rank_build_bitwise(ranks, tmp_p
     assert runs[0] == runs[1]
 
 
+ROUND_BUILDS = [None, (2, 2, 2, 2, 2, 2), (5, 5, 5, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("n_valid", [0, 40], ids=["no-validation", "validation"])
+@pytest.mark.parametrize("lam", [0.0, 0.02])
+@pytest.mark.parametrize("pid", [True, False], ids=["pid", "plain"])
+@pytest.mark.parametrize("rank_tuple", ROUND_BUILDS,
+                         ids=["generic", "2-2-2-2-2-2", "5-5-5-2-2-2"])
+def test_a_round_equals_the_epoch_and_the_two_losses_bitwise(rank_tuple, pid, lam, n_valid):
+    # tw_round against tw_epoch, tw_loss and tw_loss with lam 0 over the
+    # validation columns, on copies of the same factors, for five epochs
+    ranks = Ranks(r=(3, 2, 4), h=(2, 3, 1)) if rank_tuple is None else \
+        Ranks(r=rank_tuple[:3], h=rank_tuple[3:])
+    kernel = native() if rank_tuple is None else rank_build(ranks)
+    observed, _ = generate(SynthSpec(dims=(7, 6, 5), ranks=ranks, density=0.5,
+                                     noise_sigma=0.01, seed=3))
+    cols = columns(observed)
+    n = len(observed) - 40
+    train_cols, valid_cols = [c[:n] for c in cols], [c[n:n + n_valid] for c in cols]
+    gains = (0.05, lam, 1.0, 0.01, 0.001)
+    runs = []
+    for one_call in (True, False):
+        f, state = init_factors(observed.dims, ranks, 1, 0.3), PidState(n)
+        arrays = (state.integral, state.prev_error) if pid else None
+        rng, sums = np.random.default_rng(0), []
+        if one_call:
+            run_round = kernel.bind_round(f, train_cols, arrays, gains, valid_cols)
+            for _ in range(5):
+                loss, squares = run_round(epoch_visit_order(rng, n))
+                sums.append((loss(), squares()))
+        else:
+            epoch, loss = kernel.bind(f, train_cols, arrays, gains)
+            _, squares = kernel.bind(f, valid_cols, None, (0.05, 0.0, 1.0, 0.0, 0.0))
+            for _ in range(5):
+                epoch(epoch_visit_order(rng, n))
+                sums.append((loss(), squares()))
+        runs.append(([getattr(f, name).tobytes() for name in "gabc"], state.integral.tobytes(),
+                     state.prev_error.tobytes(), np.array(sums).tobytes()))
+    assert runs[0] == runs[1]
+    squares = np.frombuffer(runs[0][3]).reshape(5, 2)[:, 1]
+    assert (squares == 0.0).all() == (n_valid == 0)  # an empty validation set sums to 0.0
+
+
+def test_a_round_refuses_an_order_outside_the_training_entries_before_any_step():
+    f = init_factors((3, 4, 2), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=0, scale=0.3)
+    obs = SparseTensor(f.dims, [0, 1], [0, 1], [0, 1], [1.0, 2.0])
+    state = PidState(2)
+    run_round = native().bind_round(f, columns(obs), (state.integral, state.prev_error),
+                                    (0.1, 0.0, 1.0, 0.01, 0.001), columns(obs))
+    before = [getattr(f, name).tobytes() for name in "gabc"]
+    for order in ([-1], [2], [0, 1, 2], [0, -1]):
+        with pytest.raises(BoundsError, match="visit order outside the 2 training entries"):
+            run_round(np.array(order))
+        assert [getattr(f, name).tobytes() for name in "gabc"] == before
+        assert not state.integral.any() and not state.prev_error.any()
+
+
+def test_a_round_stops_at_the_diverging_step_which_writes_nothing_back():
+    f = init_factors((3, 3, 3), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=1, scale=1.0)
+    obs = SparseTensor(f.dims, [0, 1], [0, 2], [0, 0], [0.5, 1e300])
+    gains = (1e10, 0.0, 1.0, 0.0, 0.0)
+    copy = f.copy()
+    native().bind(copy, columns(obs), None, gains)[0](np.array([0]))  # the finite step only
+    run_round = native().bind_round(f, columns(obs), None, gains, columns(obs))
+    with pytest.raises(DivergenceError) as err:
+        run_round(np.array([0, 1]))
+    assert err.value.entry_id == 1
+    for name in "gabc":
+        assert getattr(f, name).tobytes() == getattr(copy, name).tobytes()
+
+
 def test_a_host_without_avx2_gets_the_baseline_flags(monkeypatch):
     ranks = Ranks(r=(5, 5, 5), h=(2, 2, 2))
     baseline = ["-O3", "-shared", "-fPIC", "-ffp-contract=off", "-DTW_RANK3=5",
