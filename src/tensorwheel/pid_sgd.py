@@ -11,13 +11,14 @@ since its previous visit (derivative).  Proportional-only settings
 
 A step names its observation by the set and an entry id, the
 observation's position in the set's arrays, which is also its slot in
-the PID state.  ``sgd_step`` reaches the kernel through ``_runners``,
-which picks native or numpy and runs the generic build over the one id.
-``train`` reaches it through ``_round``, on the build for its ranks: one
-call into C per epoch runs the steps over the epoch's visit order, the
-training loss and the sum of squared validation residuals its RMSE is
-taken from.  Without the native kernel, ``_round`` runs ``_runners``'
-numpy steps and ``compute_loss``.
+the PID state.  ``_steps`` runs steps over an order of entry ids at
+once: ``NativeKernel.steps``, one call into C, where the native kernel is
+loaded, else a loop of numpy steps.  ``sgd_step`` runs it over the one
+id, on the generic build.  ``train`` runs ``_round``, on the build for
+its ranks: one call into C per epoch runs the steps over the epoch's
+visit order, the training loss and the sum of squared validation
+residuals its RMSE is taken from.  Without the native kernel, ``_round``
+runs ``_steps``' numpy loop and ``compute_loss``.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ import numpy as np
 
 from .errors import BoundsError, DivergenceError, DomainError, ParameterError
 from .metrics import evaluate
-from .tensor_store import SparseTensor, whole
+from .tensor_store import SparseTensor, natural, whole
 from .twd_core import (LOSS_OVERFLOW, NativeKernel, Ranks, TwdFactors, block_partials,
                        check_finite, check_index, check_indices, entry_blocks, init_factors,
-                       native_kernel, reconstruct_entries, scatter_blocks)
+                       is_integer, native_kernel, reconstruct_entries, scatter_blocks)
 
 
 @dataclass(frozen=True)
@@ -80,12 +81,13 @@ class PidState:
 
     integral[e] is the sum of all residuals observed for entry e so far
     (current visit included), prev_error[e] the residual of its previous
-    visit (0 before the first).
+    visit (0 before the first).  n_entries must be a whole number >= 0,
+    else ParameterError.
     """
 
     def __init__(self, n_entries: int):
-        self.integral = np.zeros(n_entries)
-        self.prev_error = np.zeros(n_entries)
+        self.integral = np.zeros(natural(n_entries, "PID state size"))
+        self.prev_error = np.zeros_like(self.integral)
 
     def __len__(self):
         return len(self.integral)
@@ -163,17 +165,20 @@ def sgd_step(f: TwdFactors, obs: SparseTensor, entry_id: int, state: PidState | 
     vector p, p moves by one expression, and p is written back only if
     it and the driving error are finite: a diverging step raises
     DivergenceError and leaves f as it was, with the PID state folded.
-    Runs ``_runners``' epoch over the one id on the generic kernel, as
-    ``train`` runs its steps over a visit order; neither copies obs, so
-    the cost does not grow with its length.
+    An entry id that is not an integer (``twd_core.is_integer``) raises
+    ParameterError, one outside obs BoundsError.  Runs ``_steps`` over
+    the one id on the generic kernel, as ``train`` runs its steps over a
+    visit order; neither copies obs, so the cost does not grow with its
+    length.
     """
+    if not is_integer(entry_id):
+        raise ParameterError(f"entry id {entry_id!r} must be an integer")
     if not 0 <= entry_id < len(obs):
         raise BoundsError(f"entry id {entry_id} outside the {len(obs)} observations")
     if state is not None and len(state) != len(obs):
         raise ParameterError(f"PID state of size {len(state)} for {len(obs)} observations")
     check_index(f, obs.ii.item(entry_id), obs.jj.item(entry_id), obs.kk.item(entry_id))
-    run_epoch, _ = _runners(f, obs, state, hp, native_kernel())
-    run_epoch(np.array([entry_id]))
+    _steps(f, obs, state, hp, native_kernel(), np.array([entry_id]))
 
 
 def plain_sgd_step(f: TwdFactors, obs: SparseTensor, entry_id: int, hp: HyperParams) -> None:
@@ -188,39 +193,34 @@ def epoch_visit_order(rng: np.random.Generator, n_entries: int) -> np.ndarray:
     return rng.permutation(n_entries)
 
 
-def _runners(f: TwdFactors, obs: SparseTensor, state: PidState | None, hp: HyperParams,
-             kernel: NativeKernel | None):
-    """The two functions of an epoch over obs, which must lie inside f's
-    dims: ``run_epoch(order)`` runs the steps in place over an order of
-    entry ids and raises DivergenceError at the first that diverges, and
-    ``epoch_loss()`` returns ``compute_loss(f, obs, hp.lam)``.  They are
-    ``kernel.bind``'s, one call into C each, where ``kernel`` is loaded;
-    else a loop of numpy steps, reading each visited entry from obs's
-    arrays, and ``compute_loss``.  Numpy's overflow warnings are the
+def _steps(f: TwdFactors, obs: SparseTensor, state: PidState | None, hp: HyperParams,
+           kernel: NativeKernel | None, order: np.ndarray) -> None:
+    """Run the steps over ``order``, an array of entry ids of obs, which
+    must lie inside f's dims, in place; raise DivergenceError at the
+    first that diverges.  ``kernel.steps``, one call into C, where
+    ``kernel`` is loaded; else a loop of numpy steps, reading each
+    visited entry from obs's arrays.  Numpy's overflow warnings are the
     caller's to silence."""
     if kernel is not None:
-        return kernel.bind(f, *_bind_args(obs, state, hp))
-
-    def run_epoch(order: np.ndarray) -> None:
-        for e in order.tolist():
-            blocks = entry_blocks(f, obs.ii.item(e), obs.jj.item(e), obs.kk.item(e))
-            x_hat, *partials = block_partials(*blocks)
-            e_t = obs.values.item(e) - x_hat
-            if state is not None:
-                e_t = pid_error(state, e, e_t, hp)
-            p = np.concatenate(blocks, axis=None)
-            p += hp.eta * (e_t * np.concatenate(partials, axis=None) - hp.lam * p)
-            if not (math.isfinite(e_t) and np.isfinite(p).all()):
-                raise DivergenceError(e)
-            scatter_blocks(p, blocks)
-
-    return run_epoch, lambda: compute_loss(f, obs, hp.lam)
+        kernel.steps(f, *_bind_args(obs, state, hp), order)
+        return
+    for e in order.tolist():
+        blocks = entry_blocks(f, obs.ii.item(e), obs.jj.item(e), obs.kk.item(e))
+        x_hat, *partials = block_partials(*blocks)
+        e_t = obs.values.item(e) - x_hat
+        if state is not None:
+            e_t = pid_error(state, e, e_t, hp)
+        p = np.concatenate(blocks, axis=None)
+        p += hp.eta * (e_t * np.concatenate(partials, axis=None) - hp.lam * p)
+        if not (math.isfinite(e_t) and np.isfinite(p).all()):
+            raise DivergenceError(e)
+        scatter_blocks(p, blocks)
 
 
 def _round(f: TwdFactors, train_set: SparseTensor, valid_set: SparseTensor,
            state: PidState | None, hp: HyperParams, kernel: NativeKernel | None):
     """``run_round(order)``, one epoch of ``train``: the steps of
-    ``_runners``' ``run_epoch(order)`` over train_set, then two functions,
+    ``_steps`` over train_set's ids in order, then two functions,
     returned, whose values are ``compute_loss(f, train_set, hp.lam)`` and
     ``compute_loss(f, valid_set, 0)``, the sum of squared validation
     residuals; each raises DomainError where its value is not finite.
@@ -233,12 +233,11 @@ def _round(f: TwdFactors, train_set: SparseTensor, valid_set: SparseTensor,
     if kernel is not None:
         return kernel.bind_round(f, *_bind_args(train_set, state, hp),
                                  (valid_set.ii, valid_set.jj, valid_set.kk, valid_set.values))
-    run_epoch, epoch_loss = _runners(f, train_set, state, hp, None)
-    sums = (epoch_loss, lambda: compute_loss(f, valid_set, 0.0))
+    sums = (lambda: compute_loss(f, train_set, hp.lam), lambda: compute_loss(f, valid_set, 0.0))
 
     def run_round(order: np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
-            run_epoch(order)
+            _steps(f, train_set, state, hp, None, order)
         return sums
 
     return run_round

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeCapError
-from .tensor_store import SparseTensor, check_dims, check_seed
+from .tensor_store import SparseTensor, check_dims, natural
 from .twd_core import (
     DENSE_CAP,
     Ranks,
@@ -47,7 +47,7 @@ class SynthSpec:
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.value_scale <= 0:
             raise ParameterError(f"value_scale must be > 0, got {self.value_scale}")
-        object.__setattr__(self, "seed", check_seed(self.seed))
+        object.__setattr__(self, "seed", natural(self.seed, "seed"))
         object.__setattr__(self, "dims", check_dims(self.dims))
 
 

@@ -31,7 +31,7 @@ def is_whole(x) -> bool:
     """Whether x is a whole number; NaN and infinity are not."""
     try:
         return int(x) == x
-    except (ValueError, OverflowError):  # NaN, infinity
+    except (TypeError, ValueError, OverflowError):  # None, NaN, infinity
         return False
 
 
@@ -42,12 +42,12 @@ def whole(x, what: str) -> int:
     return int(x)
 
 
-def check_seed(x) -> int:
+def natural(x, what: str) -> int:
     """int(x), or ParameterError where x is not a whole number >= 0."""
-    seed = whole(x, "seed")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    return seed
+    n = whole(x, what)
+    if n < 0:
+        raise ParameterError(f"{what} must be >= 0, got {n}")
+    return n
 
 
 def check_dims(dims) -> tuple[int, int, int]:
@@ -75,7 +75,7 @@ class SplitSpec:
             raise ParameterError(f"ratios must be three non-negative integers, got {self.ratios}")
         if sum(self.ratios) == 0:
             raise ParameterError("ratio components must sum to > 0")
-        object.__setattr__(self, "seed", check_seed(self.seed))
+        object.__setattr__(self, "seed", natural(self.seed, "seed"))
         object.__setattr__(self, "ratios", tuple(int(x) for x in self.ratios))
 
 

@@ -29,9 +29,10 @@ with ctypes by the one loader ``native_kernel``, and numpy's
 is a build of the same source, with the same flags (and ``-mavx2`` where
 the host runs AVX2), for one rank tuple, whose loops have constant trip
 counts and whose results are the same bit for bit; the trainer runs it.
-``NativeKernel.bind_round`` hands the trainer a function that runs an
-epoch's steps, its loss and its validation sum in one call into C;
-``NativeKernel.bind`` hands the step an epoch runner and a loss.
+``NativeKernel.bind_round``, the one binding, hands the trainer a
+function that runs an epoch's steps, its loss and its validation sum in
+one call into C; ``NativeKernel.steps`` runs the step's one-entry epoch
+in one direct call.
 ``entry_partials``, ``reconstruct_entry`` and the trainer's step (a
 one-entry epoch in C) all run whichever kernel is loaded, never a mix,
 so ``reconstruct_entry`` equals the trainer's x_hat bit for bit, as does
@@ -60,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BoundsError, DivergenceError, DomainError, ParameterError, SizeCapError
-from .tensor_store import check_dims, check_seed, is_whole, open_replacing
+from .tensor_store import check_dims, is_whole, natural, open_replacing
 
 DENSE_CAP = 10_000_000  # max elements a dense reconstruction may materialize
 BATCH_CHUNK = 256  # positions per batched-kernel call; bounds its temporaries
@@ -153,7 +154,7 @@ def init_factors(dims, ranks: Ranks, seed: int, scale: float) -> TwdFactors:
     ni, nj, nk = check_dims(dims)
     if scale < 0:
         raise ParameterError(f"init scale must be >= 0, got {scale}")
-    rng = np.random.default_rng(check_seed(seed))
+    rng = np.random.default_rng(natural(seed, "seed"))
     try:
         g, a, b, c = (rng.random(shape) * scale for shape in factor_shapes((ni, nj, nk), ranks))
     except (MemoryError, ValueError) as exc:  # ValueError: a size beyond numpy's index range
@@ -162,11 +163,15 @@ def init_factors(dims, ranks: Ranks, seed: int, scale: float) -> TwdFactors:
     return TwdFactors(g, a, b, c, (ni, nj, nk), ranks)
 
 
+def is_integer(x) -> bool:
+    """Whether x is an integer, Python's (bool aside) or numpy's."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_index(f: TwdFactors, i: int, j: int, k: int):
-    """Raise ParameterError unless i, j and k are integers, Python's (bool
-    aside) or numpy's, and BoundsError unless (i, j, k) lies inside f's
-    dims."""
-    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (i, j, k)):
+    """Raise ParameterError unless i, j and k are integers (``is_integer``),
+    and BoundsError unless (i, j, k) lies inside f's dims."""
+    if not all(map(is_integer, (i, j, k))):
         raise ParameterError(f"index ({i!r}, {j!r}, {k!r}) must be three integers")
     ni, nj, nk = f.dims
     if not (0 <= i < ni and 0 <= j < nj and 0 <= k < nk):
@@ -286,18 +291,30 @@ class _Bound(ctypes.Structure):
                              "integral", "prev", "vi", "vj", "vk", "vv", "n_valid", "out", "w")]
 
 
+def _order(order) -> np.ndarray:
+    """A visit order as the C-ordered int64 array the kernel reads; one
+    that already is one is kept, not copied.  ParameterError where it is
+    not a 1-D array of integers: converted, [0.7] would run entry 0 and
+    [[0, 1]] entry 0 alone."""
+    order = np.asarray(order)
+    if order.ndim != 1 or order.dtype.kind not in "iu":
+        raise ParameterError("a visit order must be a 1-D array of integers")
+    return np.ascontiguousarray(order, dtype=np.int64)
+
+
 class NativeKernel:
     """The entry points of the compiled ``twd_kernel.c``: ``partials``
-    over ``tw_partials``; ``bind``, an epoch runner over ``tw_epoch`` and
-    a loss over ``tw_loss``, which ``sgd_step`` and the tests run; and
-    ``bind_round``, one ``tw_round`` call per epoch, which ``train`` runs.
+    over ``tw_partials``; ``steps``, one ``tw_epoch`` call, which
+    ``sgd_step`` runs; and ``bind_round``, the one binding, whose
+    ``run_round`` makes one ``tw_round`` call per epoch, which ``train``
+    runs.  ``tw_loss`` is reached only through ``tw_round``.
 
     Each call checks the arrays it hands over: float64 (int64 for
     indices), C order, their shapes or lengths, and writeable
-    where the kernel writes.  Here an epoch's visit order is checked
-    against the columns, in Python for ``bind`` and in C for
-    ``bind_round``, and the PID state's length against theirs.  The
-    positions the kernel follows are not checked here: ``check_indices``
+    where the kernel writes.  Here a visit order is checked to be a 1-D
+    integer array (``_order``), and its ids against the columns, in
+    Python for ``steps`` and in C for ``bind_round``, and the PID state's
+    length against theirs.  The positions the kernel follows are not checked here: ``check_indices``
     checks a whole set against the dims, in ``pid_sgd.train``, and
     ``check_index`` one position, in ``sgd_step`` and ``entry_partials``.
     """
@@ -308,6 +325,7 @@ class NativeKernel:
         lib.tw_partials.restype = f64
         lib.tw_epoch.argtypes = [ptr] * 10 + [i64] + [ptr] * 4
         lib.tw_epoch.restype = i64
+        # Python reaches tw_loss only through tw_round; these still state its ABI
         lib.tw_loss.argtypes = [ptr] * 9 + [i64, f64, ptr]
         lib.tw_loss.restype = f64
         lib.tw_round.argtypes = [ptr, ptr, i64]
@@ -371,12 +389,13 @@ class NativeKernel:
         return [arr.ctypes.data for arr in pid]
 
     def _bound(self, f: TwdFactors, columns, pid, gains):
-        """What ``bind`` and ``bind_round`` share, once their checks pass:
+        """What ``steps`` and ``bind_round`` share, once their checks pass:
         ``head``, the pointers to the shape vector, f's arrays in place and
         the training columns; ``tail``, those to the gains, the PID state
-        and a fresh workspace; the columns' length n; lam, the gains' slot
-        1; and the buffers the pointers point into, which the caller keeps
-        alive."""
+        and a fresh workspace; the columns' length n; and the buffers the
+        pointers point into, which the caller keeps alive.  Gains other
+        than five values raise ParameterError: the kernel reads them by
+        slot."""
         operands = self._operands(f, in_place=True, extra=sum(f.dims))
         cols = self._columns(columns)
         hp = np.array(gains, dtype=np.float64)
@@ -387,56 +406,43 @@ class NativeKernel:
         n = len(cols[3])
         head = [shape, g, a, b, c, *(col.ctypes.data for col in cols)]
         tail = [hp.ctypes.data, *self._pid(pid, n), work]
-        return head, tail, n, float(hp[1]), (operands, cols, hp, pid)
+        return head, tail, n, (operands, cols, hp, pid)
 
-    def bind(self, f: TwdFactors, columns, pid, gains):
-        """The two functions an epoch of training runs, bound to f in place
-        and to one workspace: ``run_epoch(order)`` runs the steps over an
-        order of entry ids in one call (plain steps with ``pid`` None), and
-        raises DivergenceError at the step that diverges, which writes
-        nothing back; ``epoch_loss()`` returns ``pid_sgd.compute_loss`` of
-        f's current values over the columns with L2 weight lam, and, as
-        there, raises DomainError where it overflows.  Gains are the five
-        values (eta, lam, cp, ci, cd); any other shape raises
-        ParameterError.  The steps gather each entry's blocks into the
-        workspace and write them back; the loss reads them in f where they
-        lie, with no copy.  Each of the loss's reconstructions equals the
-        step's bit for bit; its sums run in an order of their own, so it
-        agrees with numpy's to rounding.  ``columns`` (ii, jj, kk, values)
-        are taken by ``_columns`` and must not be written while the
-        functions are in use; their indices must lie inside f's dims
-        (``check_indices``), and the PID state must hold one slot each."""
-        head, tail, n, lam, buffers = self._bound(f, columns, pid, gains)
-
-        def run_epoch(order: np.ndarray) -> None:
-            order = np.ascontiguousarray(order, dtype=np.int64)
-            if len(order) and (order.min() < 0 or order.max() >= n):
-                raise BoundsError(f"visit order outside the {n} training entries")
-            diverged = self._lib.tw_epoch(*head, order.ctypes.data, len(order), *tail)
-            if diverged >= 0:
-                raise DivergenceError(diverged)
-
-        def epoch_loss() -> float:
-            return check_finite(self._lib.tw_loss(*head, n, lam, tail[-1]), "loss",
-                                LOSS_OVERFLOW)
-
-        # keep alive the memory that head and tail point into
-        run_epoch.buffers = epoch_loss.buffers = buffers
-        return run_epoch, epoch_loss
+    def steps(self, f: TwdFactors, columns, pid, gains, order) -> None:
+        """The steps of training over ``order``, an array of ids of the
+        training ``columns`` (ii, jj, kk, values), run on f in place in one
+        call of ``tw_epoch``: plain steps with ``pid`` None, else PID steps
+        on its arrays (integral, prev_error).  Gains are the five values
+        (eta, lam, cp, ci, cd).  Raises ParameterError where an argument
+        cannot be run (``_bound``) or the order is not a 1-D integer array
+        (``_order``), BoundsError where it holds an id outside the columns,
+        both before any step, and DivergenceError at the step that
+        diverges, which writes nothing back.  The columns' indices must
+        lie inside f's dims (``check_indices``)."""
+        head, tail, n, _ = self._bound(f, columns, pid, gains)  # _ keeps their memory alive
+        order = _order(order)
+        if len(order) and (order.min() < 0 or order.max() >= n):
+            raise BoundsError(f"visit order outside the {n} training entries")
+        if (diverged := self._lib.tw_epoch(*head, order.ctypes.data, len(order), *tail)) >= 0:
+            raise DivergenceError(diverged)
 
     def bind_round(self, f: TwdFactors, columns, pid, gains, valid):
         """``run_round(order)``, a whole epoch of training in one call of
-        ``tw_round``: ``bind``'s ``run_epoch(order)``, then its
-        ``epoch_loss``, then the sum of squared residuals over the
-        validation columns ``valid`` (ii, jj, kk, values), which is
-        ``epoch_loss`` over them with lam 0, and 0.0 where they are empty.
-        It returns two functions that return the two sums, or raise
-        DomainError where one is not finite.  An order holding an id
-        outside the training entries raises BoundsError before any step
-        runs.  The arguments are checked as ``bind`` checks them, and
-        ``valid``, like ``columns``, must lie inside f's dims and must not
-        be written while ``run_round`` is in use."""
-        head, tail, n, _, buffers = self._bound(f, columns, pid, gains)
+        ``tw_round``, bound to f in place and to one workspace: ``steps``
+        over the order, then ``pid_sgd.compute_loss`` of f over the
+        training ``columns`` (ii, jj, kk, values) with L2 weight lam, the
+        gains' slot 1, then the sum of squared residuals over the
+        validation columns ``valid``, the same loss with lam 0, which is
+        0.0 where they are empty.  It returns two functions that return the
+        two sums, or raise DomainError where one is not finite, as
+        ``compute_loss`` does.  Each reconstruction of the sums equals the
+        step's bit for bit; the sums run in an order of their own, so they
+        agree with numpy's to rounding.  Over an empty order, the round
+        runs no step and takes the sums of f as it is.  The arguments, and
+        each order, are checked as ``steps`` checks them, the order's ids
+        in C, and ``valid``, like ``columns``, must lie inside f's dims and
+        must not be written while ``run_round`` is in use."""
+        head, tail, n, buffers = self._bound(f, columns, pid, gains)
         cols = self._columns(valid, "validation")
         out = np.empty(2)
         bound = _Bound(*head, n, *tail[:3], *(col.ctypes.data for col in cols), len(cols[3]),
@@ -444,7 +450,7 @@ class NativeKernel:
         at, round_ = ctypes.addressof(bound), self._lib.tw_round
 
         def run_round(order: np.ndarray):
-            order = np.ascontiguousarray(order, dtype=np.int64)
+            order = _order(order)
             status = round_(at, order.ctypes.data, len(order))
             if status == -2:
                 raise BoundsError(f"visit order outside the {n} training entries")

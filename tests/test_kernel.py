@@ -132,6 +132,17 @@ def kernel(request, monkeypatch):
     return request.param
 
 
+# validation columns of no entries
+EMPTY = (np.empty(0, np.int64),) * 3 + (np.empty(0),)
+
+
+def round_loss(kernel, f, cols, gains):
+    """The native loss of f over cols at L2 weight gains[1]: ``tw_loss``,
+    which Python reaches only through ``tw_round``, here over an empty
+    order, which runs no step."""
+    return kernel.bind_round(f, cols, None, gains, EMPTY)(np.empty(0, np.int64))[0]()
+
+
 @settings(max_examples=60, deadline=None)
 @given(f=factor_sets(rank=st.integers(1, 5)), data=st.data())
 def test_native_partials_match_numpy_block_partials(f, data):
@@ -249,7 +260,7 @@ def test_native_loss_sums_in_plain_loop_order(ranks, data, n, lam, seed):
     rng = np.random.default_rng(seed)
     # positions may repeat: the loss reads the columns as they are
     cols = (*(rng.integers(0, d, n) for d in f.dims), rng.uniform(-1, 1, n))
-    ours = kernel.bind(f, cols, None, (0.1, lam, 1.0, 0.0, 0.0))[1]()
+    ours = round_loss(kernel, f, cols, (0.1, lam, 1.0, 0.0, 0.0))
     assert ours == plain_loop_loss(f, cols, lam)
 
 
@@ -268,7 +279,7 @@ def test_native_loss_reads_each_factor_at_its_own_strides(ranks, generic, lam):
                    dims, ranks)
     n = 21
     cols = (*(np.arange(n) % d for d in dims), rng.uniform(-1.0, 1.0, n))
-    ours = kernel.bind(f, cols, None, (0.1, lam, 1.0, 0.0, 0.0))[1]()
+    ours = round_loss(kernel, f, cols, (0.1, lam, 1.0, 0.0, 0.0))
     assert ours == plain_loop_loss(f, cols, lam)
 
 
@@ -333,7 +344,7 @@ def test_native_loss_of_one_entry_without_l2_is_its_squared_residual():
     obs = SparseTensor(f.dims, [1], [3], [1], [0.25])
     for factors in (f, skewed):
         want = (0.25 - reconstruct_entry(factors, 1, 3, 1)) ** 2
-        assert native().bind(factors, columns(obs), None, (0.1, 0.0, 1.0, 0.0, 0.0))[1]() == want
+        assert round_loss(native(), factors, columns(obs), (0.1, 0.0, 1.0, 0.0, 0.0)) == want
 
 
 def test_native_loss_that_overflows_raises_as_compute_loss_does():
@@ -342,7 +353,7 @@ def test_native_loss_that_overflows_raises_as_compute_loss_does():
     obs = SparseTensor(f.dims, [1, 0], [3, 0], [1, 0], [0.25, 1.0])
     for lam in (0.0, 0.01):
         with pytest.raises(DomainError) as ours:
-            native().bind(huge, columns(obs), None, (0.1, lam, 1.0, 0.0, 0.0))[1]()
+            round_loss(native(), huge, columns(obs), (0.1, lam, 1.0, 0.0, 0.0))
         with pytest.raises(DomainError) as want:
             compute_loss(huge, obs, lam)
         assert str(ours.value) == str(want.value)
@@ -356,7 +367,7 @@ def test_native_loss_matches_compute_loss(f, n, lam, seed):
     ii, jj, kk = (rng.integers(0, d, n) for d in f.dims)
     keys = np.unique(np.stack([ii, jj, kk]), axis=1)  # distinct positions
     obs = SparseTensor(f.dims, *keys, rng.uniform(-1, 1, keys.shape[1]))
-    ours = native().bind(f, columns(obs), None, (0.1, lam, 1.0, 0.0, 0.0))[1]()
+    ours = round_loss(native(), f, columns(obs), (0.1, lam, 1.0, 0.0, 0.0))
     want = compute_loss(f, obs, lam)
     # relative to the loss, or to the residuals' scale where a reconstruction
     # cancels its observation
@@ -466,6 +477,23 @@ def test_sgd_step_rejects_what_lies_outside_the_factors(kernel):
         assert getattr(f, name).tobytes() == getattr(before, name).tobytes()
 
 
+def test_sgd_step_refuses_an_entry_id_that_is_not_an_integer(kernel):
+    # True and 1.5 would pass the bounds check of two observations
+    f = init_factors((3, 4, 2), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=0, scale=0.3)
+    before = f.copy()
+    obs = SparseTensor(f.dims, [0, 1], [0, 1], [0, 1], [1.0, 2.0])
+    state = PidState(2)
+    for entry_id in (True, 1.5, "1", None, np.float64(1.0)):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            sgd_step(f, obs, entry_id, state, HyperParams(eta=0.1))
+    for name in "gabc":
+        assert getattr(f, name).tobytes() == getattr(before, name).tobytes()
+    assert not state.integral.any() and not state.prev_error.any()
+    for entry_id in (1, np.int64(1), np.uint8(1)):  # the integers check_index takes
+        sgd_step(f, obs, entry_id, state, HyperParams(eta=0.1))
+    assert state.integral[1] != 0.0 and state.integral[0] == 0.0
+
+
 def test_the_binding_refuses_a_pid_state_of_another_length():
     f = init_factors((3, 4, 2), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=0, scale=0.3)
     obs = SparseTensor(f.dims, [0, 1], [0, 1], [0, 1], [1.0, 2.0])
@@ -473,7 +501,7 @@ def test_the_binding_refuses_a_pid_state_of_another_length():
         with pytest.raises(ParameterError,
                            match="PID state arrays must be writeable, C-ordered and of "
                                  "the training columns' length 2"):
-            native().bind(f, columns(obs), pid, (0.1, 0.0, 1.0, 0.0, 0.0))
+            native().steps(f, columns(obs), pid, (0.1, 0.0, 1.0, 0.0, 0.0), np.array([0]))
 
 
 def test_the_binding_refuses_what_it_cannot_run_and_leaves_the_factors_as_they_were():
@@ -487,15 +515,14 @@ def test_the_binding_refuses_what_it_cannot_run_and_leaves_the_factors_as_they_w
         f.a = a
         with pytest.raises(ParameterError, match=re.escape(
                 "factor a must be a C-ordered float64 array of shape (2, 3, 2, 2), writeable")):
-            native().bind(f, columns(obs), None, gains)
+            native().steps(f, columns(obs), None, gains, np.array([0]))
     f.a = before.a.copy()
     with pytest.raises(ParameterError, match="the training columns differ in length"):
-        native().bind(f, (obs.ii, obs.jj, obs.kk[:1], obs.values), None, gains)
-    run_epoch, _ = native().bind(f, columns(obs), None, gains)
+        native().steps(f, (obs.ii, obs.jj, obs.kk[:1], obs.values), None, gains, np.array([0]))
     for order in ([2], [-1], [0, 2]):
         with pytest.raises(BoundsError,
                            match="visit order outside the 2 training entries"):
-            run_epoch(order)
+            native().steps(f, columns(obs), None, gains, order)
     for name in "gabc":
         assert getattr(f, name).tobytes() == getattr(before, name).tobytes()
 
@@ -518,7 +545,7 @@ def test_the_binding_refuses_gains_of_another_shape(gains):
     f = init_factors((3, 4, 2), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=0, scale=0.3)
     obs = SparseTensor(f.dims, [0, 1], [0, 1], [0, 1], [1.0, 2.0])
     with pytest.raises(ParameterError, match=re.escape("gains must be five values")):
-        native().bind(f, columns(obs), (np.zeros(2), np.zeros(2)), gains)
+        native().steps(f, columns(obs), (np.zeros(2), np.zeros(2)), gains, np.array([0]))
 
 
 def test_train_rejects_indices_outside_dims(kernel):
@@ -741,11 +768,10 @@ def test_a_rank_build_equals_the_generic_build_bitwise(ranks):
     runs = []
     for kernel in (rank_build(ranks), native()):
         f, state = init_factors(observed.dims, ranks, 1, 0.3), PidState(len(observed))
-        epoch, loss = kernel.bind(f, cols, (state.integral, state.prev_error), gains)
-        rng, losses = np.random.default_rng(0), []
+        arrays, rng, losses = (state.integral, state.prev_error), np.random.default_rng(0), []
         for _ in range(50):
-            epoch(epoch_visit_order(rng, len(observed)))
-            losses.append(loss())
+            kernel.steps(f, cols, arrays, gains, epoch_visit_order(rng, len(observed)))
+            losses.append(round_loss(kernel, f, cols, gains))
         runs.append(([getattr(f, name).tobytes() for name in "gabc"], losses,
                      state.integral.tobytes(), state.prev_error.tobytes()))
     assert runs[0] == runs[1]
@@ -772,14 +798,13 @@ def test_the_avx2_rank_build_equals_the_baseline_rank_build_bitwise(ranks, tmp_p
         assert ("-mavx2" in twd_core.kernel_flags(ranks)) == avx2
         kernel = rank_build(ranks)
         f, state = init_factors(observed.dims, ranks, 5, 0.2), PidState(len(observed))
-        epoch, loss = kernel.bind(f, cols, (state.integral, state.prev_error),
-                                  (0.01, 0.02, 1.0, 0.05, 0.001))
-        rng = np.random.default_rng(1)
+        gains, rng = (0.01, 0.02, 1.0, 0.05, 0.001), np.random.default_rng(1)
         for _ in range(5):
-            epoch(epoch_visit_order(rng, len(observed)))
-        _, plain_loss = kernel.bind(f, cols, None, (0.01, 0.0, 1.0, 0.0, 0.0))
+            kernel.steps(f, cols, (state.integral, state.prev_error), gains,
+                         epoch_visit_order(rng, len(observed)))
         runs.append(([getattr(f, name).tobytes() for name in "gabc"], state.integral.tobytes(),
-                     state.prev_error.tobytes(), loss(), plain_loss()))
+                     state.prev_error.tobytes(), round_loss(kernel, f, cols, gains),
+                     round_loss(kernel, f, cols, (0.01, 0.0, 1.0, 0.0, 0.0))))
     assert runs[0] == runs[1]
 
 
@@ -792,8 +817,9 @@ ROUND_BUILDS = [None, (2, 2, 2, 2, 2, 2), (5, 5, 5, 2, 2, 2)]
 @pytest.mark.parametrize("rank_tuple", ROUND_BUILDS,
                          ids=["generic", "2-2-2-2-2-2", "5-5-5-2-2-2"])
 def test_a_round_equals_the_epoch_and_the_two_losses_bitwise(rank_tuple, pid, lam, n_valid):
-    # tw_round against tw_epoch, tw_loss and tw_loss with lam 0 over the
-    # validation columns, on copies of the same factors, for five epochs
+    # tw_round against tw_epoch, then tw_loss and tw_loss with lam 0 over
+    # the validation columns, each through a round over an empty order, on
+    # copies of the same factors, for five epochs
     ranks = Ranks(r=(3, 2, 4), h=(2, 3, 1)) if rank_tuple is None else \
         Ranks(r=rank_tuple[:3], h=rank_tuple[3:])
     kernel = native() if rank_tuple is None else rank_build(ranks)
@@ -814,11 +840,10 @@ def test_a_round_equals_the_epoch_and_the_two_losses_bitwise(rank_tuple, pid, la
                 loss, squares = run_round(epoch_visit_order(rng, n))
                 sums.append((loss(), squares()))
         else:
-            epoch, loss = kernel.bind(f, train_cols, arrays, gains)
-            _, squares = kernel.bind(f, valid_cols, None, (0.05, 0.0, 1.0, 0.0, 0.0))
             for _ in range(5):
-                epoch(epoch_visit_order(rng, n))
-                sums.append((loss(), squares()))
+                kernel.steps(f, train_cols, arrays, gains, epoch_visit_order(rng, n))
+                sums.append((round_loss(kernel, f, train_cols, gains),
+                             round_loss(kernel, f, valid_cols, (0.05, 0.0, 1.0, 0.0, 0.0))))
         runs.append(([getattr(f, name).tobytes() for name in "gabc"], state.integral.tobytes(),
                      state.prev_error.tobytes(), np.array(sums).tobytes()))
     assert runs[0] == runs[1]
@@ -840,12 +865,49 @@ def test_a_round_refuses_an_order_outside_the_training_entries_before_any_step()
         assert not state.integral.any() and not state.prev_error.any()
 
 
+def test_a_round_over_an_empty_order_runs_no_step_and_takes_both_sums():
+    # the round round_loss reads the native loss through
+    f = init_factors((3, 4, 2), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=0, scale=0.3)
+    obs = SparseTensor(f.dims, [0, 1, 2], [0, 1, 3], [0, 1, 1], [1.0, 2.0, -0.5])
+    state = PidState(3)
+    state.integral[:], state.prev_error[:] = (0.1, -0.2, 0.3), (0.4, 0.5, -0.6)
+    before = [getattr(f, name).tobytes() for name in "gabc"] + \
+        [state.integral.tobytes(), state.prev_error.tobytes()]
+    run_round = native().bind_round(f, columns(obs), (state.integral, state.prev_error),
+                                    (0.1, 0.01, 1.0, 0.01, 0.001), columns(obs))
+    loss, squares = run_round(np.empty(0, np.int64))
+    after = [getattr(f, name).tobytes() for name in "gabc"] + \
+        [state.integral.tobytes(), state.prev_error.tobytes()]
+    assert after == before
+    assert loss() == plain_loop_loss(f, columns(obs), 0.01)
+    assert squares() == plain_loop_loss(f, columns(obs), 0.0)
+
+
+@pytest.mark.parametrize("order", [[0.7], [[0, 1]], np.array([True]), np.array([[1], [0]]),
+                                   np.array(1), np.array([0.0, 1.0])],
+                         ids=["float", "2-D", "bool", "column", "0-D", "float-array"])
+def test_a_native_order_that_is_not_a_1d_integer_array_is_refused_before_any_step(order):
+    # converted unchecked, [0.7] would run entry 0 and [[0, 1]] entry 0 alone
+    f = init_factors((3, 4, 2), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=0, scale=0.3)
+    obs = SparseTensor(f.dims, [0, 1], [0, 1], [0, 1], [1.0, 2.0])
+    state = PidState(2)
+    pid, gains = (state.integral, state.prev_error), (0.1, 0.0, 1.0, 0.01, 0.001)
+    before = [getattr(f, name).tobytes() for name in "gabc"]
+    run_round = native().bind_round(f, columns(obs), pid, gains, columns(obs))
+    for call in (lambda: native().steps(f, columns(obs), pid, gains, order),
+                 lambda: run_round(order)):
+        with pytest.raises(ParameterError, match="visit order must be a 1-D array of integers"):
+            call()
+        assert [getattr(f, name).tobytes() for name in "gabc"] == before
+        assert not state.integral.any() and not state.prev_error.any()
+
+
 def test_a_round_stops_at_the_diverging_step_which_writes_nothing_back():
     f = init_factors((3, 3, 3), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=1, scale=1.0)
     obs = SparseTensor(f.dims, [0, 1], [0, 2], [0, 0], [0.5, 1e300])
     gains = (1e10, 0.0, 1.0, 0.0, 0.0)
     copy = f.copy()
-    native().bind(copy, columns(obs), None, gains)[0](np.array([0]))  # the finite step only
+    native().steps(copy, columns(obs), None, gains, np.array([0]))  # the finite step only
     run_round = native().bind_round(f, columns(obs), None, gains, columns(obs))
     with pytest.raises(DivergenceError) as err:
         run_round(np.array([0, 1]))
@@ -875,7 +937,9 @@ def test_a_rank_build_refuses_factors_of_other_ranks():
     for other in (Ranks(r=(2, 2, 2), h=(2, 2, 3)), Ranks(r=(1, 2, 2), h=(2, 2, 2))):
         f = init_factors((3, 3, 3), other, seed=0, scale=0.3)
         before = [getattr(f, name).copy() for name in "gabc"]
-        for call in (lambda: kernel.bind(f, cols, None, (0.1, 0.01, 1.0, 0.0, 0.0)),
+        for call in (lambda: kernel.steps(f, cols, None, (0.1, 0.01, 1.0, 0.0, 0.0),
+                                          np.array([0])),
+                     lambda: kernel.bind_round(f, cols, None, (0.1, 0.01, 1.0, 0.0, 0.0), EMPTY),
                      lambda: kernel.partials(f, 0, 0, 0)):
             with pytest.raises(ParameterError, match="built for ranks"):
                 call()

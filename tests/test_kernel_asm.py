@@ -32,7 +32,7 @@ def test_the_generic_and_a_rank_build_each_list_the_exported_functions():
         listed.setdefault(build, set()).add(function)
     assert list(listed) == ["generic", "2,2,2,2,2,2"]
     for functions in listed.values():
-        assert {"tw_epoch", "tw_loss", "tw_partials"} <= functions
+        assert {"tw_epoch", "tw_loss", "tw_partials", "tw_round"} <= functions
 
 
 @pytest.fixture(scope="module")

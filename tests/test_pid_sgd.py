@@ -195,6 +195,20 @@ def test_pid_error_bounds():
         pid_error(PidState(2), 2, 0.1, proportional_hp())
 
 
+@pytest.mark.parametrize("size", [-1, 1.5, "2", None])
+def test_pid_state_refuses_a_size_that_is_not_a_whole_number_at_least_0(size):
+    with pytest.raises(ParameterError, match="PID state size must be"):
+        PidState(size)
+
+
+def test_pid_state_takes_whole_sizes_of_any_type():
+    for size in (0, 3, np.int64(3), 3.0):
+        state = PidState(size)
+        assert len(state) == int(size)
+        assert state.integral.dtype == state.prev_error.dtype == np.float64
+        assert not state.integral.any() and not state.prev_error.any()
+
+
 # -------------------------------------------------------------- sgd step
 
 def test_sgd_step_null_update():
