@@ -31,8 +31,10 @@ the host runs AVX2), for one rank tuple, whose loops have constant trip
 counts and whose results are the same bit for bit; the trainer runs it.
 ``NativeKernel.bind_round``, the one binding, hands the trainer a
 function that runs an epoch's steps, its loss and its validation sum in
-one call into C; ``NativeKernel.steps`` runs the step's one-entry epoch
-in one direct call.
+one call into C, the sums from residuals grouped by (i, j), so that a
+stage-1 product shared by several entries is computed once;
+``NativeKernel.steps`` runs the step's one-entry epoch in one direct
+call.
 ``entry_partials``, ``reconstruct_entry`` and the trainer's step (a
 one-entry epoch in C) all run whichever kernel is loaded, never a mix,
 so ``reconstruct_entry`` equals the trainer's x_hat bit for bit, as does
@@ -266,7 +268,9 @@ def workspace(ranks: Ranks, extra: int = 0) -> np.ndarray:
     each, then the stage products ab, gb and ca, then ``extra`` doubles.
     A step gathers its entry's blocks into p and its partials into t;
     ``tw_loss`` reads the blocks in the factors, and puts its slice norms
-    first and its stage products after them."""
+    first and its stage products after them; ``tw_round`` reads them
+    there too, puts the stage products first for its residual pass, and
+    then its slice norms over them."""
     (r1, r2, r3), (h1, h2, h3) = ranks.r, ranks.h
     n = sum(math.prod(s) for s in block_shapes(ranks))
     return np.empty(2 * n + r3 * h1 * r2 * h2 + r1 * r2 * h1 * h3 + r2 * h3 * r1 * h1 + extra)
@@ -284,11 +288,16 @@ def scatter_blocks(flat: np.ndarray, blocks) -> None:
 
 class _Bound(ctypes.Structure):
     """The ``bound`` struct of ``twd_kernel.c``: what ``tw_round`` reads
-    from one epoch to the next, in its field order."""
+    from one epoch to the next, in its field order.  Beside ``tw_epoch``'s
+    arguments and the two sums' place ``out``, it holds both sets' entries
+    grouped by (i, j): ``ids``, training ids then n + each validation id,
+    in that order, with their positions and values ``pi``, ``pj``, ``pk``
+    and ``pv``, and ``r``, one residual per id."""
 
     _fields_ = [(name, ctypes.c_int64 if name in ("n", "n_valid") else ctypes.c_void_p)
                 for name in ("s", "g", "a", "b", "c", "ii", "jj", "kk", "values", "n", "hp",
-                             "integral", "prev", "vi", "vj", "vk", "vv", "n_valid", "out", "w")]
+                             "integral", "prev", "n_valid", "out", "w", "ids", "pi", "pj", "pk",
+                             "pv", "r")]
 
 
 def _order(order) -> np.ndarray:
@@ -307,7 +316,10 @@ class NativeKernel:
     over ``tw_partials``; ``steps``, one ``tw_epoch`` call, which
     ``sgd_step`` runs; and ``bind_round``, the one binding, whose
     ``run_round`` makes one ``tw_round`` call per epoch, which ``train``
-    runs.  ``tw_loss`` is reached only through ``tw_round``.
+    runs.  ``tw_round`` takes its sums from residuals grouped by (i, j)
+    and no longer calls ``tw_loss``, the ungrouped loss, whose sums it
+    equals bit for bit; the package calls ``tw_loss`` nowhere, and the
+    tests compare the round with it.
 
     Each call checks the arrays it hands over: float64 (int64 for
     indices), C order, their shapes or lengths, and writeable
@@ -325,7 +337,7 @@ class NativeKernel:
         lib.tw_partials.restype = f64
         lib.tw_epoch.argtypes = [ptr] * 10 + [i64] + [ptr] * 4
         lib.tw_epoch.restype = i64
-        # Python reaches tw_loss only through tw_round; these still state its ABI
+        # only the tests call tw_loss, the ungrouped reference of tw_round's sums
         lib.tw_loss.argtypes = [ptr] * 9 + [i64, f64, ptr]
         lib.tw_loss.restype = f64
         lib.tw_round.argtypes = [ptr, ptr, i64]
@@ -440,18 +452,37 @@ class NativeKernel:
         agree with numpy's to rounding.  Over an empty order, the round
         runs no step and takes the sums of f as it is.  The arguments, and
         each order, are checked as ``steps`` checks them, the order's ids
-        in C, and ``valid``, like ``columns``, must lie inside f's dims and
-        must not be written while ``run_round`` is in use."""
+        in C, and ``valid``, like ``columns``, must lie inside f's dims;
+        ``columns`` must not be written while ``run_round`` is in use.
+
+        The residuals of both sets are taken in one pass, in one stable
+        order of their entries by i*J + j, bound here with a copy of their
+        positions and values, so that the stage-1 product a_i b_j is
+        computed once per (i, j) rather than once per entry; the squares are
+        then summed in entry order, so the sums equal ``tw_loss``'s bit for
+        bit.  An order of the n training entries' length is copied into a
+        buffer bound here, whose address is known, since reading an
+        array's address costs more than the copy; an order of another
+        length, empty or longer with repeats, is passed as it is."""
         head, tail, n, buffers = self._bound(f, columns, pid, gains)
-        cols = self._columns(valid, "validation")
-        out = np.empty(2)
-        bound = _Bound(*head, n, *tail[:3], *(col.ctypes.data for col in cols), len(cols[3]),
-                       out.ctypes.data, tail[3])
-        at, round_ = ctypes.addressof(bound), self._lib.tw_round
+        _, cols, *_ = buffers
+        # both sets' columns, training ids 0 .. n-1 then validation ids n on,
+        # and the ids with their entries in one stable order by (i, j)
+        both = [np.concatenate(pair) for pair in zip(cols, self._columns(valid, "validation"))]
+        ids = np.argsort(both[0] * f.dims[1] + both[1], kind="stable")
+        grouped = [ids, *(col[ids] for col in both)]
+        out, residuals, visit = np.empty(2), np.empty(len(ids)), np.empty(n, np.int64)
+        bound = _Bound(*head, n, *tail[:3], len(ids) - n, out.ctypes.data, tail[3],
+                       *(col.ctypes.data for col in grouped), residuals.ctypes.data)
+        at, round_, visit_at = ctypes.addressof(bound), self._lib.tw_round, visit.ctypes.data
 
         def run_round(order: np.ndarray):
             order = _order(order)
-            status = round_(at, order.ctypes.data, len(order))
+            if len(order) == n:  # visit's address is bound; order's would cost more than a copy
+                np.copyto(visit, order)
+                status = round_(at, visit_at, n)
+            else:
+                status = round_(at, order.ctypes.data, len(order))
             if status == -2:
                 raise BoundsError(f"visit order outside the {n} training entries")
             if status >= 0:
@@ -460,7 +491,8 @@ class NativeKernel:
             return (lambda: check_finite(loss, "loss", LOSS_OVERFLOW),
                     lambda: check_finite(squares, "validation sum of squares", LOSS_OVERFLOW))
 
-        run_round.buffers = (buffers, cols, out, bound)  # the memory bound holds and points into
+        # the memory bound holds and points into
+        run_round.buffers = (buffers, grouped, out, residuals, visit, bound)
         return run_round
 
 

@@ -4,7 +4,12 @@
  * epoch in one call (tw_round): its steps, its loss and the validation
  * sum of squared residuals, which the trainer calls once per epoch.
  * Every sum over factor values, the loss's slice norms among them, goes
- * through one loop, dots.
+ * through one loop, dots, and every reconstruction through the two stage
+ * macros, STAGE_AB and STAGE_TG.  tw_round takes the residuals of both
+ * sets in one pass grouped by (i, j), so that the stage-1 product a_i b_j
+ * is computed once per pair, not once per entry; its sums equal tw_loss's
+ * bit for bit, and tw_loss, which Python no longer calls, is the
+ * ungrouped reference the tests compare them with.
  *
  * Built and loaded by twd_core with the system C compiler, without
  * contraction of multiplies and adds into FMAs, so that the update and
@@ -16,10 +21,11 @@
  * entry's blocks into one vector p laid out as g (H1,H2,H3), a[:, i]
  * (R3,R1,H1), b[:, j] (R1,R2,H2) and c[:, k] (R2,R3,H3), updates p and
  * writes it back; its partials t share that layout.  The loss and
- * validation only read the blocks, so tw_loss reconstructs from the
- * factors where they lie and copies nothing.  The workspace w holds p, t
- * and the three stage products, and for tw_loss the slice norms before
- * them; twd_core sizes it.  Every index is checked by the caller.
+ * validation only read the blocks, so tw_loss and tw_round reconstruct
+ * from the factors where they lie and copy nothing.  The workspace w
+ * holds p, t and the three stage products, and for the loss the slice
+ * norms or the stage products ab and tg; twd_core sizes it.  Every index
+ * is checked by the caller.
  *
  * The ranks are read through RANK(q), q in 3..8: s[q] in the generic
  * build.  A build for one rank tuple defines TW_RANK3 .. TW_RANK8 as its
@@ -133,19 +139,43 @@ static inline __attribute__((always_inline)) void dots(int64_t n, double *out, i
         lanes(1, o, out, os, x, y, nu, nv);
 }
 
-/* The reconstruction from the blocks g, a_i, b_j and c_k: stage 1 into
- * ab[r3,h1,r2,h2], the sum over r1 of a_i[r3,r1,h1] b_j[r1,r2,h2];
- * stage 2 into t_g[h1,h2,h3], the sum over (r3, r2) of ab[r3,h1,r2,h2]
- * c_k[r2,r3,h3]; stage 3, returned, the sum over (h1, h2, h3) of t_g g,
- * in that order.  Each block is read where it lies: a_i's r3 runs are sa
- * apart, b_j's r1 runs sb and c_k's r2 runs sc, and the rest of a run is
- * contiguous, so the blocks may be p's or the factors' own.  ab and tg
- * overlap nothing else it reads or writes, and restrict says so: without
- * it gcc guards each vectorised loop with run-time overlap checks.
- * noinline: gcc then makes one clone per call site.  Inlined, or left to
- * gcc, it changed how the step was inlined (partials was no longer
- * inlined into its caller), and a step at ranks (5,5,5,2,2,2) ran 2-3%
- * slower. */
+/* The stages of a reconstruction, as statements over the ranks R1 .. H3
+ * of the scope they are used in: reconstruct is made of the two, and the
+ * round's residuals run stage 1 once per (i, j) and the rest per entry.
+ * Macros, not functions: reconstruct made of two always_inline functions
+ * was compiled to other machine code.  STAGE_AB is stage 1, into
+ * ab[r3,h1,r2,h2], the sum over r1 of a_i[r3,r1,h1] b_j[r1,r2,h2], where
+ * a_i's r3 runs are sa apart and b_j's r1 runs sb. */
+#define STAGE_AB(ai, bj, sa, sb, ab)                                                          \
+    for (int64_t r3 = 0; r3 < R3; r3++)                                                       \
+        for (int64_t h1 = 0; h1 < H1; h1++)                                                   \
+            dots(R2 * H2, (ab) + (r3 * H1 + h1) * R2 * H2, 1,                                 \
+                 (operand){(ai) + r3 * (sa) + h1, 0, H1, 0}, (operand){(bj), 1, (sb), 0}, R1, 1)
+
+/* Stages 2 and 3, from stage 1's ab: stage 2 into t_g[h1,h2,h3], the sum
+ * over (r3, r2) of ab[r3,h1,r2,h2] c_k[r2,r3,h3], where c_k's r2 runs are
+ * sc apart; stage 3 into x, the sum over (h1, h2, h3) of t_g g, in that
+ * order. */
+#define STAGE_TG(g, ck, sc, ab, tg, x)                                                        \
+    do {                                                                                      \
+        for (int64_t h1 = 0; h1 < H1; h1++)                                                   \
+            for (int64_t h2 = 0; h2 < H2; h2++)                                               \
+                dots(H3, (tg) + (h1 * H2 + h2) * H3, 1,                                       \
+                     (operand){(ab) + h1 * R2 * H2 + h2, 0, H1 * R2 * H2, H2},                \
+                     (operand){(ck), 1, H3, (sc)}, R3, R2);                                   \
+        dots(1, &(x), 1, (operand){(tg), 0, 0, 1}, (operand){(g), 0, 0, 1}, 1, H1 * H2 * H3); \
+    } while (0)
+
+/* The reconstruction from the blocks g, a_i, b_j and c_k: STAGE_AB, then
+ * STAGE_TG, its value returned.  Each block is read where it lies: a_i's
+ * r3 runs are sa apart, b_j's r1 runs sb and c_k's r2 runs sc, and the
+ * rest of a run is contiguous, so the blocks may be p's or the factors'
+ * own.  ab and tg overlap nothing else it reads or writes, and restrict
+ * says so: without it gcc guards each vectorised loop with run-time
+ * overlap checks.  noinline: gcc then makes one clone per call site.
+ * Inlined, or left to gcc, it changed how the step was inlined (partials
+ * was no longer inlined into its caller), and a step at ranks
+ * (5,5,5,2,2,2) ran 2-3% slower. */
 static __attribute__((noinline)) double reconstruct(const int64_t *s, const double *g,
                                                     const double *ai, const double *bj,
                                                     const double *ck, int64_t sa, int64_t sb,
@@ -155,16 +185,8 @@ static __attribute__((noinline)) double reconstruct(const int64_t *s, const doub
     const int64_t R1 = RANK(3), R2 = RANK(4), R3 = RANK(5);
     const int64_t H1 = RANK(6), H2 = RANK(7), H3 = RANK(8);
     double x;
-    for (int64_t r3 = 0; r3 < R3; r3++)
-        for (int64_t h1 = 0; h1 < H1; h1++)
-            dots(R2 * H2, ab + (r3 * H1 + h1) * R2 * H2, 1,
-                 (operand){ai + r3 * sa + h1, 0, H1, 0}, (operand){bj, 1, sb, 0}, R1, 1);
-    for (int64_t h1 = 0; h1 < H1; h1++)
-        for (int64_t h2 = 0; h2 < H2; h2++)
-            dots(H3, tg + (h1 * H2 + h2) * H3, 1,
-                 (operand){ab + h1 * R2 * H2 + h2, 0, H1 * R2 * H2, H2},
-                 (operand){ck, 1, H3, sc}, R3, R2);
-    dots(1, &x, 1, (operand){tg, 0, 0, 1}, (operand){g, 0, 0, 1}, 1, H1 * H2 * H3);
+    STAGE_AB(ai, bj, sa, sb, ab);
+    STAGE_TG(g, ck, sc, ab, tg, x);
     return x;
 }
 
@@ -285,21 +307,45 @@ int64_t tw_epoch(const int64_t *s, double *g, double *a, double *b, double *c,
     return -1;
 }
 
+/* Into l2, where lam is not 0, pid_sgd.compute_loss's l2 term over the n
+ * entries (ii, jj, kk): lam times (n |g|^2 + the sum over the entries of
+ * the squared norms of the a, b and c slices each touches); where lam is
+ * 0, l2 keeps its 0.0, which leaves a sum it is added to as it is.  A
+ * factor laid out as (runs, slices, len) has its slice norms summed by
+ * dots over (run, rest of the slice), into an, bn and cn, w's first
+ * I + J + K places; g is one slice of one run.  A macro, as the stages
+ * are, so that tw_loss keeps its machine code. */
+#define L2_TERM(g, a, b, c, ii, jj, kk, n, lam, an, bn, cn, l2)                               \
+    do {                                                                                      \
+        if ((lam) != 0.0) {                                                                   \
+            double g_norm, sa = 0.0, sb = 0.0, sc = 0.0;                                      \
+            const operand xg = {(g), 0, 0, 1}, xa = {(a), R1 * H1, s[0] * R1 * H1, 1},        \
+                          xb = {(b), R2 * H2, s[1] * R2 * H2, 1},                             \
+                          xc = {(c), R3 * H3, s[2] * R3 * H3, 1};                             \
+            dots(1, &g_norm, 1, xg, xg, 1, H1 * H2 * H3);                                     \
+            dots(s[0], (an), 1, xa, xa, R3, R1 * H1);                                         \
+            dots(s[1], (bn), 1, xb, xb, R1, R2 * H2);                                         \
+            dots(s[2], (cn), 1, xc, xc, R2, R3 * H3);                                         \
+            for (int64_t q = 0; q < (n); q++) {                                               \
+                sa += (an)[(ii)[q]];                                                          \
+                sb += (bn)[(jj)[q]];                                                          \
+                sc += (cn)[(kk)[q]];                                                          \
+            }                                                                                 \
+            (l2) = (lam) * ((double)(n) * g_norm + (sa + sb + sc));                           \
+        }                                                                                     \
+    } while (0)
+
 /* The regularized loss over the n entries (ii, jj, kk, values): the sum
  * of their squared residuals, each reconstruction that of a step at the
- * entry, plus l2, lam times (n |g|^2 + the sum over the entries of the
- * squared norms of the a, b and c slices each touches), or 0.0 where lam
- * is 0, which leaves the sum as it is; pid_sgd.compute_loss's terms.  A
- * factor laid out as (runs, slices, len) has its slice norms summed by
- * dots over (run, rest of the slice), into w's first I + J + K places; g
- * is one slice of one run.  l2 is taken before the residuals, so that
- * the norms are not live across their loop: at ranks (2,2,2,2,2,2) that
- * loop ran ~4% slower when they were.  Each reconstruction reads a_i, b_j
- * and c_k in the factors, their runs s[0] R1 H1, s[1] R2 H2 and s[2] R3 H3
- * apart, and its stage products follow the norms in w.  The step keeps
- * its gather: in place, b_j's r1 runs are not R2 H2 apart, so gb's R1 R2
- * outputs would no longer be one pass of dots but R1 passes of R2, and a
- * step that read in place was not reliably faster. */
+ * entry, plus L2_TERM; pid_sgd.compute_loss's terms.  l2 is taken before
+ * the residuals, so that the norms are not live across their loop: at
+ * ranks (2,2,2,2,2,2) that loop ran ~4% slower when they were.  Each
+ * reconstruction reads a_i, b_j and c_k in the factors, their runs s[0]
+ * R1 H1, s[1] R2 H2 and s[2] R3 H3 apart, and its stage products follow
+ * the norms in w.  The step keeps its gather: in place, b_j's r1 runs are
+ * not R2 H2 apart, so gb's R1 R2 outputs would no longer be one pass of
+ * dots but R1 passes of R2, and a step that read in place was not
+ * reliably faster. */
 double tw_loss(const int64_t *s, double *g, double *a, double *b, double *c,
                const int64_t *ii, const int64_t *jj, const int64_t *kk, const double *values,
                int64_t n, double lam, double *w)
@@ -307,21 +353,8 @@ double tw_loss(const int64_t *s, double *g, double *a, double *b, double *c,
     const int64_t R1 = RANK(3), R2 = RANK(4), R3 = RANK(5);
     const int64_t H1 = RANK(6), H2 = RANK(7), H3 = RANK(8);
     double *an = w, *bn = an + s[0], *cn = bn + s[1], *tg = cn + s[2], *ab = tg + H1 * H2 * H3;
-    double squares = 0.0, l2 = 0.0, g_norm, sa = 0.0, sb = 0.0, sc = 0.0;
-    if (lam != 0.0) {
-        const operand xg = {g, 0, 0, 1}, xa = {a, R1 * H1, s[0] * R1 * H1, 1},
-                      xb = {b, R2 * H2, s[1] * R2 * H2, 1}, xc = {c, R3 * H3, s[2] * R3 * H3, 1};
-        dots(1, &g_norm, 1, xg, xg, 1, H1 * H2 * H3);
-        dots(s[0], an, 1, xa, xa, R3, R1 * H1);
-        dots(s[1], bn, 1, xb, xb, R1, R2 * H2);
-        dots(s[2], cn, 1, xc, xc, R2, R3 * H3);
-        for (int64_t q = 0; q < n; q++) {
-            sa += an[ii[q]];
-            sb += bn[jj[q]];
-            sc += cn[kk[q]];
-        }
-        l2 = lam * ((double)n * g_norm + (sa + sb + sc));
-    }
+    double squares = 0.0, l2 = 0.0;
+    L2_TERM(g, a, b, c, ii, jj, kk, n, lam, an, bn, cn, l2);
     for (int64_t q = 0; q < n; q++) {
         const double r = values[q] - reconstruct(s, g, a + ii[q] * R1 * H1, b + jj[q] * R2 * H2,
                                                  c + kk[q] * R3 * H3, s[0] * R1 * H1,
@@ -331,17 +364,17 @@ double tw_loss(const int64_t *s, double *g, double *a, double *b, double *c,
     return squares + l2;
 }
 
-/* tw_epoch and tw_loss under hidden names, so that tw_round calls them in
- * the library and not through the PLT; aliases, not wrappers of a static
- * body, so that neither export's machine code changes. */
+/* tw_epoch under a hidden name, so that tw_round calls it in the library
+ * and not through the PLT; an alias, not a wrapper of a static body, so
+ * that the export's machine code does not change. */
 extern __typeof(tw_epoch) epoch_here __attribute__((alias("tw_epoch"), visibility("hidden")));
-extern __typeof(tw_loss) loss_here __attribute__((alias("tw_loss"), visibility("hidden")));
 
 /* tw_round's arguments that stay the same from one epoch to the next,
  * bound once per training run: the factors, the n training entries, the
- * gains and PID state of tw_epoch, the n_valid validation entries, the
- * two sums' place out and the workspace.  twd_core._Bound lists the same
- * fields in the same order. */
+ * gains and PID state of tw_epoch, the number of validation entries, the
+ * two sums' place out, the workspace, and the n + n_valid entries of both
+ * sets with their residuals r, as residuals reads them.  twd_core._Bound
+ * lists the same fields in the same order. */
 typedef struct {
     const int64_t *s;
     double *g, *a, *b, *c;
@@ -350,20 +383,65 @@ typedef struct {
     int64_t n;
     const double *hp;
     double *integral, *prev;
-    const int64_t *vi, *vj, *vk;
-    const double *vv;
     int64_t n_valid;
     double *out, *w;
+    const int64_t *ids, *pi, *pj, *pk;
+    const double *pv;
+    double *r;
 } bound;
 
+/* The residual of each training and validation entry, its value less its
+ * reconstruction, into r: training entry e's at r[e], validation entry
+ * e's at r[n + e].  Entry q of (pi, pj, pk, pv) is the one whose residual
+ * goes to r[ids[q]], and those of one (i, j) lie next to each other, so
+ * STAGE_AB, whose product depends on a_i and b_j alone, runs once per run
+ * of one (i, j) and STAGE_TG once per entry; each residual equals
+ * tw_loss's bit for bit.  The blocks are read in the factors, as tw_loss
+ * reads them.  ab and tg, in w, are parameters, not locals, so that
+ * restrict holds for them as it does in reconstruct. */
+static void residuals(const bound *x, double *restrict ab, double *restrict tg)
+{
+    const int64_t *s = x->s;
+    const int64_t R1 = RANK(3), R2 = RANK(4), R3 = RANK(5);
+    const int64_t H1 = RANK(6), H2 = RANK(7), H3 = RANK(8);
+    const int64_t sa = s[0] * R1 * H1, sb = s[1] * R2 * H2, sc = s[2] * R3 * H3;
+    int64_t i = -1, j = -1;
+    for (int64_t q = 0; q < x->n + x->n_valid; q++) {
+        double x_hat;
+        if (x->pi[q] != i || x->pj[q] != j) {
+            i = x->pi[q];
+            j = x->pj[q];
+            STAGE_AB(x->a + i * R1 * H1, x->b + j * R2 * H2, sa, sb, ab);
+        }
+        STAGE_TG(x->g, x->c + x->pk[q] * R3 * H3, sc, ab, tg, x_hat);
+        x->r[x->ids[q]] = x->pv[q] - x_hat;
+    }
+}
+
+/* The sum of the squares of r[0..n), from 0.0 and in that order: the sum
+ * tw_loss takes of its residuals. */
+static double squares(const double *r, int64_t n)
+{
+    double sum = 0.0;
+    for (int64_t q = 0; q < n; q++)
+        sum += r[q] * r[q];
+    return sum;
+}
+
 /* One training epoch in one call: tw_epoch over order[0..n_order) of the
- * training entries, then tw_loss of those at hp[1] into out[0], and
- * tw_loss with lam 0 of the validation entries, their sum of squared
- * residuals, into out[1].  Returns -2, before any step, where an id of
- * the order lies outside [0, n); the id of the entry whose step diverged,
- * with out unwritten; else -1. */
+ * training entries, then residuals, then into out[0] the training loss,
+ * its squared residuals plus L2_TERM at lam hp[1], and into out[1] the
+ * validation sum of squared residuals; each equals tw_loss's at lam hp[1]
+ * and 0 bit for bit (tw_loss adds an l2 of 0.0 to a sum that is not
+ * -0.0, which changes no bit).  Returns -2, before any step, where an id
+ * of the order lies outside [0, n); the id of the entry whose step
+ * diverged, with out unwritten; else -1. */
 int64_t tw_round(const bound *x, const int64_t *order, int64_t n_order)
 {
+    const int64_t *s = x->s;
+    const int64_t R1 = RANK(3), R2 = RANK(4), R3 = RANK(5);
+    const int64_t H1 = RANK(6), H2 = RANK(7), H3 = RANK(8);
+    double *an = x->w, *bn = an + s[0], *cn = bn + s[1], l2 = 0.0;
     int64_t diverged;
     for (int64_t q = 0; q < n_order; q++)
         if (order[q] < 0 || order[q] >= x->n)
@@ -372,9 +450,9 @@ int64_t tw_round(const bound *x, const int64_t *order, int64_t n_order)
                           n_order, x->hp, x->integral, x->prev, x->w);
     if (diverged >= 0)
         return diverged;
-    x->out[0] = loss_here(x->s, x->g, x->a, x->b, x->c, x->ii, x->jj, x->kk, x->values, x->n,
-                          x->hp[1], x->w);
-    x->out[1] = loss_here(x->s, x->g, x->a, x->b, x->c, x->vi, x->vj, x->vk, x->vv, x->n_valid,
-                          0.0, x->w);
+    residuals(x, x->w + H1 * H2 * H3, x->w);
+    L2_TERM(x->g, x->a, x->b, x->c, x->ii, x->jj, x->kk, x->n, x->hp[1], an, bn, cn, l2);
+    x->out[0] = squares(x->r, x->n) + l2;
+    x->out[1] = squares(x->r + x->n, x->n_valid);
     return -1;
 }

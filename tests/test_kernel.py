@@ -43,7 +43,7 @@ from tensorwheel import (
     write_coo,
 )
 from tensorwheel.cli import main
-from tensorwheel.pid_sgd import epoch_visit_order
+from tensorwheel.pid_sgd import epoch_visit_order, validation_rmse
 from tensorwheel.twd_core import BATCH_CHUNK, block_partials, entry_blocks, entry_partials
 
 RANK = st.integers(1, 4)
@@ -137,9 +137,9 @@ EMPTY = (np.empty(0, np.int64),) * 3 + (np.empty(0),)
 
 
 def round_loss(kernel, f, cols, gains):
-    """The native loss of f over cols at L2 weight gains[1]: ``tw_loss``,
-    which Python reaches only through ``tw_round``, here over an empty
-    order, which runs no step."""
+    """The native loss of f over cols at L2 weight gains[1]: the training
+    loss of ``tw_round``, whose residuals are grouped by (i, j), here over
+    an empty order, which runs no step, and empty validation columns."""
     return kernel.bind_round(f, cols, None, gains, EMPTY)(np.empty(0, np.int64))[0]()
 
 
@@ -914,6 +914,115 @@ def test_a_round_stops_at_the_diverging_step_which_writes_nothing_back():
     assert err.value.entry_id == 1
     for name in "gabc":
         assert getattr(f, name).tobytes() == getattr(copy, name).tobytes()
+
+
+def ungrouped_loss(kernel, f, cols, lam):
+    """``tw_loss`` of f over cols at L2 weight lam, called directly: the
+    ungrouped loss, one reconstruction per entry in entry order."""
+    operands = kernel._operands(f, in_place=False, extra=sum(f.dims))
+    shape, g, a, b, c, work = (arr.ctypes.data for arr in operands)
+    cols = kernel._columns(cols)
+    return kernel._lib.tw_loss(shape, g, a, b, c, *(col.ctypes.data for col in cols),
+                               len(cols[3]), lam, work)
+
+
+def shared_pair_columns(dims, case, rng):
+    """Training and validation columns of positions in dims (5, 4, 3):
+    "shared", whose (i, j) pairs repeat within and across the two sets;
+    "one-pair", every entry at one (i, j); "distinct", no (i, j) twice;
+    "one-entry", one entry in each set, at one (i, j); and "no-validation",
+    shared pairs and empty validation columns."""
+    if case == "one-pair":
+        ii, jj, kk = np.full(9, 3), np.full(9, 1), np.arange(9) % dims[2]
+    elif case == "distinct":
+        pairs = rng.permutation(dims[0] * dims[1])[:12]
+        ii, jj, kk = pairs // dims[1], pairs % dims[1], rng.integers(0, dims[2], 12)
+    elif case == "one-entry":
+        ii, jj, kk = np.array([2, 2]), np.array([3, 3]), np.array([0, 2])
+    else:
+        ii, jj, kk = (rng.integers(0, d, 30) for d in (2, 2, dims[2]))
+    values = rng.uniform(-1.0, 1.0, len(ii))
+    n = len(ii) if case == "no-validation" else len(ii) // 2
+    cols = [np.asarray(col, dtype=dtype) for col, dtype in zip((ii, jj, kk, values),
+                                                                (np.int64,) * 3 + (np.float64,))]
+    return [col[:n] for col in cols], [col[n:] for col in cols]
+
+
+@pytest.mark.parametrize("case", ["shared", "one-pair", "distinct", "one-entry", "no-validation"])
+@pytest.mark.parametrize("rank_tuple", ROUND_BUILDS, ids=["generic", "2-2-2-2-2-2", "5-5-5-2-2-2"])
+def test_the_rounds_validation_sum_is_the_plain_loop_sum_bitwise(rank_tuple, case):
+    # the round takes both sets' residuals in one pass grouped by (i, j), with
+    # stage 1 once per pair; each sum must still add its squares in its own
+    # set's entry order, as the plain loop and the ungrouped tw_loss do
+    ranks = Ranks(r=(3, 2, 4), h=(2, 3, 1)) if rank_tuple is None else \
+        Ranks(r=rank_tuple[:3], h=rank_tuple[3:])
+    kernel = native() if rank_tuple is None else rank_build(ranks)
+    rng = np.random.default_rng(41)
+    dims = (5, 4, 3)
+    f = TwdFactors(*(rng.uniform(-0.4, 0.4, s) for s in twd_core.factor_shapes(dims, ranks)),
+                   dims, ranks)
+    train_cols, valid_cols = shared_pair_columns(dims, case, rng)
+    n = len(train_cols[3])
+    state = PidState(n)
+    run_round = kernel.bind_round(f, train_cols, (state.integral, state.prev_error),
+                                  (0.01, 0.0, 1.0, 0.01, 0.001), valid_cols)
+    for order in (np.empty(0, np.int64), rng.permutation(n)):  # no step, then an epoch's
+        loss, squares = run_round(order)
+        assert loss() == plain_loop_loss(f, train_cols, 0.0)
+        assert squares() == plain_loop_loss(f, valid_cols, 0.0)
+        assert squares() == ungrouped_loss(kernel, f, valid_cols, 0.0)
+        assert (squares() == 0.0) == (case == "no-validation")
+    # the training loss with its l2 term, against the ungrouped loss
+    run_round = kernel.bind_round(f, train_cols, None, (0.05, 0.02, 1.0, 0.0, 0.0), valid_cols)
+    loss, squares = run_round(np.empty(0, np.int64))
+    assert loss() == ungrouped_loss(kernel, f, train_cols, 0.02)
+    assert loss() == plain_loop_loss(f, train_cols, 0.02)
+
+
+@pytest.mark.parametrize("rank_tuple", ROUND_BUILDS, ids=["generic", "2-2-2-2-2-2", "5-5-5-2-2-2"])
+def test_a_round_whose_validation_residual_overflows_leaves_the_rmse_to_evaluate(rank_tuple):
+    # each squared residual overflows, and shares its (i, j) with a training
+    # entry: the sum is not finite, so validation_rmse takes evaluate's
+    ranks = Ranks(r=(2, 2, 2), h=(2, 2, 2)) if rank_tuple is None else \
+        Ranks(r=rank_tuple[:3], h=rank_tuple[3:])
+    kernel = native() if rank_tuple is None else rank_build(ranks)
+    f = init_factors((4, 3, 3), ranks, seed=2, scale=0.4)
+    train_cols = columns(SparseTensor(f.dims, [0, 1, 3], [0, 2, 1], [0, 1, 2], [0.5, -0.2, 0.1]))
+    valid = SparseTensor(f.dims, [0, 1, 3], [0, 2, 1], [1, 2, 0], [1e160, -1e160, 1e160])
+    run_round = kernel.bind_round(f, train_cols, None, (0.05, 0.01, 1.0, 0.0, 0.0),
+                                  columns(valid))
+    loss, squares = run_round(np.array([2, 0, 1]))
+    assert loss() == plain_loop_loss(f, train_cols, 0.01)  # the training sum is untouched
+    with pytest.raises(DomainError, match="validation sum of squares is not finite"):
+        squares()
+    assert validation_rmse(f, valid, squares) == evaluate(f, valid).rmse
+    assert validation_rmse(f, valid, squares) == pytest.approx(1e160, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [[], [1, 0, 2], [2, 2, 0, 1, 0, 2, 1]],
+                         ids=["empty", "n", "longer-with-repeats"])
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_a_round_runs_an_order_of_any_length_as_the_steps_do(order, dtype):
+    # an order of the training length is copied into a buffer bound once;
+    # others are passed as they are: each must run as steps runs it, again
+    # and again, and leave the caller's array as it was
+    f = init_factors((4, 3, 3), Ranks(r=(2, 2, 2), h=(2, 2, 2)), seed=3, scale=0.4)
+    cols = columns(SparseTensor(f.dims, [0, 1, 3], [0, 2, 1], [0, 1, 2], [0.5, -0.2, 0.1]))
+    gains = (0.05, 0.01, 1.0, 0.01, 0.001)
+    copy, state, want_state = f.copy(), PidState(3), PidState(3)
+    run_round = native().bind_round(f, cols, (state.integral, state.prev_error), gains, cols)
+    given = np.array(order, dtype=dtype)
+    for _ in range(3):
+        loss, squares = run_round(given)
+        native().steps(copy, cols, (want_state.integral, want_state.prev_error), gains,
+                       np.array(order, dtype=np.int64))
+        assert [getattr(f, name).tobytes() for name in "gabc"] == \
+            [getattr(copy, name).tobytes() for name in "gabc"]
+        assert state.integral.tobytes() == want_state.integral.tobytes()
+        assert state.prev_error.tobytes() == want_state.prev_error.tobytes()
+        assert (loss(), squares()) == (plain_loop_loss(copy, cols, 0.01),
+                                       plain_loop_loss(copy, cols, 0.0))
+    assert given.tolist() == order and given.dtype == dtype
 
 
 def test_a_host_without_avx2_gets_the_baseline_flags(monkeypatch):

@@ -73,7 +73,7 @@ def test_the_step_calls_no_exported_function_through_the_plt(disassembled):
 
 
 def test_the_round_calls_no_function_through_the_plt(disassembled):
-    # tw_round reaches tw_epoch and tw_loss through hidden aliases
+    # tw_round reaches tw_epoch through a hidden alias
     for build, functions in disassembled.items():
         calls = [op for op in functions["tw_round"] if op.startswith("call")]
         assert calls and not [op for op in calls if "@plt" in op], (build, calls)
